@@ -95,11 +95,20 @@ def _split_days(w: tuple[int, int]) -> list[tuple[int, int]]:
     cur = start
     while cur < end:
         nxt = min(end, (cur - cur % DAY_MS) + DAY_MS)
-        if nxt <= cur:
-            nxt = cur + DAY_MS
-        out.append((cur, min(nxt, end)))
+        out.append((cur, nxt))
         cur = nxt
     return out
+
+
+def _windows(window_arg, records) -> list[tuple[int, int]]:
+    """``--window`` split at UTC midnights, else the UTC days the records span."""
+    if window_arg:
+        return _split_days(parse_window(window_arg))
+    if not records:
+        return []
+    lo = min(r.timestamp for r in records)
+    hi = max(r.timestamp for r in records)
+    return _split_days((lo - lo % DAY_MS, hi - hi % DAY_MS + DAY_MS))
 
 
 def _write_text(path: Path, text: str):
@@ -143,14 +152,7 @@ def cmd_detect(args) -> int:
         flag_threshold=args.threshold,
     )
     records = loaded.http
-    if args.window:
-        windows = _split_days(parse_window(args.window))
-    elif records:
-        lo = min(r.timestamp for r in records)
-        hi = max(r.timestamp for r in records)
-        windows = _split_days((lo - lo % DAY_MS, hi - hi % DAY_MS + DAY_MS))
-    else:
-        windows = []
+    windows = _windows(args.window, records)
 
     t0 = time.monotonic()
     reports = [
@@ -288,20 +290,13 @@ def cmd_panelscan(args) -> int:
         alias = load_alias_groups(_read_lines(_require(args.alias, "alias groups")), suffix)
     policy = pn.SessionPolicy(lookback_ms=args.lookback, alias=alias)
 
-    if args.window:
-        days = [w[0] for w in _split_days(parse_window(args.window))]
-    elif loaded.impressions:
-        lo = min(r.timestamp for r in loaded.impressions)
-        hi = max(r.timestamp for r in loaded.impressions)
-        days = [w[0] for w in _split_days((lo - lo % DAY_MS, hi - hi % DAY_MS + DAY_MS))]
-    else:
-        days = []
-
+    windows = _windows(args.window, loaded.impressions)
     agg_dom: dict[str, list[int]] = {}
     agg_machine: dict[str, list[int]] = {}
     missing_events: dict[str, list[tuple[int, str]]] = {}
-    for day in days:
-        ads = pn.attributed_ads(loaded.impressions, day)
+    for day, end in windows:
+        # each impression counts in exactly one window, clipped to its end
+        ads = pn.attributed_ads(loaded.impressions, day, end)
         visits = pn.publisher_visits(loaded.pageviews, day, policy)
         table = pn.misattribution_table(ads, visits, policy)
         for dom, stat in table.per_domain.items():
@@ -345,7 +340,7 @@ def cmd_panelscan(args) -> int:
             evidence.append(f"{ts} {dom}")
         evidence.append("")
     _write_text(outdir / "evidence.txt", "\n".join(evidence) + ("\n" if evidence else ""))
-    print(f"days={len(days)} machines_ranked={len(ranked)} impressions={len(loaded.impressions)}")
+    print(f"days={len(windows)} machines_ranked={len(ranked)} impressions={len(loaded.impressions)}")
     return EXIT_OK
 
 

@@ -18,11 +18,11 @@ import numpy as np
 from .ingest import MalwareProcessList, RankedDomainList
 from .ipattr import IpAttributionTable, ip_to_u32
 from .model import (
-    DAY_MS,
     HttpRecord,
     InvalidDomainError,
     PublicSuffixSet,
     normalize_domain,
+    url_host,
 )
 
 LABEL_TRUE_POSITIVE = "TruePositiveCandidate"
@@ -50,10 +50,7 @@ def _domain_cache_fn(suffix: PublicSuffixSet):
     cache: dict[str, Optional[str]] = {}
 
     def domain_of(url: str) -> Optional[str]:
-        rest = url.split("://", 1)
-        if len(rest) != 2:
-            return None
-        host = rest[1].split("/", 1)[0].split("?", 1)[0].split("#", 1)[0]
+        host = url_host(url)
         hit = cache.get(host, "")
         if hit != "":
             return hit
@@ -338,14 +335,3 @@ def detect(
         detections=tuple(detections),
         diagnostics=diagnostics,
     )
-
-
-def day_windows(start_ts: int, end_ts: int) -> list[tuple[int, int]]:
-    """UTC day windows covering [start_ts, end_ts]."""
-    first = start_ts - (start_ts % DAY_MS)
-    out = []
-    w = first
-    while w <= end_ts:
-        out.append((w, w + DAY_MS))
-        w += DAY_MS
-    return out

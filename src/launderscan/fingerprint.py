@@ -14,8 +14,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .detector import Detection, _domain_cache_fn
-from .model import DAY_MS, HttpRecord, PublicSuffixSet, is_malformed_domain, normalize_domain
+from .detector import Detection
+from .model import (
+    DAY_MS,
+    HttpRecord,
+    InvalidDomainError,
+    PublicSuffixSet,
+    is_malformed_domain,
+    normalize_domain,
+    url_host,
+)
 from .urlrules import MalformedSignalError, check_spoof_query
 
 FLAG_SPOOF_QUERY = "SpoofQueryFields"
@@ -112,7 +120,6 @@ def extract_features(
     the same infrastructure but never enter the high-value domain set.
     """
     matching = [r for r in records if r.server_ip == detection.ip]
-    domain_of = _domain_cache_fn(suffix)
     procs: set[str] = set()
     uas: set[str] = set()
     days: set[int] = set()
@@ -124,21 +131,19 @@ def extract_features(
         if rec.user_agent:
             uas.add(rec.user_agent)
         days.add(rec.timestamp // DAY_MS)
-        host = rec.url.split("://", 1)[-1].split("/", 1)[0].split("?", 1)[0]
-        try:
-            nd = normalize_domain(host, suffix)
-            if is_malformed_domain(nd, suffix):
-                malformed += 1
-        except ValueError:
-            malformed += 1
         if not spoof:
             try:
                 spoof = check_spoof_query(rec.url, suffix) is not None
             except MalformedSignalError:
                 spoof = True
-        dom = domain_of(rec.url)
-        if dom is not None:
-            per_machine.setdefault(rec.machine_id, []).append((rec.timestamp, dom))
+        try:
+            nd = normalize_domain(url_host(rec.url), suffix)
+        except InvalidDomainError:
+            malformed += 1
+            continue
+        if is_malformed_domain(nd, suffix):
+            malformed += 1
+        per_machine.setdefault(rec.machine_id, []).append((rec.timestamp, nd.registrable))
     flags = set()
     if spoof:
         flags.add(FLAG_SPOOF_QUERY)

@@ -24,6 +24,7 @@ from .model import (
     canonical_isp,
     is_valid_ipv4,
     normalize_domain,
+    url_host,
 )
 
 
@@ -51,17 +52,6 @@ class LoadResult:
     @property
     def parsed_count(self) -> int:
         return len(self.http) + len(self.impressions) + len(self.pageviews)
-
-
-def _host_of(url: str) -> str:
-    # cheap host extraction; full normalization happens downstream
-    rest = url.split("://", 1)
-    if len(rest) != 2 or not rest[0]:
-        return ""
-    netloc = rest[1].split("/", 1)[0].split("?", 1)[0].split("#", 1)[0]
-    if "@" in netloc:
-        netloc = netloc.rsplit("@", 1)[1]
-    return netloc
 
 
 def load_trace(
@@ -95,7 +85,7 @@ def load_trace(
         kind = obj.get("kind", "http")
         ts = obj.get("ts")
         machine = obj.get("machine")
-        if not isinstance(ts, int) or ts <= 0:
+        if type(ts) is not int or ts <= 0:  # bool is an int subclass
             skip(line_no, "bad ts")
             continue
         if not isinstance(machine, str) or not machine:
@@ -104,27 +94,37 @@ def load_trace(
         if kind == "http":
             url = obj.get("url")
             ip = obj.get("ip")
-            if not isinstance(url, str) or not _host_of(url):
+            if not isinstance(url, str) or not url_host(url):
                 skip(line_no, "bad url")
                 continue
             if not isinstance(ip, str) or not is_valid_ipv4(ip):
                 skip(line_no, "bad ip")
                 continue
             status = obj.get("status")
-            if status is not None and not isinstance(status, int):
+            if status is not None and type(status) is not int:
                 skip(line_no, "bad status")
+                continue
+            proc, method = obj.get("proc", ""), obj.get("method", "GET")
+            ua, ref = obj.get("ua"), obj.get("ref")
+            bad = ("proc" if not isinstance(proc, str)
+                   else "method" if not isinstance(method, str)
+                   else "ua" if ua is not None and not isinstance(ua, str)
+                   else "ref" if ref is not None and not isinstance(ref, str)
+                   else None)
+            if bad:
+                skip(line_no, f"bad {bad}")
                 continue
             out.http.append(
                 HttpRecord(
                     timestamp=ts,
                     machine_id=machine,
-                    process_name=obj.get("proc", ""),
-                    method=obj.get("method", "GET"),
+                    process_name=proc,
+                    method=method,
                     url=url,
-                    referrer=obj.get("ref"),
+                    referrer=ref,
                     server_ip=ip,
                     status=status,
-                    user_agent=obj.get("ua"),
+                    user_agent=ua,
                 )
             )
         elif kind == "impression":

@@ -61,6 +61,16 @@ class NormalizedDomain:
     full_host: str
 
 
+def url_host(url: str) -> str:
+    """The text after a non-empty ``scheme://`` up to the first '/', '?' or
+    '#', without userinfo; "" when there is none.  The toolkit's only
+    URL→host split; port, case and trailing dot are left to normalize_domain."""
+    scheme, sep, rest = url.partition("://")
+    if not scheme or not sep:
+        return ""
+    return rest.split("/", 1)[0].split("?", 1)[0].split("#", 1)[0].rpartition("@")[2]
+
+
 def normalize_domain(host: str, suffix_list: PublicSuffixSet) -> NormalizedDomain:
     """Lowercase ``host``, strip port/userinfo/trailing dot, derive registrable.
 

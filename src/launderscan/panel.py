@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .ingest import AliasGroups
 from .model import DAY_MS, ImpressionRecord, PageViewRecord
@@ -24,11 +24,11 @@ class SessionPolicy:
 
 
 def attributed_ads(
-    impressions: Sequence[ImpressionRecord], day: int
+    impressions: Sequence[ImpressionRecord], day: int, end: Optional[int] = None
 ) -> dict[str, list[tuple[int, str]]]:
-    """Impressions inside the UTC day starting at ``day`` (ms), grouped by
-    machine and time-ordered."""
-    lo, hi = day, day + DAY_MS
+    """Impressions inside [day, end) (ms; by default the day starting at
+    ``day``), grouped by machine and time-ordered."""
+    lo, hi = day, day + DAY_MS if end is None else end
     out: dict[str, list[tuple[int, str]]] = {}
     for imp in impressions:
         if lo <= imp.timestamp < hi:

@@ -700,8 +700,8 @@ class _HashingWriter:
 
 
 def emit_scenario_files(scenario: Scenario, output_dir) -> dict:
-    """Write trace.jsonl, ipmap.csv, ranking.txt, malware.txt, truth.json and
-    manifest.json into output_dir; returns the manifest dict."""
+    """Write trace.jsonl, ipmap.csv, ranking.txt, malware.txt, aliases.csv,
+    truth.json and manifest.json into output_dir; returns the manifest dict."""
     outdir = Path(output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -725,25 +725,19 @@ def emit_scenario_files(scenario: Scenario, output_dir) -> dict:
             idx += 1
     files["trace.jsonl"] = trace.close()
 
-    w = _HashingWriter(outdir / "ipmap.csv")
-    for cidr, isp in world.ipmap_rows:
-        w.write_line(f"{cidr},{isp}")
-    files["ipmap.csv"] = w.close()
-
-    w = _HashingWriter(outdir / "ranking.txt")
-    for dom in world.domains:
-        w.write_line(dom)
-    files["ranking.txt"] = w.close()
-
-    w = _HashingWriter(outdir / "malware.txt")
-    for name in world.malware_names:
-        w.write_line(name)
-    files["malware.txt"] = w.close()
-
     truth = _truth_from(scenario, world, labels)
-    w = _HashingWriter(outdir / "truth.json")
-    w.write_line(json.dumps(truth.to_json_dict(), sort_keys=True))
-    files["truth.json"] = w.close()
+    tables = {
+        "ipmap.csv": [f"{cidr},{isp}" for cidr, isp in world.ipmap_rows],
+        "ranking.txt": world.domains,
+        "malware.txt": world.malware_names,
+        "aliases.csv": ALIAS_GROUP_LINES,
+        "truth.json": [json.dumps(truth.to_json_dict(), sort_keys=True)],
+    }
+    for name, lines in tables.items():
+        w = _HashingWriter(outdir / name)
+        for line in lines:
+            w.write_line(line)
+        files[name] = w.close()
 
     manifest = {
         "seed": scenario.seed,

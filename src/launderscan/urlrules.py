@@ -17,6 +17,7 @@ from .model import (
     PublicSuffixSet,
     is_valid_ipv4,
     normalize_domain,
+    url_host,
 )
 
 SPOOF_DOMAIN_KEY = "spoof_domain"
@@ -92,9 +93,8 @@ def verify_spoof_followthrough(
             break
         if rec.timestamp <= lo or rec.server_ip != signal.land_ip:
             continue
-        host = rec.url.split("://", 1)[-1].split("/", 1)[0].split("?", 1)[0]
         try:
-            if normalize_domain(host, suffix).registrable == want:
+            if normalize_domain(url_host(rec.url), suffix).registrable == want:
                 return replace(signal, verified=True)
         except InvalidDomainError:
             continue
@@ -120,9 +120,7 @@ def sibling_referrer_consistency(
         for key, val in parse_qsl(urlsplit(url).query, keep_blank_values=True):
             if key != param_name or not val:
                 continue
-            host = val
-            if "://" in val:
-                host = urlsplit(val).netloc
+            host = url_host(val) if "://" in val else val
             try:
                 seen.add(normalize_domain(host, suffix).registrable)
             except InvalidDomainError:

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from launderscan import synthgen as sg
 from launderscan.cli import main
 
 from conftest import DAY0
@@ -79,6 +78,21 @@ def test_detect_strict_abort_exit_3(scenario_dir, tmp_path):
     assert main(args) == 3
 
 
+@pytest.mark.parametrize(
+    "field, value", [("ts", True), ("status", False), ("proc", 5), ("method", 1), ("ua", 2), ("ref", 3)]
+)
+def test_detect_wrongly_typed_field_skipped_or_exit_3(scenario_dir, tmp_path, field, value):
+    line = {"ts": DAY0 + 1, "machine": "m", "url": "http://a.com/", "ip": "1.2.3.4", field: value}
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(line) + "\n")
+    args = _detect_args(scenario_dir, ["--out", str(tmp_path / "report.json")])
+    args[args.index("--trace") + 1] = str(bad)
+    assert main(args) == 0
+    inputs = json.loads((tmp_path / "report.json").read_text())["inputs"]
+    assert (inputs["trace_lines"], inputs["trace_skipped"]) == (1, 1)
+    assert main([*args, "--strict"]) == 3
+
+
 def test_fingerprint_outputs(scenario_dir, tmp_path):
     report = tmp_path / "report.json"
     assert main(_detect_args(scenario_dir, ["--out", str(report)])) == 0
@@ -144,14 +158,12 @@ def test_fingerprint_window_mismatch_exit_4(scenario_dir, tmp_path):
 
 
 def test_panelscan_with_alias(scenario_dir, tmp_path):
-    alias = tmp_path / "alias.csv"
-    alias.write_text("".join(line + "\n" for line in sg.ALIAS_GROUP_LINES))
     outdir = tmp_path / "panel"
     code = main(
         [
             "panelscan",
             "--trace", str(scenario_dir / "trace.jsonl"),
-            "--alias", str(alias),
+            "--alias", str(scenario_dir / "aliases.csv"),
             "--min-ads", "1",
             "--out", str(outdir),
         ]
@@ -175,6 +187,25 @@ def test_panelscan_with_alias(scenario_dir, tmp_path):
     assert with_missing and all(m in planted for m in with_missing)
     assert ranked[: len(with_missing)] == with_missing
     assert (outdir / "evidence.txt").read_text().startswith("# machine ")
+
+
+def test_panelscan_window_counts_each_impression_once(tmp_path):
+    """A raw-ms window longer than a day that starts off midnight is split
+    into clipped windows; no impression may land in two of them."""
+    hour = 3_600_000
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(
+        json.dumps({"ts": ts, "machine": "m1", "kind": "impression", "attr_domain": "a.com"}) + "\n"
+        for ts in (DAY0 + 20 * hour, DAY0 + 25 * hour)
+    ))
+    outdir = tmp_path / "panel"
+    window = f"{DAY0 + 12 * hour}..{DAY0 + 60 * hour}"
+    assert main(["panelscan", "--trace", str(trace), "--window", window, "--min-ads", "0",
+                 "--out", str(outdir)]) == 0
+    assert (outdir / "machines.csv").read_text().splitlines() == ["machine,attributed,missing", "m1,2,2"]
+    evidence = (outdir / "evidence.txt").read_text().splitlines()
+    assert evidence[1:3] == [f"{DAY0 + 20 * hour} a.com", f"{DAY0 + 25 * hour} a.com"]
+    assert len(evidence) == 4
 
 
 def test_framedepth_cli(tmp_path):

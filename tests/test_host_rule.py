@@ -1,0 +1,97 @@
+"""One URL→host rule: every module counts a URL under the same domain as the
+bare ``http://host/``, whatever fragment, path, query, port, userinfo or case
+the URL carries."""
+
+from urllib.parse import quote
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from launderscan.detector import Detection, build_resolution_index
+from launderscan.fingerprint import FLAG_MALFORMED, extract_features
+from launderscan.ipattr import IpAttributionTable
+from launderscan.model import HttpRecord, PublicSuffixSet, normalize_domain, url_host
+from launderscan.urlrules import SpoofSignal, sibling_referrer_consistency, verify_spoof_followthrough
+
+SUFFIX = PublicSuffixSet.builtin()
+IP = "10.1.2.3"
+TAILS = ("", "/p", "?q=1", "#f", "#/a/b", "/p?q=1#f", ":8080/")
+
+_LABEL = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=8)
+
+
+def _host(labels, suffix, upper):
+    host = ".".join([*labels, suffix])
+    return host.upper() if upper else host
+
+
+# "zulilycom" matches no suffix: such hosts must stay malformed under every tail
+hosts = st.builds(
+    _host,
+    st.lists(_LABEL, min_size=1, max_size=3),
+    st.sampled_from(("com", "net", "co.uk", "zulilycom")),
+    st.booleans(),
+)
+
+
+@pytest.mark.parametrize(
+    "url, host",
+    [
+        ("http://www.target.com#top", "www.target.com"),
+        ("https://user:pw@Shop.Example.COM:8443/a?b=c#d", "Shop.Example.COM:8443"),
+        ("http://a.com?x=http://b.com/", "a.com"),
+        ("http://a.com#/p?q", "a.com"),
+        ("http://", ""),
+        ("://a.com/", ""),
+        ("a.com/path", ""),
+    ],
+)
+def test_url_host_examples(url, host):
+    assert url_host(url) == host
+
+
+def _rec(url, ts=2_000):
+    return HttpRecord(
+        timestamp=ts,
+        machine_id="m1",
+        process_name="p",
+        method="GET",
+        url=url,
+        referrer=None,
+        server_ip=IP,
+        status=200,
+        user_agent=None,
+    )
+
+
+def _answers(url: str, host: str):
+    table = IpAttributionTable()
+    table.insert("10.0.0.0/8", "isp")
+    index = build_resolution_index([_rec(url)], table, SUFFIX, (0, 10_000))
+    detection = Detection(
+        ip=IP,
+        isp="isp",
+        domains=frozenset(),
+        process_names=(),
+        machine_ids=frozenset({"m1"}),
+        request_count=1,
+        label="Unlabeled",
+    )
+    profile = extract_features(detection, [_rec(url)], SUFFIX, frozenset())
+    signal = SpoofSignal(
+        source_url="http://ads.net/call", source_ts=1_000,
+        spoof_domain=normalize_domain(host, SUFFIX), land_ip=IP,
+    )
+    verified = verify_spoof_followthrough(signal, [_rec(url)], 60_000, SUFFIX).verified
+    referrer = sibling_referrer_consistency(
+        [f"http://ads.net/call?referrer={quote(url, safe='')}"], "referrer", SUFFIX
+    )
+    return set(index.by_domain), FLAG_MALFORMED in profile.signature_flags, verified, referrer.values
+
+
+@given(host=hosts, tail=st.sampled_from(TAILS), user=st.sampled_from(("", "user@")))
+@example(host="www.target.com", tail="#top", user="")
+def test_every_module_resolves_a_url_like_its_bare_host(host, tail, user):
+    bare = _answers(f"http://{host}/", host)
+    assert bare[2], "a follow-through to the spoofed host itself must verify"
+    assert _answers(f"http://{user}{host}{tail}", host) == bare

@@ -83,6 +83,45 @@ def test_strict_mode_aborts():
     assert err.value.line_no == 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ts", True),
+        ("status", False),
+        ("proc", 5),
+        ("proc", None),
+        ("method", ["GET"]),
+        ("ua", 7),
+        ("ref", {"url": "http://a.com/"}),
+    ],
+)
+def test_wrongly_typed_http_fields_are_skipped(field, value):
+    lines = [_http_line(), _http_line(**{field: value})]
+    result = load_trace(lines, SUFFIX)
+    assert len(result.http) == 1
+    assert [(s.line_no, s.reason) for s in result.skipped] == [(2, f"bad {field}")]
+    assert result.parsed_count + len(result.skipped) == result.total_lines
+    with pytest.raises(ParseAbortError) as err:
+        load_trace(lines, SUFFIX, strict=True)
+    assert (err.value.line_no, err.value.reason) == (2, f"bad {field}")
+
+
+def test_bool_ts_skipped_for_every_kind():
+    lines = [
+        json.dumps({"ts": True, "machine": "m1", "kind": "impression", "attr_domain": "a.com"}),
+        json.dumps({"ts": True, "machine": "m1", "kind": "pageview", "pub_domain": "a.com"}),
+    ]
+    result = load_trace(lines, SUFFIX)
+    assert result.parsed_count == 0
+    assert [s.reason for s in result.skipped] == ["bad ts", "bad ts"]
+
+
+def test_null_ua_and_ref_still_load():
+    result = load_trace([_http_line(ua=None, ref=None)], SUFFIX)
+    assert not result.skipped
+    assert result.http[0].user_agent is None and result.http[0].referrer is None
+
+
 def test_skips_plus_parsed_equals_total():
     rng = random.Random(44)
     lines = []

@@ -60,10 +60,12 @@ def test_different_seed_differs():
 def test_emit_files_and_manifest(tmp_path):
     scenario = _tiny_scenario()
     manifest = sg.emit_scenario_files(scenario, tmp_path / "one")
-    names = {"trace.jsonl", "ipmap.csv", "ranking.txt", "malware.txt", "truth.json"}
+    names = {"trace.jsonl", "ipmap.csv", "ranking.txt", "malware.txt", "aliases.csv", "truth.json"}
     assert set(manifest["files"]) == names
     for name in names | {"manifest.json"}:
         assert (tmp_path / "one" / name).exists()
+    alias = load_alias_groups((tmp_path / "one" / "aliases.csv").read_text().splitlines(), SUFFIX)
+    assert alias.groups == tuple(frozenset(line.split(",")) for line in sg.ALIAS_GROUP_LINES)
     # digests stable across reruns, and they change with the seed
     again = sg.emit_scenario_files(scenario, tmp_path / "two")
     assert {n: f["sha256"] for n, f in manifest["files"].items()} == {
