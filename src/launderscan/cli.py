@@ -2,7 +2,9 @@
 
 Subcommands: detect, fingerprint, panelscan, framedepth, synth, rules.
 Exit codes are a stable contract: 0 success, 2 missing input, 3 parse abort
-(strict mode), 4 report/trace window mismatch.
+(a bad line in strict mode; a reference table with a non-UTF-8 line; an
+unparseable alias, report or fingerprint file), 4 report/trace window
+mismatch.  A parse abort names the file on stderr.
 
 Reruns with identical inputs produce byte-identical outputs; reports embed
 the effective configuration, never the wall clock (unless --timestamp).
@@ -11,6 +13,7 @@ the effective configuration, never the wall clock (unless --timestamp).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -27,6 +30,7 @@ from .detector import Detection, DetectorConfig, detect
 from .ingest import (
     AliasGroups,
     ParseAbortError,
+    is_utf8,
     load_alias_groups,
     load_ip_map,
     load_malware_list,
@@ -54,14 +58,36 @@ def _require(path_s: str, what: str) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def _parsing(path: Path, *errors: type[Exception]):
+    """Turn a ParseAbortError, or any of ``errors``, raised while parsing the
+    file at ``path`` into a parse abort (exit 3) that names the file."""
+    try:
+        yield
+    except (ParseAbortError, *errors) as err:
+        raise CmdError(EXIT_PARSE_ABORT, f"{path}: {err}") from None
+
+
 def _read_lines(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
+    """The file's lines.  Bytes that are not UTF-8 arrive as lone surrogates,
+    so the trace loader can skip such a line (``ingest.is_utf8``)."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         yield from fh
+
+
+def _read_table(path: Path):
+    """A reference table's lines; the first line that is not UTF-8 aborts."""
+    for line_no, line in enumerate(_read_lines(path), start=1):
+        if not is_utf8(line):
+            raise ParseAbortError(line_no, "bad encoding")
+        yield line
 
 
 def _suffix_set(args) -> PublicSuffixSet:
     if getattr(args, "suffixes", None):
-        return PublicSuffixSet.from_file(_require(args.suffixes, "suffix list"))
+        path = _require(args.suffixes, "suffix list")
+        with _parsing(path):
+            return PublicSuffixSet.from_lines(_read_table(path))
     return PublicSuffixSet.builtin()
 
 
@@ -134,16 +160,21 @@ def _write_csv(path: Path, rows):
 
 
 def cmd_detect(args) -> int:
+    t0 = time.monotonic()
     suffix = _suffix_set(args)
     trace_path = _require(args.trace, "trace")
     ipmap_path = _require(args.ipmap, "ipmap")
     ranking_path = _require(args.ranking, "ranking")
     malware_path = _require(args.malware, "malware list")
 
-    loaded = load_trace(_read_lines(trace_path), suffix, strict=args.strict)
-    ipmap = load_ip_map(_read_lines(ipmap_path), strict=args.strict)
-    ranking, _ = load_ranked_domains(_read_lines(ranking_path), cutoff=args.cutoff, suffix=suffix)
-    malware = load_malware_list(_read_lines(malware_path))
+    with _parsing(trace_path):
+        loaded = load_trace(_read_lines(trace_path), suffix, strict=args.strict)
+    with _parsing(ipmap_path):
+        ipmap = load_ip_map(_read_table(ipmap_path), strict=args.strict)
+    with _parsing(ranking_path):
+        ranking, _ = load_ranked_domains(_read_table(ranking_path), cutoff=args.cutoff, suffix=suffix)
+    with _parsing(malware_path):
+        malware = load_malware_list(_read_table(malware_path))
 
     cfg = DetectorConfig(
         high_value_cutoff=args.cutoff,
@@ -154,7 +185,6 @@ def cmd_detect(args) -> int:
     records = loaded.http
     windows = _windows(args.window, records)
 
-    t0 = time.monotonic()
     reports = [
         detect(records, ipmap.table, ranking, malware, cfg, w, suffix) for w in windows
     ]
@@ -205,7 +235,8 @@ def cmd_detect(args) -> int:
 def _detections_from_report(obj: dict) -> list[tuple[tuple[int, int], Detection]]:
     out = []
     for rep in obj.get("reports", []):
-        window = tuple(rep["window"])
+        start, end = rep["window"]
+        window = (int(start), int(end))
         for d in rep["detections"]:
             out.append(
                 (
@@ -228,11 +259,13 @@ def cmd_fingerprint(args) -> int:
     suffix = _suffix_set(args)
     report_path = _require(args.report, "detection report")
     trace_path = _require(args.trace, "trace")
-    with open(report_path, "r", encoding="utf-8") as fh:
-        report_obj = json.load(fh)
-    loaded = load_trace(_read_lines(trace_path), suffix, strict=args.strict)
+    # a report not written by detect fails in any of these ways
+    with _parsing(report_path, ValueError, KeyError, TypeError, AttributeError):
+        with open(report_path, "r", encoding="utf-8") as fh:
+            pairs = _detections_from_report(json.load(fh))
+    with _parsing(trace_path):
+        loaded = load_trace(_read_lines(trace_path), suffix, strict=args.strict)
     records = loaded.http
-    pairs = _detections_from_report(report_obj)
     if pairs and records:
         lo = min(r.timestamp for r in records)
         hi = max(r.timestamp for r in records)
@@ -284,10 +317,13 @@ def cmd_fingerprint(args) -> int:
 def cmd_panelscan(args) -> int:
     suffix = _suffix_set(args)
     trace_path = _require(args.trace, "trace")
-    loaded = load_trace(_read_lines(trace_path), suffix, strict=args.strict)
+    with _parsing(trace_path):
+        loaded = load_trace(_read_lines(trace_path), suffix, strict=args.strict)
     alias = AliasGroups.empty()
     if args.alias:
-        alias = load_alias_groups(_read_lines(_require(args.alias, "alias groups")), suffix)
+        alias_path = _require(args.alias, "alias groups")
+        with _parsing(alias_path):
+            alias = load_alias_groups(_read_table(alias_path), suffix)
     policy = pn.SessionPolicy(lookback_ms=args.lookback, alias=alias)
 
     windows = _windows(args.window, loaded.impressions)
@@ -317,6 +353,9 @@ def cmd_panelscan(args) -> int:
         )
         if attributed >= args.min_ads
     ]
+    below_min_ads = sum(
+        1 for attributed, missing in agg_machine.values() if missing and attributed < args.min_ads
+    )
 
     outdir = Path(args.out)
     dom_rows = [["domain", "attributed", "missing", "fraction"]]
@@ -340,7 +379,10 @@ def cmd_panelscan(args) -> int:
             evidence.append(f"{ts} {dom}")
         evidence.append("")
     _write_text(outdir / "evidence.txt", "\n".join(evidence) + ("\n" if evidence else ""))
-    print(f"days={len(windows)} machines_ranked={len(ranked)} impressions={len(loaded.impressions)}")
+    print(
+        f"days={len(windows)} machines_ranked={len(ranked)} below_min_ads={below_min_ads} "
+        f"impressions={len(loaded.impressions)}"
+    )
     return EXIT_OK
 
 
@@ -352,8 +394,10 @@ def cmd_panelscan(args) -> int:
 def cmd_framedepth(args) -> int:
     tainted_path = _require(args.tainted, "tainted sample")
     general_path = _require(args.general, "general sample")
-    tainted, _ = fd.load_depth_csv(_read_lines(tainted_path), label="tainted")
-    general, _ = fd.load_depth_csv(_read_lines(general_path), label="general")
+    with _parsing(tainted_path):
+        tainted, _ = fd.load_depth_csv(_read_table(tainted_path), label="tainted")
+    with _parsing(general_path):
+        general, _ = fd.load_depth_csv(_read_table(general_path), label="general")
     cmp_result = fd.compare(tainted, general)
     _write_json(Path(args.out), cmp_result.to_json_dict())
     if args.plotdata:
@@ -390,7 +434,8 @@ def cmd_synth(args) -> int:
 def cmd_rules(args) -> int:
     suffix = _suffix_set(args)
     trace_path = _require(args.trace, "trace")
-    loaded = load_trace(_read_lines(trace_path), suffix, strict=args.strict)
+    with _parsing(trace_path):
+        loaded = load_trace(_read_lines(trace_path), suffix, strict=args.strict)
     findings: list[dict] = []
 
     by_machine: dict[str, list] = {}
@@ -439,9 +484,11 @@ def cmd_rules(args) -> int:
                     }
                 )
     if args.envfp:
-        with open(_require(args.envfp, "environment fingerprint"), "r", encoding="utf-8") as fh:
-            fp_obj = json.load(fh)
-        result = ur.classify_env(ur.EnvFingerprint(functions=fp_obj))
+        envfp_path = _require(args.envfp, "environment fingerprint")
+        # bad JSON or encoding, not an object of strings, or no functions
+        with _parsing(envfp_path, ValueError):
+            with open(envfp_path, "r", encoding="utf-8") as fh:
+                result = ur.classify_env(ur.EnvFingerprint(functions=json.load(fh)))
         findings.append(
             {
                 "type": "env_fingerprint",
@@ -545,11 +592,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CmdError as err:
-        print(f"error: {err}", file=sys.stderr)
+        kind = "parse abort" if err.code == EXIT_PARSE_ABORT else "error"
+        print(f"{kind}: {err}", file=sys.stderr)
         return err.code
-    except ParseAbortError as err:
-        print(f"parse abort: {err}", file=sys.stderr)
-        return EXIT_PARSE_ABORT
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MISSING_INPUT

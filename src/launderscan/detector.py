@@ -194,9 +194,6 @@ class Detection:
     request_count: int
     label: str
 
-    def process_name_set(self) -> frozenset[str]:
-        return frozenset(name for name, _ in self.process_names)
-
 
 def label_detections(
     flagged: dict[tuple[str, str], frozenset[str]],

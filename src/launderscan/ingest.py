@@ -41,6 +41,16 @@ class ParseAbortError(ValueError):
         self.reason = reason
 
 
+def is_utf8(line: str) -> bool:
+    """False when ``line`` carries bytes that were not UTF-8, read in as lone
+    surrogates (``errors="surrogateescape"``)."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @dataclass(slots=True)
 class LoadResult:
     http: list[HttpRecord] = field(default_factory=list)
@@ -74,10 +84,18 @@ def load_trace(
         if not line:
             skip(line_no, "blank line")
             continue
+        if not line.isascii() and not is_utf8(line):
+            skip(line_no, "bad encoding")
+            continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # deep nesting, oversized ints
             skip(line_no, "bad json")
+            continue
+        # a "\udcff" escape decodes to a lone surrogate no output can encode;
+        # a one-character search keeps lines without escapes cheap
+        if "\\" in line and not is_utf8(json.dumps(obj, ensure_ascii=False)):
+            skip(line_no, "bad encoding")
             continue
         if not isinstance(obj, dict):
             skip(line_no, "not an object")
@@ -284,7 +302,8 @@ class AliasGroups:
 def load_alias_groups(
     lines: Iterable[str], suffix: Optional[PublicSuffixSet] = None
 ) -> AliasGroups:
-    """One group per line, comma-separated.  Overlapping groups are an error."""
+    """One group per line, comma-separated.  A bad domain or overlapping
+    groups raise ParseAbortError."""
     suffix = suffix or PublicSuffixSet.builtin()
     groups: list[frozenset[str]] = []
     index: dict[str, int] = {}
@@ -300,14 +319,14 @@ def load_alias_groups(
             try:
                 dom = normalize_domain(item, suffix)
             except InvalidDomainError as err:
-                raise ValueError(f"line {line_no}: bad domain {item!r}") from err
+                raise ParseAbortError(line_no, f"bad domain {item!r}") from err
             members.add(dom.registrable)
         if not members:
             continue
         gid = len(groups)
         for m in sorted(members):
             if m in index:
-                raise ValueError(f"{m} in two groups")
+                raise ParseAbortError(line_no, f"{m} in two groups")
             index[m] = gid
         groups.append(frozenset(members))
     return AliasGroups(groups=tuple(groups), index=index)

@@ -1,6 +1,5 @@
 """CIDR prefix table answering "which ISP owns this IP?" by longest-prefix
-match.  Build with insert(), then freeze(); a frozen table is immutable and
-safe for concurrent readers.  Batch lookups run through the jit kernels."""
+match: one dict probe per mask length in use, longest first."""
 
 from __future__ import annotations
 
@@ -8,7 +7,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from . import kernels
 from .model import is_valid_ipv4
 
 
@@ -56,7 +54,6 @@ class IpAttributionTable:
         self._isp_index: dict[str, int] = {}
         self._mask_lens: list[int] = []  # descending
         self.replace_count = 0
-        self._frozen = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -69,8 +66,6 @@ class IpAttributionTable:
             yield net, mask_len, self._isp_names[idx]
 
     def insert(self, cidr: str, isp: str) -> None:
-        if self._frozen is not None:
-            raise RuntimeError("table is frozen")
         net, mask_len = parse_cidr(cidr)
         idx = self._isp_index.get(isp)
         if idx is None:
@@ -85,55 +80,20 @@ class IpAttributionTable:
             self._mask_lens.append(mask_len)
             self._mask_lens.sort(reverse=True)
 
-    def lookup(self, ip: str) -> Optional[str]:
-        """ISP of the longest prefix covering ``ip``, or None."""
-        v = ip_to_u32(ip)
+    def _probe(self, v: int) -> int:
+        """ISP index of the longest prefix covering u32 address ``v``, or -1."""
         for mask_len in self._mask_lens:
             idx = self._entries.get((v & _mask_of(mask_len), mask_len))
             if idx is not None:
-                return self._isp_names[idx]
-        return None
+                return idx
+        return -1
 
-    def freeze(self) -> None:
-        """Build the sorted-array layout the batch kernel searches."""
-        if self._frozen is not None:
-            return
-        groups = []
-        for mask_len in self._mask_lens:
-            mask = _mask_of(mask_len)
-            rows = sorted(
-                (net, idx)
-                for (net, ml), idx in self._entries.items()
-                if ml == mask_len
-            )
-            groups.append((mask, rows))
-        nets, owners, gmask, glo, ghi = [], [], [], [], []
-        pos = 0
-        for mask, rows in groups:
-            gmask.append(mask)
-            glo.append(pos)
-            for net, idx in rows:
-                nets.append(net)
-                owners.append(idx)
-                pos += 1
-            ghi.append(pos)
-        self._frozen = (
-            np.array(nets, dtype=np.uint32),
-            np.array(owners, dtype=np.int32),
-            np.array(gmask, dtype=np.uint32),
-            np.array(glo, dtype=np.int64),
-            np.array(ghi, dtype=np.int64),
-        )
+    def lookup(self, ip: str) -> Optional[str]:
+        """ISP of the longest prefix covering ``ip``, or None."""
+        idx = self._probe(ip_to_u32(ip))
+        return self._isp_names[idx] if idx >= 0 else None
 
     def lookup_batch(self, ips_u32: np.ndarray) -> np.ndarray:
-        """ISP index per IP (-1 = no covering prefix); freezes on first use."""
-        self.freeze()
-        ips = np.ascontiguousarray(ips_u32, dtype=np.uint32)
-        nets, owners, gmask, glo, ghi = self._frozen
-        return kernels.lpm_lookup(ips, nets, owners, gmask, glo, ghi)
-
-    def lookup_many(self, ips: Iterable[str]) -> list[Optional[str]]:
-        arr = np.fromiter((ip_to_u32(s) for s in ips), dtype=np.uint32)
-        idx = self.lookup_batch(arr)
-        names = self._isp_names
-        return [names[i] if i >= 0 else None for i in idx]
+        """ISP index per IP (-1 = no covering prefix)."""
+        ips = np.asarray(ips_u32, dtype=np.uint32).tolist()
+        return np.fromiter(map(self._probe, ips), dtype=np.int32, count=len(ips))

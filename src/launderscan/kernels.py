@@ -1,159 +1,30 @@
-"""Numeric inner loops shared by the IP-attribution table and cycle detector.
+"""Repeat-cycle search behind the fingerprint's repeat-cycle feature.
 
-Two implementations exist for each kernel: a numba-jitted scalar loop and a
-pure-numpy path.  Selection happens once at import time: numba is used when
-it imports cleanly and the environment variable ``LAUNDERSCAN_NUMBA`` is not
-set to ``0``/``false``/``no``.  ``benchmarks/bench_kernels.py`` times both.
+Events are one machine's (timestamp, domain-id) pairs sorted by timestamp.
+A period p is confirmed when the event block in [t, t+p) is mirrored in
+[t+p, t+2p): identical domain ids in order, each mirrored timestamp within
+``tol`` of its partner shifted by p, and the first block holds at least
+``min_len`` events.  Anchors t are event timestamps.  Candidate periods are
+gaps between same-domain event pairs, checked smallest first.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("LAUNDERSCAN_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _FLAG not in ("0", "false", "no")
-
-try:
-    if not _WANT_NUMBA:
-        raise ImportError("numba disabled via LAUNDERSCAN_NUMBA")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
-
-    def njit(*args, **kwargs):  # no-op decorator stand-in
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+# There is no jit path.  chainbench/run.py::environment() still records this
+# flag in every benchmark run, so it stays until that benchmark changes.
+USING_NUMBA = False
 
 
-# ---------------------------------------------------------------------------
-# Longest-prefix match
-#
-# Table layout (built by ipattr.IpAttributionTable.freeze): prefixes are
-# grouped by mask length, longest first; networks are sorted within a group.
-#   nets        uint32[n]  network values, group-major
-#   owners      int32[n]   ISP index per prefix
-#   group_mask  uint32[g]  netmask of each group
-#   group_lo/hi int64[g]   slice bounds of each group inside nets/owners
-# ---------------------------------------------------------------------------
-
-
-def _lpm_numpy(ips, nets, owners, group_mask, group_lo, group_hi):
-    out = np.full(ips.shape[0], -1, dtype=np.int32)
-    unresolved = np.ones(ips.shape[0], dtype=bool)
-    for g in range(group_mask.shape[0]):
-        if not unresolved.any():
-            break
-        lo, hi = group_lo[g], group_hi[g]
-        masked = ips & group_mask[g]
-        pos = np.searchsorted(nets[lo:hi], masked)
-        inside = pos < (hi - lo)
-        hit = np.zeros(ips.shape[0], dtype=bool)
-        hit[inside] = nets[lo + pos[inside]] == masked[inside]
-        take = hit & unresolved
-        out[take] = owners[lo + pos[take]]
-        unresolved &= ~hit
-    return out
-
-
-@njit(cache=True)
-def _lpm_numba(ips, nets, owners, group_mask, group_lo, group_hi):  # pragma: no cover
-    n = ips.shape[0]
-    out = np.full(n, -1, dtype=np.int32)
-    for i in range(n):
-        ip = ips[i]
-        for g in range(group_mask.shape[0]):
-            net = ip & group_mask[g]
-            lo = group_lo[g]
-            hi = group_hi[g]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if nets[mid] < net:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo < group_hi[g] and nets[lo] == net:
-                out[i] = owners[lo]
-                break
-    return out
-
-
-def lpm_lookup(ips, nets, owners, group_mask, group_lo, group_hi):
-    """Longest-prefix ISP index for each IP in ``ips``; -1 where uncovered."""
-    if USING_NUMBA:
-        return _lpm_numba(ips, nets, owners, group_mask, group_lo, group_hi)
-    return _lpm_numpy(ips, nets, owners, group_mask, group_lo, group_hi)
-
-
-# ---------------------------------------------------------------------------
-# Repeat-cycle search
-#
-# Events are one machine's (timestamp, domain-id) pairs sorted by timestamp.
-# A period p is confirmed when the event block in [t, t+p) is mirrored in
-# [t+p, t+2p): identical domain ids in order, each mirrored timestamp within
-# ``tol`` of its partner shifted by p, and the first block holds at least
-# ``min_len`` events.  Anchors t are event timestamps.  Candidate periods are
-# gaps between same-domain event pairs, checked smallest first.
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _period_numba(ts, dom, tol, min_len):  # pragma: no cover
+def find_repeat_period(ts, dom, tol, min_len):
+    """Smallest confirmed repeat period in ms, or -1 when none verifies."""
+    ts = np.ascontiguousarray(ts, dtype=np.int64)
+    dom = np.ascontiguousarray(dom, dtype=np.int32)
+    tol, min_len = int(tol), int(min_len)
     n = ts.shape[0]
-    cap = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dom[j] == dom[i] and ts[j] > ts[i]:
-                cap += 1
-    if cap == 0:
-        return np.int64(-1)
-    periods = np.empty(cap, dtype=np.int64)
-    anchors = np.empty(cap, dtype=np.int64)
-    starts = np.empty(cap, dtype=np.int64)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dom[j] == dom[i] and ts[j] > ts[i]:
-                periods[k] = ts[j] - ts[i]
-                anchors[k] = i
-                starts[k] = j
-                k += 1
-    order = np.argsort(periods, kind="mergesort")
-    for c in order:
-        p = periods[c]
-        i = anchors[c]
-        j = starts[c]
-        end1 = i
-        while end1 < n and ts[end1] < ts[i] + p:
-            end1 += 1
-        m = end1 - i
-        if m < min_len or end1 != j:
-            continue
-        end2 = j
-        while end2 < n and ts[end2] < ts[i] + 2 * p:
-            end2 += 1
-        if end2 - j != m:
-            continue
-        ok = True
-        for k2 in range(m):
-            if dom[i + k2] != dom[j + k2]:
-                ok = False
-                break
-            off = ts[j + k2] - ts[i + k2] - p
-            if off < -tol or off > tol:
-                ok = False
-                break
-        if ok:
-            return p
-    return np.int64(-1)
-
-
-def _period_numpy(ts, dom, tol, min_len):
-    n = ts.shape[0]
+    if n < 2 * min_len:
+        return -1
     cands = []
     by_dom: dict[int, list[int]] = {}
     for i in range(n):
@@ -180,14 +51,3 @@ def _period_numpy(ts, dom, tol, min_len):
         if np.abs(off).max() <= tol:
             return p
     return -1
-
-
-def find_repeat_period(ts, dom, tol, min_len):
-    """Smallest confirmed repeat period in ms, or -1 when none verifies."""
-    ts = np.ascontiguousarray(ts, dtype=np.int64)
-    dom = np.ascontiguousarray(dom, dtype=np.int32)
-    if ts.shape[0] < 2 * min_len:
-        return -1
-    if USING_NUMBA:
-        return int(_period_numba(ts, dom, np.int64(tol), np.int64(min_len)))
-    return int(_period_numpy(ts, dom, int(tol), int(min_len)))

@@ -158,8 +158,3 @@ class PageViewRecord:
     timestamp: int
     machine_id: str
     publisher_domain: NormalizedDomain
-
-
-def day_start(ts_ms: int) -> int:
-    """Start of the UTC calendar day containing ``ts_ms``."""
-    return ts_ms - (ts_ms % DAY_MS)

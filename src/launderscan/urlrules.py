@@ -135,6 +135,10 @@ class EnvFingerprint:
     functions: dict[str, str]
 
     def __post_init__(self):
+        if not isinstance(self.functions, dict) or not all(
+            isinstance(v, str) for v in self.functions.values()
+        ):
+            raise ValueError("fingerprint must map function names to strings")
         unknown = set(self.functions) - EXPECTED_FUNCTIONS
         if unknown:
             raise ValueError(f"unexpected fingerprint keys: {sorted(unknown)}")

@@ -252,3 +252,94 @@ def test_synth_clean_plants_none(tmp_path, capsys):
     report = tmp_path / "clean-report.json"
     assert main(_detect_args(out, ["--out", str(report)])) == 0
     assert "pairs_flagged=0" in capsys.readouterr().out
+
+
+def test_panelscan_reports_machines_below_min_ads(scenario_dir, tmp_path, capsys):
+    """With the default floor nothing ranks; the summary says how many
+    machines with missing impressions the floor held back."""
+    outdir = tmp_path / "panel"
+    assert main(["panelscan", "--trace", str(scenario_dir / "trace.jsonl"), "--out", str(outdir)]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader((outdir / "machines.csv").open()))[1:]
+    below = sum(1 for _, attributed, missing in rows if int(missing) > 0 and int(attributed) < 25)
+    assert below == 360
+    assert "machines_ranked=0 below_min_ads=360 " in out
+
+
+def test_non_utf8_trace_line_skipped_or_exit_3(scenario_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(
+        b'{"ts": 5, "machine": "m1", "url": "http://a.com/", "ip": "1.2.3.4"}\n'
+        b'{"ts": 5, "machine": "m1", "url": "http://a.com/\xff", "ip": "1.2.3.4"}\n'
+    )
+    report = tmp_path / "report.json"
+    args = _detect_args(scenario_dir, ["--out", str(report)])
+    args[args.index("--trace") + 1] = str(bad)
+    assert main(args) == 0
+    inputs = json.loads(report.read_text())["inputs"]
+    assert (inputs["trace_lines"], inputs["trace_skipped"]) == (2, 1)
+    capsys.readouterr()
+    assert main([*args, "--strict"]) == 3
+    assert capsys.readouterr().err == f"parse abort: {bad}: line 2: bad encoding\n"
+
+
+@pytest.fixture
+def tiny_inputs(tmp_path):
+    files = {
+        "trace.jsonl": b'{"ts": 5, "machine": "m1", "url": "http://a.com/", "ip": "1.2.3.4"}\n',
+        "ipmap.csv": b"1.2.3.0/24,isp\n",
+        "ranking.txt": b"a.com\n",
+        "malware.txt": b"evil.exe\n",
+        "report.json": b'{"reports": []}\n',
+        "depth.csv": b"http://a/,1\n",
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "command, flag, data",
+    [
+        ("detect", "--ipmap", b"1.2.3.0/24,isp\xff\n"),
+        ("detect", "--ranking", b"a.com\n\xffb.com\n"),
+        ("detect", "--malware", b"evil\xff.exe\n"),
+        ("panelscan", "--alias", b"a.com,b.com\nb.com,c.com\n"),
+        ("panelscan", "--alias", b"a.com,b..com\n"),
+        ("panelscan", "--alias", b"a.com,\xffb.com\n"),
+        ("rules", "--suffixes", b"com\n\xffnet\n"),
+        ("rules", "--envfp", b"not json"),
+        ("rules", "--envfp", b'["escape"]'),
+        ("rules", "--envfp", b'{"escape": 5}'),
+        ("rules", "--envfp", b"{}"),
+        ("rules", "--envfp", b'{"escape": "\xff"}'),
+        ("fingerprint", "--report", b"not json"),
+        ("fingerprint", "--report", b'{"reports": [{"window": [0, 1]}]}'),
+        ("fingerprint", "--report", b'{"reports": [{"window": [0], "detections": []}]}'),
+        ("fingerprint", "--report", b"[]"),
+        ("framedepth", "--tainted", b"http://a/,1\n\xff,2\n"),
+        ("framedepth", "--general", b"http://\xff/,1\n"),
+    ],
+)
+def test_malformed_input_file_is_a_parse_abort(tiny_inputs, capsys, command, flag, data):
+    d = tiny_inputs
+    base = {
+        "detect": ["--trace", d / "trace.jsonl", "--ipmap", d / "ipmap.csv",
+                   "--ranking", d / "ranking.txt", "--malware", d / "malware.txt"],
+        "panelscan": ["--trace", d / "trace.jsonl", "--out", d / "out"],
+        "rules": ["--trace", d / "trace.jsonl"],
+        "fingerprint": ["--report", d / "report.json", "--trace", d / "trace.jsonl", "--out", d / "out"],
+        "framedepth": ["--tainted", d / "depth.csv", "--general", d / "depth.csv", "--out", d / "cmp.json"],
+    }[command]
+    assert main([command, *map(str, base)]) == 0
+    bad = d / "bad.input"
+    bad.write_bytes(data)
+    args = [command, *map(str, base)]
+    if flag in args:
+        args[args.index(flag) + 1] = str(bad)
+    else:
+        args += [flag, str(bad)]
+    capsys.readouterr()
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse abort: {bad}: ") and err.count("\n") == 1

@@ -1,58 +1,7 @@
-"""Parity between the numba kernels and the pure-numpy fallbacks.  The env
-flag LAUNDERSCAN_NUMBA=0 swaps the whole package onto the numpy paths; these
-tests pin both implementations to each other regardless of the flag."""
-
-import random
-
 import numpy as np
-import pytest
 
 from launderscan import kernels
-from launderscan.ipattr import IpAttributionTable, u32_to_ip
-
-
-def _random_frozen_table(seed, n):
-    rng = random.Random(seed)
-    t = IpAttributionTable()
-    made = set()
-    while len(made) < n:
-        mask_len = rng.randrange(0, 33)
-        mask = (0xFFFFFFFF << (32 - mask_len)) & 0xFFFFFFFF if mask_len else 0
-        net = rng.randrange(2**32) & mask
-        if (net, mask_len) in made:
-            continue
-        made.add((net, mask_len))
-        t.insert(f"{u32_to_ip(net)}/{mask_len}", f"isp{len(made) % 23}")
-    t.freeze()
-    return t
-
-
-@pytest.mark.skipif(not kernels.USING_NUMBA, reason="numba path disabled")
-def test_lpm_numba_matches_numpy():
-    for seed in (1, 2, 3):
-        t = _random_frozen_table(seed, 400)
-        rng = np.random.default_rng(seed)
-        ips = rng.integers(0, 2**32, size=50_000, dtype=np.uint64).astype(np.uint32)
-        args = (ips, *t._frozen)
-        assert np.array_equal(kernels._lpm_numba(*args), kernels._lpm_numpy(*args))
-
-
-@pytest.mark.skipif(not kernels.USING_NUMBA, reason="numba path disabled")
-def test_period_numba_matches_numpy():
-    rng = random.Random(7)
-    for trial in range(40):
-        n = rng.randrange(6, 80)
-        ts = np.cumsum([rng.randrange(1, 5_000) for _ in range(n)]).astype(np.int64)
-        dom = np.array([rng.randrange(1, 8) for _ in range(n)], dtype=np.int32)
-        if trial % 3 == 0:
-            # plant a genuine repetition
-            period = int(ts[-1] - ts[0] + rng.randrange(1_000, 9_000))
-            ts = np.concatenate([ts, ts + period])
-            dom = np.concatenate([dom, dom])
-        tol = rng.choice([10, 500, 2_000])
-        got_nb = kernels._period_numba(ts, dom, np.int64(tol), np.int64(3))
-        got_np = kernels._period_numpy(ts, dom, tol, 3)
-        assert int(got_nb) == int(got_np)
+from launderscan.ipattr import IpAttributionTable
 
 
 def test_find_repeat_period_short_input():
@@ -61,6 +10,5 @@ def test_find_repeat_period_short_input():
 
 def test_lpm_empty_table():
     t = IpAttributionTable()
-    t.freeze()
     ips = np.array([1, 2, 3], dtype=np.uint32)
     assert list(t.lookup_batch(ips)) == [-1, -1, -1]
