@@ -33,6 +33,7 @@ from .ingest import (
     load_malware_list,
     load_ranked_domains,
     load_trace,
+    record_domain,
 )
 from .ipattr import IpAttributionTable
 from .model import (

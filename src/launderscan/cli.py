@@ -1,10 +1,11 @@
 """Command-line front door.
 
 Subcommands: detect, fingerprint, panelscan, framedepth, synth, rules.
-Exit codes are a stable contract: 0 success, 2 missing input, 3 parse abort
-(a bad line in strict mode; a reference table with a non-UTF-8 line; an
-unparseable alias, report or fingerprint file), 4 report/trace window
-mismatch.  A parse abort names the file on stderr.
+Exit codes are a stable contract: 0 success, 2 missing input or a bad flag
+value (named on stderr), 3 parse abort (a bad line in strict mode; a
+reference table with a non-UTF-8 line; an unparseable alias, report or
+fingerprint file; a frame-depth sample with no depth >= 1), 4 report/trace
+window mismatch.  A parse abort names the file on stderr.
 
 Reruns with identical inputs produce byte-identical outputs; reports embed
 the effective configuration, never the wall clock (unless --timestamp).
@@ -68,6 +69,19 @@ def _parsing(path: Path, *errors: type[Exception]):
         raise CmdError(EXIT_PARSE_ABORT, f"{path}: {err}") from None
 
 
+@contextlib.contextmanager
+def _flag_values(**flags: str):
+    """Turn a ValueError raised while applying flag values into exit 2; the
+    message names each flag in place of the field (keyword) it sets."""
+    try:
+        yield
+    except ValueError as err:
+        msg = str(err)
+        for name, flag in flags.items():
+            msg = msg.replace(name, flag)
+        raise CmdError(EXIT_MISSING_INPUT, f"bad flag value: {msg}") from None
+
+
 def _read_lines(path: Path):
     """The file's lines.  Bytes that are not UTF-8 arrive as lone surrogates,
     so the trace loader can skip such a line (``ingest.is_utf8``)."""
@@ -99,17 +113,20 @@ def _day_ms(date_s: str) -> int:
 def parse_window(s: str) -> tuple[int, int]:
     """"YYYY-MM-DD" (one UTC day), "YYYY-MM-DD:YYYY-MM-DD" (end exclusive),
     or raw "start_ms..end_ms"."""
-    if ".." in s:
-        a, b = s.split("..", 1)
-        w = (int(a), int(b))
-    elif ":" in s:
-        a, b = s.split(":", 1)
-        w = (_day_ms(a), _day_ms(b))
-    else:
-        d = _day_ms(s)
-        w = (d, d + DAY_MS)
+    try:
+        if ".." in s:
+            a, b = s.split("..", 1)
+            w = (int(a), int(b))
+        elif ":" in s:
+            a, b = s.split(":", 1)
+            w = (_day_ms(a), _day_ms(b))
+        else:
+            d = _day_ms(s)
+            w = (d, d + DAY_MS)
+    except ValueError as err:  # not a date, or not an integer
+        raise CmdError(EXIT_MISSING_INPUT, f"bad --window {s!r}: {err}") from None
     if w[0] >= w[1]:
-        raise CmdError(EXIT_MISSING_INPUT, f"bad window {s!r}: start must precede end")
+        raise CmdError(EXIT_MISSING_INPUT, f"bad --window {s!r}: start must precede end")
     return w
 
 
@@ -161,6 +178,14 @@ def _write_csv(path: Path, rows):
 
 def cmd_detect(args) -> int:
     t0 = time.monotonic()
+    with _flag_values(high_value_cutoff="--cutoff", min_ips_per_domain="--min-ips",
+                      min_isps_per_domain="--min-isps", flag_threshold="--threshold"):
+        cfg = DetectorConfig(
+            high_value_cutoff=args.cutoff,
+            min_ips_per_domain=args.min_ips,
+            min_isps_per_domain=args.min_isps,
+            flag_threshold=args.threshold,
+        )
     suffix = _suffix_set(args)
     trace_path = _require(args.trace, "trace")
     ipmap_path = _require(args.ipmap, "ipmap")
@@ -176,17 +201,11 @@ def cmd_detect(args) -> int:
     with _parsing(malware_path):
         malware = load_malware_list(_read_table(malware_path))
 
-    cfg = DetectorConfig(
-        high_value_cutoff=args.cutoff,
-        min_ips_per_domain=args.min_ips,
-        min_isps_per_domain=args.min_isps,
-        flag_threshold=args.threshold,
-    )
     records = loaded.http
     windows = _windows(args.window, records)
 
     reports = [
-        detect(records, ipmap.table, ranking, malware, cfg, w, suffix) for w in windows
+        detect(records, ipmap.table, ranking, malware, cfg, w) for w in windows
     ]
     elapsed = time.monotonic() - t0
 
@@ -324,7 +343,8 @@ def cmd_panelscan(args) -> int:
         alias_path = _require(args.alias, "alias groups")
         with _parsing(alias_path):
             alias = load_alias_groups(_read_table(alias_path), suffix)
-    policy = pn.SessionPolicy(lookback_ms=args.lookback, alias=alias)
+    with _flag_values(lookback_ms="--lookback"):
+        policy = pn.SessionPolicy(lookback_ms=args.lookback, alias=alias)
 
     windows = _windows(args.window, loaded.impressions)
     agg_dom: dict[str, list[int]] = {}
@@ -391,13 +411,20 @@ def cmd_panelscan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _depth_sample(path: Path, label: str) -> fd.DepthSample:
+    """A frame-depth CSV.  One with no row of depth >= 1 cannot be compared,
+    so it is a parse abort like a malformed one."""
+    with _parsing(path, ValueError):
+        sample, _ = fd.load_depth_csv(_read_table(path), label=label)
+        fd.depth_histogram(sample, include_zero=False)  # raises on such a sample
+    return sample
+
+
 def cmd_framedepth(args) -> int:
     tainted_path = _require(args.tainted, "tainted sample")
     general_path = _require(args.general, "general sample")
-    with _parsing(tainted_path):
-        tainted, _ = fd.load_depth_csv(_read_table(tainted_path), label="tainted")
-    with _parsing(general_path):
-        general, _ = fd.load_depth_csv(_read_table(general_path), label="general")
+    tainted = _depth_sample(tainted_path, "tainted")
+    general = _depth_sample(general_path, "general")
     cmp_result = fd.compare(tainted, general)
     _write_json(Path(args.out), cmp_result.to_json_dict())
     if args.plotdata:
@@ -410,21 +437,22 @@ def cmd_framedepth(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.plants == "five":
-        scenario = sg.five_scheme_scenario(
-            seed=args.seed,
-            divisor=args.scale_divisor,
-            background_machines=args.machines,
-            day_count=args.days,
-        )
-    else:
-        scenario = sg.Scenario(
-            seed=args.seed,
-            day_count=args.days,
-            divisor=args.scale_divisor,
-            background=sg.BackgroundSpec(machine_count=args.machines),
-            plants=(),
-        )
+    with _flag_values(divisor="--scale-divisor"):
+        if args.plants == "five":
+            scenario = sg.five_scheme_scenario(
+                seed=args.seed,
+                divisor=args.scale_divisor,
+                background_machines=args.machines,
+                day_count=args.days,
+            )
+        else:
+            scenario = sg.Scenario(
+                seed=args.seed,
+                day_count=args.days,
+                divisor=args.scale_divisor,
+                background=sg.BackgroundSpec(machine_count=args.machines),
+                plants=(),
+            )
     manifest = sg.emit_scenario_files(scenario, args.out)
     lines = manifest["files"]["trace.jsonl"]["lines"]
     print(f"out={args.out} trace_lines={lines} plants={len(manifest['plants'])} seed={manifest['seed']}")
@@ -455,7 +483,7 @@ def cmd_rules(args) -> int:
                 continue
             if signal is None:
                 continue
-            signal = ur.verify_spoof_followthrough(signal, recs, args.horizon, suffix)
+            signal = ur.verify_spoof_followthrough(signal, recs, args.horizon)
             verified += signal.verified
             findings.append(
                 {

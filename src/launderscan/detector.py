@@ -17,13 +17,12 @@ import numpy as np
 
 from .ingest import MalwareProcessList, RankedDomainList
 from .ipattr import IpAttributionTable, ip_to_u32
-from .model import (
-    HttpRecord,
-    InvalidDomainError,
-    PublicSuffixSet,
-    normalize_domain,
-    url_host,
-)
+from .model import HttpRecord
+# Not called here: records carry their domain from ingest.  chainbench/tracer.py
+# counts normalize_domain calls under this module's name, and
+# chainbench/test_chainbench.py checks that it can, so the import stays until
+# that benchmark changes.
+from .model import normalize_domain  # noqa: F401
 
 LABEL_TRUE_POSITIVE = "TruePositiveCandidate"
 LABEL_SUSPICIOUS = "Suspicious"
@@ -43,25 +42,6 @@ class DetectorConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.flag_threshold < self.min_ips_per_domain:
             raise ValueError("flag_threshold must be >= min_ips_per_domain")
-
-
-def _domain_cache_fn(suffix: PublicSuffixSet):
-    """Registrable-domain extraction memoized on the raw host string."""
-    cache: dict[str, Optional[str]] = {}
-
-    def domain_of(url: str) -> Optional[str]:
-        host = url_host(url)
-        hit = cache.get(host, "")
-        if hit != "":
-            return hit
-        try:
-            reg = normalize_domain(host, suffix).registrable
-        except InvalidDomainError:
-            reg = None
-        cache[host] = reg
-        return reg
-
-    return domain_of
 
 
 @dataclass(slots=True)
@@ -104,22 +84,20 @@ class DomainResolutionIndex:
 def build_resolution_index(
     records: Sequence[HttpRecord],
     table: IpAttributionTable,
-    suffix: PublicSuffixSet,
     window: tuple[int, int],
 ) -> DomainResolutionIndex:
     """Index domain→IP resolutions for records inside [window[0], window[1])."""
     idx = DomainResolutionIndex(window=window)
-    domain_of = _domain_cache_fn(suffix)
     start, end = window
     dom_ips: dict[str, set[str]] = idx.by_ip  # ip -> domains, built directly
     for rec in records:
         if not (start <= rec.timestamp < end):
             idx.skipped_out_of_window += 1
             continue
-        dom = domain_of(rec.url)
-        if dom is None:
+        if rec.domain is None:
             idx.bad_domain_records += 1
             continue
+        dom = rec.domain.registrable
         idx.records_seen += 1
         idx.ip_record_count[rec.server_ip] += 1
         doms = dom_ips.get(rec.server_ip)
@@ -199,7 +177,6 @@ def label_detections(
     flagged: dict[tuple[str, str], frozenset[str]],
     records: Sequence[HttpRecord],
     malware: MalwareProcessList,
-    suffix: PublicSuffixSet,
     window: Optional[tuple[int, int]] = None,
 ) -> list[Detection]:
     """Attach traffic evidence and a label to each flagged pair.
@@ -214,7 +191,6 @@ def label_detections(
     procs: dict[tuple[str, str], Counter] = {k: Counter() for k in flagged}
     machines: dict[tuple[str, str], set[str]] = {k: set() for k in flagged}
     counts: dict[tuple[str, str], int] = {k: 0 for k in flagged}
-    domain_of = _domain_cache_fn(suffix)
     for rec in records:
         hit = by_ip.get(rec.server_ip)
         if hit is None:
@@ -222,8 +198,7 @@ def label_detections(
         if window is not None and not (window[0] <= rec.timestamp < window[1]):
             continue
         key, doms = hit
-        dom = domain_of(rec.url)
-        if dom is None or dom not in doms:
+        if rec.domain is None or rec.domain.registrable not in doms:
             continue
         procs[key][rec.process_name] += 1
         machines[key].add(rec.machine_id)
@@ -299,14 +274,12 @@ def detect(
     malware: MalwareProcessList,
     cfg: DetectorConfig,
     window: tuple[int, int],
-    suffix: Optional[PublicSuffixSet] = None,
 ) -> DetectionReport:
     """Run the full pipeline over one window."""
-    suffix = suffix or PublicSuffixSet.builtin()
-    index = build_resolution_index(records, table, suffix, window)
+    index = build_resolution_index(records, table, window)
     cands = candidate_domains(index, ranking, cfg)
     flagged = flag_pairs(index, cands, cfg)
-    detections = label_detections(flagged, records, malware, suffix, window)
+    detections = label_detections(flagged, records, malware, window)
     affected = set()
     unknown_records = 0
     for ip in index.unknown_isp_ips:

@@ -51,6 +51,15 @@ def is_utf8(line: str) -> bool:
     return True
 
 
+def record_domain(url: str, suffix: PublicSuffixSet) -> Optional[NormalizedDomain]:
+    """The domain an http record's URL resolves to (``HttpRecord.domain``);
+    None when its host does not normalize."""
+    try:
+        return normalize_domain(url_host(url), suffix)
+    except InvalidDomainError:
+        return None
+
+
 @dataclass(slots=True)
 class LoadResult:
     http: list[HttpRecord] = field(default_factory=list)
@@ -72,6 +81,7 @@ def load_trace(
     """Parse a JSON-lines trace into typed records, in file order."""
     suffix = suffix or PublicSuffixSet.builtin()
     out = LoadResult()
+    domains: dict[str, Optional[NormalizedDomain]] = {}  # host -> record_domain
 
     def skip(line_no: int, reason: str):
         if strict:
@@ -112,7 +122,8 @@ def load_trace(
         if kind == "http":
             url = obj.get("url")
             ip = obj.get("ip")
-            if not isinstance(url, str) or not url_host(url):
+            host = url_host(url) if isinstance(url, str) else ""
+            if not host:
                 skip(line_no, "bad url")
                 continue
             if not isinstance(ip, str) or not is_valid_ipv4(ip):
@@ -132,6 +143,8 @@ def load_trace(
             if bad:
                 skip(line_no, f"bad {bad}")
                 continue
+            if host not in domains:
+                domains[host] = record_domain(url, suffix)
             out.http.append(
                 HttpRecord(
                     timestamp=ts,
@@ -139,6 +152,7 @@ def load_trace(
                     process_name=proc,
                     method=method,
                     url=url,
+                    domain=domains[host],
                     referrer=ref,
                     server_ip=ip,
                     status=status,

@@ -40,11 +40,6 @@ class PublicSuffixSet:
                 out.add(line)
         return cls(frozenset(out))
 
-    @classmethod
-    def from_file(cls, path) -> "PublicSuffixSet":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_lines(fh)
-
     def match(self, host: str) -> Optional[str]:
         """Longest suffix whose label sequence ends ``host``, or None."""
         labels = host.split(".")
@@ -131,7 +126,8 @@ class HttpRecord:
     """One client-side HTTP(S) event from a panel trace.
 
     ``process_name`` is kept verbatim: empty and whitespace-only names are
-    distinct, deliberate signals.
+    distinct, deliberate signals.  ``domain`` is the URL's domain, derived
+    once by ``ingest.record_domain``; None when the host does not normalize.
     """
 
     timestamp: int
@@ -139,6 +135,7 @@ class HttpRecord:
     process_name: str
     method: str
     url: str
+    domain: Optional[NormalizedDomain]
     referrer: Optional[str]
     server_ip: str
     status: Optional[int]

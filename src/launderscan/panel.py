@@ -94,7 +94,6 @@ class DomainStat:
 class MachineStat:
     attributed: int
     missing: int
-    top_missing_domains: tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,20 +118,13 @@ def misattribution_table(
     missing_events: dict[str, tuple[tuple[int, str], ...]] = {}
     for machine in sorted(ads):
         events = ads[machine]
-        m_miss: dict[str, int] = {}
         misses: list[tuple[int, str]] = []
         for ts, dom in events:
             dom_attr[dom] = dom_attr.get(dom, 0) + 1
             if not visits.visited(machine, dom, ts):
                 dom_miss[dom] = dom_miss.get(dom, 0) + 1
-                m_miss[dom] = m_miss.get(dom, 0) + 1
                 misses.append((ts, dom))
-        top = sorted(m_miss.items(), key=lambda kv: (-kv[1], kv[0]))
-        per_machine[machine] = MachineStat(
-            attributed=len(events),
-            missing=len(misses),
-            top_missing_domains=tuple(top[:10]),
-        )
+        per_machine[machine] = MachineStat(attributed=len(events), missing=len(misses))
         if misses:
             missing_events[machine] = tuple(misses)
     per_domain = {

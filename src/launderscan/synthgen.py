@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .ingest import AliasGroups, RankedDomainList, load_alias_groups, load_ip_map
+from .ingest import AliasGroups, RankedDomainList, load_alias_groups, load_ip_map, record_domain
 from .ipattr import IpAttributionTable
 from .model import (
     DAY_MS,
@@ -113,6 +113,10 @@ class Scenario:
     background: BackgroundSpec = BackgroundSpec()
     plants: tuple[SchemeTemplate, ...] = ()
     epoch_ms: int = DEFAULT_EPOCH_MS
+
+    def __post_init__(self):
+        if self.divisor < 1:
+            raise ValueError("divisor must be >= 1")
 
 
 def five_scheme_plants() -> tuple[SchemeTemplate, ...]:
@@ -635,6 +639,7 @@ def _typed_record(payload: dict, suffix: PublicSuffixSet):
             process_name=payload["proc"],
             method=payload["method"],
             url=payload["url"],
+            domain=record_domain(payload["url"], suffix),
             referrer=payload["ref"],
             server_ip=payload["ip"],
             status=payload["status"],

@@ -81,11 +81,9 @@ def verify_spoof_followthrough(
     signal: SpoofSignal,
     trace: Sequence[HttpRecord],
     horizon_ms: int,
-    suffix: Optional[PublicSuffixSet] = None,
 ) -> SpoofSignal:
     """Mark the signal verified when, within the horizon after it, the same
     machine's trace requests the spoofed domain from the landing IP."""
-    suffix = suffix or PublicSuffixSet.builtin()
     lo, hi = signal.source_ts, signal.source_ts + horizon_ms
     want = signal.spoof_domain.registrable
     for rec in trace:
@@ -93,11 +91,8 @@ def verify_spoof_followthrough(
             break
         if rec.timestamp <= lo or rec.server_ip != signal.land_ip:
             continue
-        try:
-            if normalize_domain(url_host(rec.url), suffix).registrable == want:
-                return replace(signal, verified=True)
-        except InvalidDomainError:
-            continue
+        if rec.domain is not None and rec.domain.registrable == want:
+            return replace(signal, verified=True)
     return replace(signal, verified=False)
 
 

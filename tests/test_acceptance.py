@@ -86,10 +86,10 @@ def big_run(big_dir):
         ranking, _ = load_ranked_domains(fh, cutoff=2000, suffix=SUFFIX)
     with open(big_dir / "malware.txt", "r", encoding="utf-8") as fh:
         malware = load_malware_list(fh)
-    report = detect(loaded.http, table, ranking, malware, DetectorConfig(), WINDOW, SUFFIX)
+    report = detect(loaded.http, table, ranking, malware, DetectorConfig(), WINDOW)
     elapsed = time.monotonic() - t0
     truth = sg.GroundTruth.from_json_dict(json.loads((big_dir / "truth.json").read_text()))
-    index = build_resolution_index(loaded.http, table, SUFFIX, WINDOW)
+    index = build_resolution_index(loaded.http, table, WINDOW)
     return {
         "loaded": loaded,
         "table": table,
@@ -343,7 +343,7 @@ def test_criterion_9_spoof_rule(big_run):
             if signal is None:
                 continue
             total += 1
-            signal = verify_spoof_followthrough(signal, recs, 60_000, SUFFIX)
+            signal = verify_spoof_followthrough(signal, recs, 60_000)
             verified += signal.verified
     ad_calls = sum(
         1
@@ -366,7 +366,7 @@ def test_criterion_9_spoof_rule(big_run):
             signal = check_spoof_query(rec.url, SUFFIX, ts=rec.timestamp)
             if signal is None:
                 continue
-            mutated_verified += verify_spoof_followthrough(signal, recs, 60_000, SUFFIX).verified
+            mutated_verified += verify_spoof_followthrough(signal, recs, 60_000).verified
     check(9, "mutated land_ip leaves every signal unverified", mutated_verified == 0)
 
 

@@ -319,6 +319,8 @@ def tiny_inputs(tmp_path):
         ("fingerprint", "--report", b"[]"),
         ("framedepth", "--tainted", b"http://a/,1\n\xff,2\n"),
         ("framedepth", "--general", b"http://\xff/,1\n"),
+        ("framedepth", "--tainted", b"url,max_depth\n"),
+        ("framedepth", "--general", b"http://a/,0\n"),
     ],
 )
 def test_malformed_input_file_is_a_parse_abort(tiny_inputs, capsys, command, flag, data):
@@ -343,3 +345,29 @@ def test_malformed_input_file_is_a_parse_abort(tiny_inputs, capsys, command, fla
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"parse abort: {bad}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("detect", "--window", "garbage"),
+        ("detect", "--window", "1..x"),
+        ("detect", "--window", "2018-13-45"),
+        ("detect", "--threshold", "0"),
+        ("detect", "--min-ips", "0"),
+        ("detect", "--cutoff", "0"),
+        ("panelscan", "--lookback", "0"),
+        ("synth", "--scale-divisor", "0"),
+    ],
+)
+def test_bad_flag_value_exits_2_naming_the_flag(tiny_inputs, capsys, command, flag, value):
+    d = tiny_inputs
+    base = {
+        "detect": ["--trace", d / "trace.jsonl", "--ipmap", d / "ipmap.csv",
+                   "--ranking", d / "ranking.txt", "--malware", d / "malware.txt"],
+        "panelscan": ["--trace", d / "trace.jsonl", "--out", d / "out"],
+        "synth": ["--out", d / "synth"],
+    }[command]
+    assert main([command, *map(str, base), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and err.count("\n") == 1

@@ -19,6 +19,7 @@ from launderscan.ingest import (
     RankedDomainList,
     load_ip_map,
     load_ranked_domains,
+    record_domain,
 )
 from launderscan.model import DAY_MS, HttpRecord, PublicSuffixSet
 
@@ -34,6 +35,7 @@ def _rec(url, ip, ts=DAY0 + 1000, machine="m1", proc="chrome.exe"):
         process_name=proc,
         method="GET",
         url=url,
+        domain=record_domain(url, SUFFIX),
         referrer=None,
         server_ip=ip,
         status=200,
@@ -56,7 +58,7 @@ def test_config_validation():
 
 def test_index_single_record():
     table = load_ip_map(["1.2.3.0/24,A"]).table
-    idx = build_resolution_index([_rec("http://example.com/x", "1.2.3.4")], table, SUFFIX, WINDOW)
+    idx = build_resolution_index([_rec("http://example.com/x", "1.2.3.4")], table, WINDOW)
     assert idx.by_domain == {"example.com": {("1.2.3.4", "a")}}
     assert idx.by_ip == {"1.2.3.4": {"example.com"}}
     assert not idx.unknown_isp_ips
@@ -64,7 +66,7 @@ def test_index_single_record():
 
 def test_index_unknown_isp_still_indexed():
     table = load_ip_map(["1.2.3.0/24,A"]).table
-    idx = build_resolution_index([_rec("http://example.com/x", "9.9.9.9")], table, SUFFIX, WINDOW)
+    idx = build_resolution_index([_rec("http://example.com/x", "9.9.9.9")], table, WINDOW)
     assert idx.by_domain == {"example.com": {("9.9.9.9", None)}}
     assert idx.unknown_isp_ips == {"9.9.9.9"}
 
@@ -76,7 +78,7 @@ def test_index_window_filter_and_counts():
         _rec("http://a.com/", "1.2.3.4", ts=WINDOW[1]),  # end exclusive
         _rec("http://a.com/", "1.2.3.4", ts=WINDOW[0] - 1),
     ]
-    idx = build_resolution_index(records, table, SUFFIX, WINDOW)
+    idx = build_resolution_index(records, table, WINDOW)
     assert idx.records_seen == 1
     assert idx.skipped_out_of_window == 2
 
@@ -99,7 +101,7 @@ def test_index_transpose_consistency():
     rng = random.Random(21)
     table = load_ip_map([f"10.0.{i}.0/24,isp{i % 4}" for i in range(12)]).table
     records = _random_records(rng)
-    idx = build_resolution_index(records, table, SUFFIX, WINDOW)
+    idx = build_resolution_index(records, table, WINDOW)
     rebuilt = {}
     for dom, pairs in idx.by_domain.items():
         for ip, _ in pairs:
@@ -111,9 +113,9 @@ def test_index_merge_equals_whole():
     rng = random.Random(8)
     table = load_ip_map([f"10.0.{i}.0/24,isp{i % 4}" for i in range(12)]).table
     records = _random_records(rng, n=600)
-    whole = build_resolution_index(records, table, SUFFIX, WINDOW)
-    a = build_resolution_index(records[:250], table, SUFFIX, WINDOW)
-    b = build_resolution_index(records[250:], table, SUFFIX, WINDOW)
+    whole = build_resolution_index(records, table, WINDOW)
+    a = build_resolution_index(records[:250], table, WINDOW)
+    b = build_resolution_index(records[250:], table, WINDOW)
     merged = a.merge(b)
     assert merged.by_domain == whole.by_domain
     assert merged.by_ip == whole.by_ip
@@ -215,7 +217,7 @@ def test_labeling_rules():
             _rec(f"http://{dom}/x", "5.5.5.5", proc=proc, machine=f"m{i}")
             for i, (dom, proc) in enumerate(proc_names)
         ]
-        dets = label_detections(flagged, records, malware, SUFFIX)
+        dets = label_detections(flagged, records, malware)
         assert len(dets) == 1
         return dets[0]
 
@@ -231,7 +233,7 @@ def test_labeling_counts_only_matching_domains():
         _rec("http://other.com/x", "5.5.5.5", machine="m2"),  # not in domain set
         _rec("http://a.com/x", "7.7.7.7", machine="m3"),  # wrong ip
     ]
-    det = label_detections(flagged, records, MalwareProcessList(frozenset()), SUFFIX)[0]
+    det = label_detections(flagged, records, MalwareProcessList(frozenset()))[0]
     assert det.request_count == 1
     assert det.machine_ids == {"m1"}
 

@@ -16,6 +16,7 @@ from launderscan.fingerprint import (
     jaccard,
     jaccard_matrix,
 )
+from launderscan.ingest import record_domain
 from launderscan.model import DAY_MS, HttpRecord, PublicSuffixSet
 
 from conftest import DAY0, WINDOW
@@ -119,6 +120,7 @@ def _rec(url, ip, ts=DAY0 + 1000, machine="m1", proc="botproc.exe", ua="UA-1"):
         process_name=proc,
         method="GET",
         url=url,
+        domain=record_domain(url, SUFFIX),
         referrer=None,
         server_ip=ip,
         status=200,

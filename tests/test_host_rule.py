@@ -2,6 +2,7 @@
 bare ``http://host/``, whatever fragment, path, query, port, userinfo or case
 the URL carries."""
 
+import json
 from urllib.parse import quote
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import example, given, strategies as st
 
 from launderscan.detector import Detection, build_resolution_index
 from launderscan.fingerprint import FLAG_MALFORMED, extract_features
+from launderscan.ingest import load_trace
 from launderscan.ipattr import IpAttributionTable
-from launderscan.model import HttpRecord, PublicSuffixSet, normalize_domain, url_host
+from launderscan.model import PublicSuffixSet, normalize_domain, url_host
 from launderscan.urlrules import SpoofSignal, sibling_referrer_consistency, verify_spoof_followthrough
 
 SUFFIX = PublicSuffixSet.builtin()
@@ -51,23 +53,16 @@ def test_url_host_examples(url, host):
 
 
 def _rec(url, ts=2_000):
-    return HttpRecord(
-        timestamp=ts,
-        machine_id="m1",
-        process_name="p",
-        method="GET",
-        url=url,
-        referrer=None,
-        server_ip=IP,
-        status=200,
-        user_agent=None,
-    )
+    """The record ingest makes of one http line, domain included."""
+    line = json.dumps({"ts": ts, "machine": "m1", "proc": "p", "url": url, "ip": IP})
+    (rec,) = load_trace([line], SUFFIX).http
+    return rec
 
 
 def _answers(url: str, host: str):
     table = IpAttributionTable()
     table.insert("10.0.0.0/8", "isp")
-    index = build_resolution_index([_rec(url)], table, SUFFIX, (0, 10_000))
+    index = build_resolution_index([_rec(url)], table, (0, 10_000))
     detection = Detection(
         ip=IP,
         isp="isp",
@@ -82,7 +77,7 @@ def _answers(url: str, host: str):
         source_url="http://ads.net/call", source_ts=1_000,
         spoof_domain=normalize_domain(host, SUFFIX), land_ip=IP,
     )
-    verified = verify_spoof_followthrough(signal, [_rec(url)], 60_000, SUFFIX).verified
+    verified = verify_spoof_followthrough(signal, [_rec(url)], 60_000).verified
     referrer = sibling_referrer_consistency(
         [f"http://ads.net/call?referrer={quote(url, safe='')}"], "referrer", SUFFIX
     )
@@ -92,6 +87,8 @@ def _answers(url: str, host: str):
 @given(host=hosts, tail=st.sampled_from(TAILS), user=st.sampled_from(("", "user@")))
 @example(host="www.target.com", tail="#top", user="")
 def test_every_module_resolves_a_url_like_its_bare_host(host, tail, user):
+    url = f"http://{user}{host}{tail}"
+    assert _rec(url).domain == normalize_domain(host, SUFFIX)
     bare = _answers(f"http://{host}/", host)
     assert bare[2], "a follow-through to the spoofed host itself must verify"
-    assert _answers(f"http://{user}{host}{tail}", host) == bare
+    assert _answers(url, host) == bare

@@ -53,10 +53,9 @@ def test_suffix_match_respects_label_boundaries():
     assert TINY.match("x.co.uk") == "co.uk"
 
 
-def test_suffix_file_parsing(tmp_path):
-    path = tmp_path / "suffixes.txt"
-    path.write_text("# comment\ncom\n\n  CO.UK  \n.net # inline\n", encoding="utf-8")
-    ps = PublicSuffixSet.from_file(path)
+def test_suffix_file_parsing():
+    text = "# comment\ncom\n\n  CO.UK  \n.net # inline\n"
+    ps = PublicSuffixSet.from_lines(text.splitlines(keepends=True))
     assert ps.suffixes == frozenset({"com", "co.uk", "net"})
 
 

@@ -126,7 +126,7 @@ def test_every_planted_pair_has_a_labeled_record(small_corpus):
 
 def test_clean_background_yields_no_candidates(clean_corpus):
     idx = build_resolution_index(
-        clean_corpus.http_records(), clean_corpus.table, SUFFIX, WINDOW
+        clean_corpus.http_records(), clean_corpus.table, WINDOW
     )
     cands = candidate_domains(idx, clean_corpus.ranking, DetectorConfig())
     assert cands == frozenset()

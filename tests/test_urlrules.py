@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from launderscan.ingest import record_domain
 from launderscan.model import HttpRecord, PublicSuffixSet
 from launderscan.urlrules import (
     EmptyFingerprintError,
@@ -64,6 +65,7 @@ def _rec(ts, url, ip, machine="m1"):
         process_name="p",
         method="GET",
         url=url,
+        domain=record_domain(url, SUFFIX),
         referrer=None,
         server_ip=ip,
         status=200,
@@ -83,20 +85,20 @@ def test_followthrough_verified():
         _rec(3000, "http://other.com/", "5.5.5.5"),
         _rec(6000, "http://www.example.com/page", "10.1.2.3"),
     ]
-    assert verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000, suffix=SUFFIX).verified
+    assert verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000).verified
 
 
 def test_followthrough_wrong_ip_not_verified():
     trace = [_rec(6000, "http://www.example.com/page", "10.9.9.9")]
-    assert not verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000, suffix=SUFFIX).verified
+    assert not verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000).verified
 
 
 def test_followthrough_outside_horizon_not_verified():
     trace = [_rec(70_000, "http://www.example.com/page", "10.1.2.3")]
-    assert not verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000, suffix=SUFFIX).verified
+    assert not verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000).verified
     # horizon is inclusive at the edge
     trace = [_rec(61_000, "http://www.example.com/page", "10.1.2.3")]
-    assert verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000, suffix=SUFFIX).verified
+    assert verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000).verified
 
 
 def test_referrer_inconsistency_detected():
