@@ -45,6 +45,8 @@ EXIT_MISSING_INPUT = 2
 EXIT_PARSE_ABORT = 3
 EXIT_WINDOW_MISMATCH = 4
 
+MAX_WINDOW_DAYS = 3_660  # ten years of UTC-day windows per --window
+
 
 class CmdError(Exception):
     def __init__(self, code: int, message: str):
@@ -143,10 +145,25 @@ def _split_days(w: tuple[int, int]) -> list[tuple[int, int]]:
     return out
 
 
+def _day_count(w: tuple[int, int]) -> int:
+    """How many windows ``_split_days(w)`` makes, without making them."""
+    start, end = w
+    if end - start <= DAY_MS:
+        return 1
+    return (end - 1) // DAY_MS - start // DAY_MS + 1
+
+
 def _windows(window_arg, records) -> list[tuple[int, int]]:
     """``--window`` split at UTC midnights, else the UTC days the records span."""
     if window_arg:
-        return _split_days(parse_window(window_arg))
+        w = parse_window(window_arg)
+        days = _day_count(w)
+        if days > MAX_WINDOW_DAYS:
+            raise CmdError(
+                EXIT_MISSING_INPUT,
+                f"bad --window {window_arg!r}: {days} day windows, more than {MAX_WINDOW_DAYS}",
+            )
+        return _split_days(w)
     if not records:
         return []
     lo = min(r.timestamp for r in records)

@@ -28,6 +28,11 @@ from .model import (
 )
 
 
+# The last millisecond of 9999-12-31 UTC.  A later ts has no calendar day,
+# and sums of two such timestamps would no longer fit in an int64.
+MAX_TS_MS = 253_402_300_799_999
+
+
 @dataclass(frozen=True, slots=True)
 class Skip:
     line_no: int
@@ -113,7 +118,7 @@ def load_trace(
         kind = obj.get("kind", "http")
         ts = obj.get("ts")
         machine = obj.get("machine")
-        if type(ts) is not int or ts <= 0:  # bool is an int subclass
+        if type(ts) is not int or not 0 < ts <= MAX_TS_MS:  # bool is an int subclass
             skip(line_no, "bad ts")
             continue
         if not isinstance(machine, str) or not machine:

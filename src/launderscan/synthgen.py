@@ -20,7 +20,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -692,11 +692,12 @@ class _HashingWriter:
         self.bytes = 0
         self._fh = open(path, "wb")
 
-    def write_line(self, line: str):
-        data = (line + "\n").encode("utf-8")
+    def write_lines(self, lines: Sequence[str]):
+        """Write and hash the lines as one block, each ending in a newline."""
+        data = "".join(line + "\n" for line in lines).encode("utf-8")
         self._fh.write(data)
         self.sha.update(data)
-        self.lines += 1
+        self.lines += len(lines)
         self.bytes += len(data)
 
     def close(self) -> dict:
@@ -720,11 +721,12 @@ def emit_scenario_files(scenario: Scenario, output_dir) -> dict:
     files: dict[str, dict] = {}
 
     trace = _HashingWriter(outdir / "trace.jsonl")
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     labels: dict[int, str] = {}
     idx = 0
     for block in _iter_blocks(scenario, world):
-        for _, payload, label in block:
-            trace.write_line(json.dumps(payload, separators=(",", ":")))
+        trace.write_lines([encode(payload) for _, payload, _ in block])
+        for _, _, label in block:
             if label is not None:
                 labels[idx] = label
             idx += 1
@@ -740,8 +742,7 @@ def emit_scenario_files(scenario: Scenario, output_dir) -> dict:
     }
     for name, lines in tables.items():
         w = _HashingWriter(outdir / name)
-        for line in lines:
-            w.write_line(line)
+        w.write_lines(lines)
         files[name] = w.close()
 
     manifest = {

@@ -6,7 +6,9 @@ tampered-environment classification from URL-encoding function fingerprints.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Optional, Sequence
 from urllib.parse import parse_qsl, urlsplit
 
@@ -22,6 +24,9 @@ from .model import (
 
 SPOOF_DOMAIN_KEY = "spoof_domain"
 LAND_IP_KEY = "land_ip"
+
+# urlsplit drops these before it splits a URL
+_URLSPLIT_DROPS = str.maketrans("", "", "\t\r\n")
 
 EXPECTED_FUNCTIONS = frozenset({"escape", "encodeURI", "encodeURIComponent"})
 
@@ -55,6 +60,15 @@ def check_spoof_query(
     be parsed.  Percent-decoding is applied once; parameter order and
     unrelated parameters do not matter.
     """
+    # Skip the parse where no signal can exist: there is no query, or there
+    # is no escape and the URL does not spell both keys (parse_qsl then only
+    # turns '+' into a space).
+    if "?" not in url:
+        return None
+    if "%" not in url:
+        spelled = url if url.isprintable() else url.translate(_URLSPLIT_DROPS)
+        if SPOOF_DOMAIN_KEY not in spelled or LAND_IP_KEY not in spelled:
+            return None
     suffix = suffix or PublicSuffixSet.builtin()
     query = urlsplit(url).query
     if not query:
@@ -83,13 +97,15 @@ def verify_spoof_followthrough(
     horizon_ms: int,
 ) -> SpoofSignal:
     """Mark the signal verified when, within the horizon after it, the same
-    machine's trace requests the spoofed domain from the landing IP."""
+    machine's trace (sorted by timestamp) requests the spoofed domain from
+    the landing IP."""
     lo, hi = signal.source_ts, signal.source_ts + horizon_ms
     want = signal.spoof_domain.registrable
-    for rec in trace:
+    for k in range(bisect_right(trace, lo, key=attrgetter("timestamp")), len(trace)):
+        rec = trace[k]
         if rec.timestamp > hi:
             break
-        if rec.timestamp <= lo or rec.server_ip != signal.land_ip:
+        if rec.server_ip != signal.land_ip:
             continue
         if rec.domain is not None and rec.domain.registrable == want:
             return replace(signal, verified=True)

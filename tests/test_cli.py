@@ -2,9 +2,12 @@ import csv
 import json
 from pathlib import Path
 
+import random
+
 import pytest
 
-from launderscan.cli import main
+from launderscan.cli import MAX_WINDOW_DAYS, CmdError, _day_count, _split_days, _windows, main
+from launderscan.model import DAY_MS
 
 from conftest import DAY0
 
@@ -353,6 +356,9 @@ def test_malformed_input_file_is_a_parse_abort(tiny_inputs, capsys, command, fla
         ("detect", "--window", "garbage"),
         ("detect", "--window", "1..x"),
         ("detect", "--window", "2018-13-45"),
+        ("detect", "--window", "0..316310400000"),  # 3,661 UTC days
+        ("detect", "--window", "0..86400000000000"),
+        ("panelscan", "--window", "2000-01-01:2020-01-01"),
         ("detect", "--threshold", "0"),
         ("detect", "--min-ips", "0"),
         ("detect", "--cutoff", "0"),
@@ -371,3 +377,16 @@ def test_bad_flag_value_exits_2_naming_the_flag(tiny_inputs, capsys, command, fl
     assert main([command, *map(str, base), flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+
+
+def test_window_day_count_is_arithmetic_and_bounded():
+    rng = random.Random(3)
+    for _ in range(300):
+        start = rng.randrange(-5 * DAY_MS, 5 * DAY_MS)
+        w = (start, start + rng.randrange(1, 6 * DAY_MS))
+        assert _day_count(w) == len(_split_days(w))
+    limit = MAX_WINDOW_DAYS * DAY_MS
+    assert len(_windows(f"0..{limit}", [])) == MAX_WINDOW_DAYS
+    assert len(_windows(f"{DAY_MS}..{limit + DAY_MS}", [])) == MAX_WINDOW_DAYS
+    with pytest.raises(CmdError, match="--window"):
+        _windows(f"{DAY_MS - 1}..{limit + DAY_MS - 1}", [])

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from launderscan.ingest import (
+    MAX_TS_MS,
     ParseAbortError,
     load_alias_groups,
     load_ip_map,
@@ -93,6 +94,8 @@ def test_strict_mode_aborts():
         ("method", ["GET"]),
         ("ua", 7),
         ("ref", {"url": "http://a.com/"}),
+        ("ts", MAX_TS_MS + 1),
+        ("ts", 2**63),
     ],
 )
 def test_wrongly_typed_http_fields_are_skipped(field, value):
@@ -114,6 +117,11 @@ def test_bool_ts_skipped_for_every_kind():
     result = load_trace(lines, SUFFIX)
     assert result.parsed_count == 0
     assert [s.reason for s in result.skipped] == ["bad ts", "bad ts"]
+
+
+def test_ts_loads_up_to_the_last_millisecond_of_year_9999():
+    result = load_trace([_http_line(ts=MAX_TS_MS)], SUFFIX, strict=True)
+    assert [r.timestamp for r in result.http] == [MAX_TS_MS]
 
 
 def test_null_ua_and_ref_still_load():

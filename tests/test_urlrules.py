@@ -46,6 +46,21 @@ def test_spoof_query_percent_decoded_once():
     assert sig.spoof_domain.registrable == "example.com"
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        "spoof%5Fdomain=example.com&land%5Fip=10.1.2.3",
+        "%73poof_domain=example.com&land_ip=10.1.2.3",
+        "spoof_do\tmain=example.com&land_ip=10.1.2.3",  # urlsplit drops the tab
+    ],
+)
+def test_spoof_query_keys_spelled_another_way_still_signal(query):
+    sig = check_spoof_query("http://x.tld/ad?" + query, SUFFIX)
+    assert sig is not None
+    assert sig.spoof_domain.registrable == "example.com"
+    assert sig.land_ip == "10.1.2.3"
+
+
 def test_spoof_query_order_and_noise_invariant():
     rng = random.Random(12)
     base = [("spoof_domain", "example.com"), ("land_ip", "10.1.2.3")]
@@ -91,6 +106,17 @@ def test_followthrough_verified():
 def test_followthrough_wrong_ip_not_verified():
     trace = [_rec(6000, "http://www.example.com/page", "10.9.9.9")]
     assert not verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000).verified
+
+
+def test_followthrough_at_the_signal_time_not_verified():
+    trace = [
+        _rec(999, "http://www.example.com/page", "10.1.2.3"),
+        _rec(1000, "http://www.example.com/page", "10.1.2.3"),
+        _rec(1000, "http://x.tld/ad?spoof_domain=example.com&land_ip=10.1.2.3", "4.4.4.4"),
+    ]
+    assert not verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000).verified
+    trace.append(_rec(1001, "http://www.example.com/page", "10.1.2.3"))
+    assert verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000).verified
 
 
 def test_followthrough_outside_horizon_not_verified():
