@@ -268,26 +268,36 @@ def cmd_detect(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _json_field(obj: dict, key: str, kind: type, item: type | None = None):
+    """``obj[key]`` when it has the JSON type detect writes there: ``kind``,
+    with every element (of a dict, every value) of type ``item``.  A bool is
+    never an int here.  Any other value raises ValueError naming the key."""
+    value = obj[key]
+    items = value.values() if isinstance(value, dict) else value
+    if type(value) is not kind or (item is not None and any(type(v) is not item for v in items)):
+        of = f" of {item.__name__}" if item is not None else ""
+        raise ValueError(f"{key!r} is not a {kind.__name__}{of}")
+    return value
+
+
 def _detections_from_report(obj: dict) -> list[tuple[tuple[int, int], Detection]]:
     out = []
     for rep in obj.get("reports", []):
-        start, end = rep["window"]
-        window = (int(start), int(end))
-        for d in rep["detections"]:
-            out.append(
-                (
-                    window,
-                    Detection(
-                        ip=d["ip"],
-                        isp=d["isp"],
-                        domains=frozenset(d["domains"]),
-                        process_names=tuple(sorted(d["process_names"].items())),
-                        machine_ids=frozenset(d["machine_ids"]),
-                        request_count=d["request_count"],
-                        label=d["label"],
-                    ),
-                )
+        start, end = _json_field(rep, "window", list, int)
+        for d in _json_field(rep, "detections", list, dict):
+            domains = _json_field(d, "domains", list, str)
+            if not domains:  # detect flags a pair only for its domains
+                raise ValueError("a detection has no domains")
+            detection = Detection(
+                ip=_json_field(d, "ip", str),
+                isp=_json_field(d, "isp", str),
+                domains=frozenset(domains),
+                process_names=tuple(sorted(_json_field(d, "process_names", dict, int).items())),
+                machine_ids=frozenset(_json_field(d, "machine_ids", list, str)),
+                request_count=_json_field(d, "request_count", int),
+                label=_json_field(d, "label", str),
             )
+            out.append(((start, end), detection))
     return out
 
 
@@ -364,53 +374,33 @@ def cmd_panelscan(args) -> int:
         policy = pn.SessionPolicy(lookback_ms=args.lookback, alias=alias)
 
     windows = _windows(args.window, loaded.impressions)
-    agg_dom: dict[str, list[int]] = {}
-    agg_machine: dict[str, list[int]] = {}
-    missing_events: dict[str, list[tuple[int, str]]] = {}
-    for day, end in windows:
-        # each impression counts in exactly one window, clipped to its end
-        ads = pn.attributed_ads(loaded.impressions, day, end)
-        visits = pn.publisher_visits(loaded.pageviews, day, policy)
-        table = pn.misattribution_table(ads, visits, policy)
-        for dom, stat in table.per_domain.items():
-            cur = agg_dom.setdefault(dom, [0, 0])
-            cur[0] += stat.attributed
-            cur[1] += stat.missing
-        for machine, stat in table.per_machine.items():
-            cur = agg_machine.setdefault(machine, [0, 0])
-            cur[0] += stat.attributed
-            cur[1] += stat.missing
-        for machine, events in table.missing_events.items():
-            missing_events.setdefault(machine, []).extend(events)
-
-    ranked = [
-        m
-        for m, (attributed, missing) in sorted(
-            agg_machine.items(), key=lambda kv: (-kv[1][1], -kv[1][0], kv[0])
-        )
-        if attributed >= args.min_ads
-    ]
+    # A visit qualifies by its distance from the impression alone, so the day
+    # windows only bound which impressions count.
+    span = (windows[0][0], windows[-1][1]) if windows else (0, 0)
+    ads = pn.attributed_ads(loaded.impressions, *span)
+    visits = pn.publisher_visits(loaded.pageviews, policy)
+    table = pn.misattribution_table(ads, visits, policy)
+    ranked = pn.rank_machines(table, args.min_ads)
     below_min_ads = sum(
-        1 for attributed, missing in agg_machine.values() if missing and attributed < args.min_ads
+        1 for stat in table.per_machine.values() if stat.missing and stat.attributed < args.min_ads
     )
 
     outdir = Path(args.out)
     dom_rows = [["domain", "attributed", "missing", "fraction"]]
-    for dom in sorted(agg_dom):
-        attributed, missing = agg_dom[dom]
-        frac = missing / attributed if attributed else 0.0
-        dom_rows.append([dom, attributed, missing, f"{frac:.4f}"])
+    for dom in sorted(table.per_domain):
+        stat = table.per_domain[dom]
+        dom_rows.append([dom, stat.attributed, stat.missing, f"{stat.fraction:.4f}"])
     _write_csv(outdir / "domains.csv", dom_rows)
     mach_rows = [["machine", "attributed", "missing"]]
-    for machine in sorted(agg_machine):
-        attributed, missing = agg_machine[machine]
-        mach_rows.append([machine, attributed, missing])
+    for machine in sorted(table.per_machine):
+        stat = table.per_machine[machine]
+        mach_rows.append([machine, stat.attributed, stat.missing])
     _write_csv(outdir / "machines.csv", mach_rows)
     _write_text(outdir / "ranking.txt", "".join(m + "\n" for m in ranked))
 
     evidence = []
     for machine in ranked[: args.top]:
-        events = sorted(missing_events.get(machine, []))
+        events = table.missing_events.get(machine, ())
         evidence.append(f"# machine {machine}: {len(events)} attributed ads with no qualifying visit")
         for ts, dom in events:
             evidence.append(f"{ts} {dom}")

@@ -109,20 +109,20 @@ def extract_features(
     cycle_tolerance_ms: int = 60_000,
     cycle_min_len: int = 5,
 ) -> SchemeProfile:
-    """Profile one detection from all trace records that hit its IP.
+    """Profile one detection from ``records``, which are all the trace
+    records that hit its IP and no others.
 
     Feature extraction deliberately looks at the IP's full traffic (not just
     the flagged domains): malformed-domain requests and ad-call URLs land on
     the same infrastructure but never enter the high-value domain set.
     """
-    matching = [r for r in records if r.server_ip == detection.ip]
     procs: set[str] = set()
     uas: set[str] = set()
     days: set[int] = set()
     malformed = 0
     spoof = False
     per_machine: dict[str, list[tuple[int, str]]] = {}
-    for rec in matching:
+    for rec in records:
         procs.add(rec.process_name)
         if rec.user_agent:
             uas.add(rec.user_agent)
@@ -142,7 +142,7 @@ def extract_features(
     flags = set()
     if spoof:
         flags.add(FLAG_SPOOF_QUERY)
-    if matching and malformed / len(matching) >= MALFORMED_SHARE_THRESHOLD:
+    if records and malformed / len(records) >= MALFORMED_SHARE_THRESHOLD:
         flags.add(FLAG_MALFORMED)
     if any(p.strip() == "" for p in procs):
         flags.add(FLAG_EMPTY_PROC)

@@ -27,7 +27,7 @@ def parse_cidr(cidr: str) -> tuple[int, int]:
     addr, mask_s = parts
     if not is_valid_ipv4(addr):
         raise ValueError(f"bad octets in {cidr!r}")
-    if not mask_s.isdigit() or not (0 <= int(mask_s) <= 32):
+    if not (mask_s.isascii() and mask_s.isdigit()) or not (0 <= int(mask_s) <= 32):
         raise ValueError(f"bad mask in {cidr!r}")
     mask_len = int(mask_s)
     net = ip_to_u32(addr)

@@ -110,11 +110,13 @@ def canonical_isp(name: str) -> str:
 
 
 def is_valid_ipv4(s: str) -> bool:
+    """Dotted quad of ASCII-digit octets, each at most 255.  ``str.isdigit``
+    alone would pass other scripts' digits and superscripts such as '²'."""
     parts = s.split(".")
     if len(parts) != 4:
         return False
     for p in parts:
-        if not p.isdigit() or len(p) > 3:
+        if not (p.isascii() and p.isdigit()) or len(p) > 3:
             return False
         if int(p) > 255:
             return False

@@ -1,7 +1,8 @@
 """Per-machine reconciliation of attributed ad impressions against publisher
-visits, one UTC day at a time: an impression is "missing" when the machine
-never visited the attributed domain (or an alias sibling) inside the session
-lookback window ending at the impression."""
+visits: an impression is "missing" when the machine never visited the
+attributed domain (or an alias sibling) inside the session lookback window
+ending at the impression.  One pass covers any time range: a visit counts
+for an impression by its distance from it alone, never by calendar day."""
 
 from __future__ import annotations
 
@@ -46,7 +47,6 @@ class VisitIndex:
     sibling) within the lookback ending at ts?"""
 
     policy: SessionPolicy
-    day: int
     _times: dict[tuple[str, str], list[int]] = field(default_factory=dict)
 
     def add(self, machine: str, registrable: str, ts: int):
@@ -66,16 +66,11 @@ class VisitIndex:
         return hi > lo
 
 
-def publisher_visits(
-    pageviews: Sequence[PageViewRecord], day: int, policy: SessionPolicy
-) -> VisitIndex:
-    """Index page views that can legitimize this day's impressions, including
-    previous-day views still inside the lookback."""
-    index = VisitIndex(policy=policy, day=day)
-    lo, hi = day - policy.lookback_ms, day + DAY_MS
+def publisher_visits(pageviews: Sequence[PageViewRecord], policy: SessionPolicy) -> VisitIndex:
+    """Index every page view by machine and alias group."""
+    index = VisitIndex(policy=policy)
     for pv in pageviews:
-        if lo <= pv.timestamp < hi:
-            index.add(pv.machine_id, pv.publisher_domain.registrable, pv.timestamp)
+        index.add(pv.machine_id, pv.publisher_domain.registrable, pv.timestamp)
     index.seal()
     return index
 
@@ -98,10 +93,9 @@ class MachineStat:
 
 @dataclass(frozen=True, slots=True)
 class MisattributionTable:
-    day: int
     per_domain: dict[str, DomainStat]
     per_machine: dict[str, MachineStat]
-    missing_events: dict[str, tuple[tuple[int, str], ...]]  # machine -> (ts, domain)
+    missing_events: dict[str, tuple[tuple[int, str], ...]]  # machine -> time-ordered (ts, domain)
 
     def total_attributed(self) -> int:
         return sum(s.attributed for s in self.per_domain.values())
@@ -131,7 +125,6 @@ def misattribution_table(
         d: DomainStat(attributed=n, missing=dom_miss.get(d, 0)) for d, n in dom_attr.items()
     }
     return MisattributionTable(
-        day=visits.day,
         per_domain=per_domain,
         per_machine=per_machine,
         missing_events=missing_events,

@@ -257,7 +257,7 @@ def test_criterion_6_panel_ranking(tmp_path):
     corpus = sg.generate(scenario)
     policy = SessionPolicy(alias=corpus.alias)
     ads = attributed_ads(corpus.impression_records(), DAY0)
-    visits = publisher_visits(corpus.pageview_records(), DAY0, policy)
+    visits = publisher_visits(corpus.pageview_records(), policy)
     table = misattribution_table(ads, visits, policy)
     ranked = rank_machines(table, min_ads=25)
     planted = corpus.truth.planted_machines

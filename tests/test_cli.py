@@ -1,8 +1,8 @@
 import csv
 import json
-from pathlib import Path
-
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -82,7 +82,9 @@ def test_detect_strict_abort_exit_3(scenario_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("ts", True), ("status", False), ("proc", 5), ("method", 1), ("ua", 2), ("ref", 3)]
+    "field, value",
+    [("ts", True), ("status", False), ("proc", 5), ("method", 1), ("ua", 2), ("ref", 3),
+     ("ip", "1.1.1.\u00b2")],
 )
 def test_detect_wrongly_typed_field_skipped_or_exit_3(scenario_dir, tmp_path, field, value):
     line = {"ts": DAY0 + 1, "machine": "m", "url": "http://a.com/", "ip": "1.2.3.4", field: value}
@@ -211,6 +213,131 @@ def test_panelscan_window_counts_each_impression_once(tmp_path):
     assert len(evidence) == 4
 
 
+def _oracle_panel(imps, pvs, alias, lookback, span):
+    """Brute force: an impression inside ``span`` is missing exactly when no
+    page view of the same machine and alias group falls in [ts - lookback, ts]."""
+    group = {d: min(g) for g in alias for d in g}
+    machines, domains, missing = {}, {}, {}
+    for ts, machine, dom in sorted(imps):
+        if span is not None and not span[0] <= ts < span[1]:
+            continue
+        miss = not any(
+            pm == machine and group.get(pd, pd) == group.get(dom, dom) and ts - lookback <= pts <= ts
+            for pts, pm, pd in pvs
+        )
+        for table, key in ((machines, machine), (domains, dom)):
+            attributed, missed = table.get(key, (0, 0))
+            table[key] = (attributed + 1, missed + miss)
+        if miss:
+            missing.setdefault(machine, []).append((ts, dom))
+    return machines, domains, missing
+
+
+def test_multi_day_panelscan_matches_brute_force_oracle(tmp_path):
+    rng = random.Random(31)
+    hour = 3_600_000
+    doms = [f"d{i}.com" for i in range(6)]
+    alias = [("d0.com", "d1.com"), ("d2.com", "d3.com", "d4.com")]
+    (tmp_path / "aliases.csv").write_text("".join(",".join(g) + "\n" for g in alias))
+    for case in range(40):
+        lookback = rng.choice([1_000, hour, DAY_MS, 200_000_000, rng.randrange(1, 2 * DAY_MS)])
+        imps = [(DAY0 - 6 * hour + rng.randrange(4 * DAY_MS), f"m{rng.randrange(4)}", rng.choice(doms))
+                for _ in range(rng.randrange(1, 60))]
+        pvs = [(DAY0 - 2 * DAY_MS + rng.randrange(6 * DAY_MS), f"m{rng.randrange(4)}", rng.choice(doms))
+               for _ in range(rng.randrange(40))]
+        # views on either side of each lookback edge of some impressions
+        for ts, machine, dom in rng.sample(imps, len(imps) // 3):
+            edge = rng.choice([0, -1, lookback, lookback + 1])
+            pvs.append((ts - edge, machine, rng.choice([dom, *doms])))
+        lines = [{"ts": ts, "machine": m, "kind": "impression", "attr_domain": d} for ts, m, d in imps]
+        lines += [{"ts": ts, "machine": m, "kind": "pageview", "pub_domain": d} for ts, m, d in pvs]
+        rng.shuffle(lines)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        span, min_ads = None, rng.randrange(4)
+        args = ["panelscan", "--trace", str(trace), "--alias", str(tmp_path / "aliases.csv"),
+                "--lookback", str(lookback), "--min-ads", str(min_ads), "--top", "99"]
+        if rng.random() < 0.5:  # a raw-ms window, mostly off midnight
+            start = DAY0 - 6 * hour + rng.randrange(3 * DAY_MS)
+            span = (start, start + rng.randrange(1, 3 * DAY_MS))
+            args += ["--window", f"{span[0]}..{span[1]}"]
+        outdir = tmp_path / f"panel{case}"
+        assert main([*args, "--out", str(outdir)]) == 0, case
+        machines, domains, missing = _oracle_panel(imps, pvs, alias, lookback, span)
+        rows = list(csv.reader((outdir / "machines.csv").open()))[1:]
+        assert rows == [[m, str(a), str(n)] for m, (a, n) in sorted(machines.items())], case
+        rows = list(csv.reader((outdir / "domains.csv").open()))[1:]
+        assert rows == [[d, str(a), str(n), f"{n / a:.4f}"] for d, (a, n) in sorted(domains.items())], case
+        ranked = sorted((m for m, (a, _) in machines.items() if a >= min_ads),
+                        key=lambda m: (-machines[m][1], -machines[m][0], m))
+        assert (outdir / "ranking.txt").read_text().splitlines() == ranked, case
+        evidence = []
+        for m in ranked:
+            evidence.append(f"# machine {m}: {len(missing.get(m, []))} attributed ads with no qualifying visit")
+            evidence += [f"{ts} {d}" for ts, d in missing.get(m, [])]
+            evidence.append("")
+        assert (outdir / "evidence.txt").read_text().split("\n")[:-1] == evidence, case
+
+
+def _readme_chain():
+    """The launderscan commands of the README quick start, in order, with
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for block in section.split("```")[1::2]:
+        for cmd in block.replace("\\\n", " ").splitlines():
+            if cmd.startswith("launderscan "):
+                commands.append(shlex.split(cmd)[1:])
+    return commands
+
+
+def test_readme_quick_start_chain(scenario_dir, tmp_path, capsys):
+    """detect → fingerprint → panelscan → rules exactly as the README shows
+    them, on the test scenario in place of /tmp/scenario."""
+    def local(arg):
+        for readme_dir, here in (("/tmp/scenario/", scenario_dir), ("/tmp/", tmp_path)):
+            if arg.startswith(readme_dir):
+                return str(here / arg[len(readme_dir):])
+        return arg
+
+    chain = [
+        [local(a) for a in cmd]
+        for cmd in _readme_chain()
+        if cmd[0] in ("detect", "fingerprint", "panelscan", "rules")
+    ]
+    assert [cmd[0] for cmd in chain] == ["detect", "fingerprint", "panelscan", "rules"]
+    for cmd in chain:
+        assert main(cmd) == 0, cmd
+    out = capsys.readouterr().out
+    profiles = list(csv.reader((tmp_path / "fp" / "profiles.csv").open()))
+    assert len(profiles) > 1
+    hyphbot = json.loads((scenario_dir / "truth.json").read_text())["schemes"]["hyphbot"]["machines"]
+    ranked = (tmp_path / "panel" / "ranking.txt").read_text().splitlines()
+    assert len(hyphbot) == 141 and set(ranked[: len(hyphbot)]) == set(hyphbot)
+    assert f"machines_ranked={len(ranked)} " in out
+    assert (tmp_path / "findings.jsonl").read_text()
+
+
+def test_non_ascii_digit_land_ip_is_a_malformed_signal(tmp_path):
+    """A land_ip octet that decodes to a superscript two is a finding in
+    rules and a spoof flag in fingerprint, not a traceback."""
+    url = "http://ads.net/imp?spoof_domain=a.com&land_ip=1.1.1.%C2%B2"
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"ts": DAY0 + 5, "machine": "m1", "url": url, "ip": "1.2.3.4"}) + "\n")
+    findings = tmp_path / "findings.jsonl"
+    assert main(["rules", "--trace", str(trace), "--out", str(findings)]) == 0
+    assert [json.loads(line)["type"] for line in findings.read_text().splitlines()] == [
+        "malformed_spoof_signal"
+    ]
+    report = tmp_path / "report.json"
+    report.write_bytes(_report_bytes(window=[DAY0, DAY0 + DAY_MS]))
+    assert main(["fingerprint", "--report", str(report), "--trace", str(trace),
+                 "--out", str(tmp_path / "fp")]) == 0
+    profile = list(csv.reader((tmp_path / "fp" / "profiles.csv").open()))[1]
+    assert "SpoofQueryFields" in profile[7].split(";")
+
+
 def test_framedepth_cli(tmp_path):
     tainted = tmp_path / "tainted.csv"
     general = tmp_path / "general.csv"
@@ -301,6 +428,14 @@ def tiny_inputs(tmp_path):
     return tmp_path
 
 
+def _report_bytes(window=(0, DAY_MS), **over):
+    """A report of one detection on 1.2.3.4 over ``window`` (by default the
+    tiny trace's), with ``over`` replacing detection fields."""
+    det = {"ip": "1.2.3.4", "isp": "isp", "domains": ["a.com"], "process_names": {},
+           "machine_ids": ["m1"], "request_count": 1, "label": "Unlabeled", **over}
+    return json.dumps({"reports": [{"window": list(window), "detections": [det]}]}).encode()
+
+
 @pytest.mark.parametrize(
     "command, flag, data",
     [
@@ -320,6 +455,8 @@ def tiny_inputs(tmp_path):
         ("fingerprint", "--report", b'{"reports": [{"window": [0, 1]}]}'),
         ("fingerprint", "--report", b'{"reports": [{"window": [0], "detections": []}]}'),
         ("fingerprint", "--report", b"[]"),
+        ("fingerprint", "--report", _report_bytes(domains=[])),
+        ("fingerprint", "--report", _report_bytes(request_count="7")),
         ("framedepth", "--tainted", b"http://a/,1\n\xff,2\n"),
         ("framedepth", "--general", b"http://\xff/,1\n"),
         ("framedepth", "--tainted", b"url,max_depth\n"),

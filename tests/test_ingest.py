@@ -96,6 +96,8 @@ def test_strict_mode_aborts():
         ("ref", {"url": "http://a.com/"}),
         ("ts", MAX_TS_MS + 1),
         ("ts", 2**63),
+        ("ip", "1.1.1.\u00b2"),  # superscript two: isdigit() but not int()
+        ("ip", "\u0661.1.1.1"),  # Arabic-Indic one
     ],
 )
 def test_wrongly_typed_http_fields_are_skipped(field, value):

@@ -1,9 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from launderscan import synthgen as sg
-from launderscan.detector import DetectorConfig, candidate_domains, build_resolution_index
+from launderscan.detector import DetectorConfig, build_resolution_index, candidate_domains, detect
+from launderscan.fingerprint import FLAG_REPEAT_CYCLE, extract_features
+from launderscan.ingest import MalwareProcessList
 from launderscan.ingest import load_alias_groups
 from launderscan.model import DAY_MS, HttpRecord, PublicSuffixSet, is_valid_ipv4
 from launderscan.panel import SessionPolicy, attributed_ads, misattribution_table, publisher_visits
@@ -135,7 +138,7 @@ def test_clean_background_yields_no_candidates(clean_corpus):
 def test_clean_background_impressions_never_missing(clean_corpus):
     policy = SessionPolicy(alias=clean_corpus.alias)
     ads = attributed_ads(clean_corpus.impression_records(), DAY0)
-    visits = publisher_visits(clean_corpus.pageview_records(), DAY0, policy)
+    visits = publisher_visits(clean_corpus.pageview_records(), policy)
     table = misattribution_table(ads, visits, policy)
     assert all(s.missing == 0 for s in table.per_machine.values())
     assert sum(s.attributed for s in table.per_machine.values()) > 0
@@ -215,3 +218,31 @@ def test_plant_wanting_too_many_targets_errors():
 def test_alias_lines_load():
     groups = load_alias_groups(sg.ALIAS_GROUP_LINES, SUFFIX)
     assert len(groups.groups) == 2
+
+
+def test_replay_period_plants_a_repeat_cycle_on_that_scheme_alone():
+    """A 22 h ``replay_period_ms`` on scheme-gamma replays each gamma
+    machine's first two hours 22 h later; RepeatCycle then flags gamma's
+    profiles and no other scheme's."""
+    period = 22 * 3_600_000
+    plants = tuple(
+        replace(t, extras={**t.extras, "replay_period_ms": period}) if t.label == "scheme-gamma" else t
+        for t in sg.five_scheme_plants()
+    )
+    scenario = replace(sg.five_scheme_scenario(seed=11, background_machines=320), plants=plants)
+    corpus = sg.generate(scenario)
+    records = corpus.http_records()
+    report = detect(records, corpus.table, corpus.ranking,
+                    MalwareProcessList(frozenset(corpus.malware_names)), DetectorConfig(), WINDOW)
+    by_ip: dict[str, list] = {}
+    for rec in records:
+        by_ip.setdefault(rec.server_ip, []).append(rec)
+    hv = corpus.ranking.high_value()
+    cycled = {
+        d.ip
+        for d in report.detections
+        if FLAG_REPEAT_CYCLE in extract_features(d, by_ip[d.ip], SUFFIX, hv).signature_flags
+    }
+    gamma = {ip for ip, _ in corpus.truth.scheme_pairs["scheme-gamma"]}
+    assert len(gamma) == 4 and {d.ip for d in report.detections} >= gamma
+    assert cycled == gamma

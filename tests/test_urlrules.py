@@ -39,6 +39,11 @@ def test_spoof_query_malformed_land_ip():
         check_spoof_query("http://x.tld/ad?spoof_domain=example.com&land_ip=10.1.2", SUFFIX)
     with pytest.raises(MalformedSignalError):
         check_spoof_query("http://x.tld/ad?spoof_domain=&land_ip=10.1.2.3", SUFFIX)
+    # octets whose digits are not ASCII: a superscript two (raw and
+    # percent-encoded) and an Arabic-Indic one
+    for land_ip in ("1.1.1.%C2%B2", "1.1.1.\u00b2", "%D9%A1.1.1.1"):
+        with pytest.raises(MalformedSignalError):
+            check_spoof_query(f"http://x.tld/ad?spoof_domain=example.com&land_ip={land_ip}", SUFFIX)
 
 
 def test_spoof_query_percent_decoded_once():
