@@ -99,6 +99,13 @@ def _read_table(path: Path):
         yield line
 
 
+def _load_trace(args, suffix: PublicSuffixSet):
+    """Parse ``--trace`` (exit 2 when it is missing, 3 on a strict-mode abort)."""
+    path = _require(args.trace, "trace")
+    with _parsing(path):
+        return load_trace(_read_lines(path), suffix, strict=args.strict)
+
+
 def _suffix_set(args) -> PublicSuffixSet:
     if getattr(args, "suffixes", None):
         path = _require(args.suffixes, "suffix list")
@@ -153,8 +160,8 @@ def _day_count(w: tuple[int, int]) -> int:
     return (end - 1) // DAY_MS - start // DAY_MS + 1
 
 
-def _windows(window_arg, records) -> list[tuple[int, int]]:
-    """``--window`` split at UTC midnights, else the UTC days the records span."""
+def _span(window_arg, records) -> tuple[int, int] | None:
+    """``--window``, else the UTC days the records span; None for no records."""
     if window_arg:
         w = parse_window(window_arg)
         days = _day_count(w)
@@ -163,12 +170,27 @@ def _windows(window_arg, records) -> list[tuple[int, int]]:
                 EXIT_MISSING_INPUT,
                 f"bad --window {window_arg!r}: {days} day windows, more than {MAX_WINDOW_DAYS}",
             )
-        return _split_days(w)
+        return w
     if not records:
-        return []
+        return None
     lo = min(r.timestamp for r in records)
     hi = max(r.timestamp for r in records)
-    return _split_days((lo - lo % DAY_MS, hi - hi % DAY_MS + DAY_MS))
+    return (lo - lo % DAY_MS, hi - hi % DAY_MS + DAY_MS)
+
+
+def _windows(window_arg, records) -> list[tuple[int, int]]:
+    """``_span`` split at UTC midnights: at most MAX_WINDOW_DAYS windows."""
+    span = _span(window_arg, records)
+    if span is None:
+        return []
+    days = _day_count(span)
+    if days > MAX_WINDOW_DAYS:
+        raise CmdError(
+            EXIT_MISSING_INPUT,
+            f"the records span {days} UTC days, more than {MAX_WINDOW_DAYS}; "
+            "pass --window to pick the days to scan",
+        )
+    return _split_days(span)
 
 
 def _write_text(path: Path, text: str):
@@ -204,17 +226,15 @@ def cmd_detect(args) -> int:
             flag_threshold=args.threshold,
         )
     suffix = _suffix_set(args)
-    trace_path = _require(args.trace, "trace")
     ipmap_path = _require(args.ipmap, "ipmap")
     ranking_path = _require(args.ranking, "ranking")
     malware_path = _require(args.malware, "malware list")
 
-    with _parsing(trace_path):
-        loaded = load_trace(_read_lines(trace_path), suffix, strict=args.strict)
+    loaded = _load_trace(args, suffix)
     with _parsing(ipmap_path):
         ipmap = load_ip_map(_read_table(ipmap_path), strict=args.strict)
     with _parsing(ranking_path):
-        ranking, _ = load_ranked_domains(_read_table(ranking_path), cutoff=args.cutoff, suffix=suffix)
+        ranking, _ = load_ranked_domains(_read_table(ranking_path), suffix=suffix)
     with _parsing(malware_path):
         malware = load_malware_list(_read_table(malware_path))
 
@@ -304,14 +324,11 @@ def _detections_from_report(obj: dict) -> list[tuple[tuple[int, int], Detection]
 def cmd_fingerprint(args) -> int:
     suffix = _suffix_set(args)
     report_path = _require(args.report, "detection report")
-    trace_path = _require(args.trace, "trace")
+    records = _load_trace(args, suffix).http
     # a report not written by detect fails in any of these ways
     with _parsing(report_path, ValueError, KeyError, TypeError, AttributeError):
         with open(report_path, "r", encoding="utf-8") as fh:
             pairs = _detections_from_report(json.load(fh))
-    with _parsing(trace_path):
-        loaded = load_trace(_read_lines(trace_path), suffix, strict=args.strict)
-    records = loaded.http
     if pairs and records:
         lo = min(r.timestamp for r in records)
         hi = max(r.timestamp for r in records)
@@ -362,9 +379,7 @@ def cmd_fingerprint(args) -> int:
 
 def cmd_panelscan(args) -> int:
     suffix = _suffix_set(args)
-    trace_path = _require(args.trace, "trace")
-    with _parsing(trace_path):
-        loaded = load_trace(_read_lines(trace_path), suffix, strict=args.strict)
+    loaded = _load_trace(args, suffix)
     alias = AliasGroups.empty()
     if args.alias:
         alias_path = _require(args.alias, "alias groups")
@@ -373,13 +388,12 @@ def cmd_panelscan(args) -> int:
     with _flag_values(lookback_ms="--lookback"):
         policy = pn.SessionPolicy(lookback_ms=args.lookback, alias=alias)
 
-    windows = _windows(args.window, loaded.impressions)
-    # A visit qualifies by its distance from the impression alone, so the day
-    # windows only bound which impressions count.
-    span = (windows[0][0], windows[-1][1]) if windows else (0, 0)
-    ads = pn.attributed_ads(loaded.impressions, *span)
+    # A visit qualifies by its distance from the impression alone, so the
+    # span only bounds which impressions count.
+    span = _span(args.window, loaded.impressions)
+    ads = pn.attributed_ads(loaded.impressions, *(span or (0, 0)))
     visits = pn.publisher_visits(loaded.pageviews, policy)
-    table = pn.misattribution_table(ads, visits, policy)
+    table = pn.misattribution_table(ads, visits)
     ranked = pn.rank_machines(table, args.min_ads)
     below_min_ads = sum(
         1 for stat in table.per_machine.values() if stat.missing and stat.attributed < args.min_ads
@@ -407,8 +421,8 @@ def cmd_panelscan(args) -> int:
         evidence.append("")
     _write_text(outdir / "evidence.txt", "\n".join(evidence) + ("\n" if evidence else ""))
     print(
-        f"days={len(windows)} machines_ranked={len(ranked)} below_min_ads={below_min_ads} "
-        f"impressions={len(loaded.impressions)}"
+        f"days={_day_count(span) if span else 0} machines_ranked={len(ranked)} "
+        f"below_min_ads={below_min_ads} impressions={len(loaded.impressions)}"
     )
     return EXIT_OK
 
@@ -468,9 +482,7 @@ def cmd_synth(args) -> int:
 
 def cmd_rules(args) -> int:
     suffix = _suffix_set(args)
-    trace_path = _require(args.trace, "trace")
-    with _parsing(trace_path):
-        loaded = load_trace(_read_lines(trace_path), suffix, strict=args.strict)
+    loaded = _load_trace(args, suffix)
     findings: list[dict] = []
 
     by_machine: dict[str, list] = {}

@@ -36,7 +36,9 @@ def load_depth_csv(lines: Iterable[str], label: str) -> tuple[DepthSample, list[
             skipped.append(Skip(line_no, "bad row"))
             continue
         url, depth_s = parts[0].strip(), parts[1].strip()
-        if not depth_s.lstrip("-").isdigit():
+        digits = depth_s.removeprefix("-")
+        # isdigit() alone passes '١' (int() reads it as 1) and '²' (int() fails)
+        if not (digits.isascii() and digits.isdigit()):
             if line_no == 1 and depth_s.lower() in ("max_depth", "depth"):
                 continue  # header
             skipped.append(Skip(line_no, "bad depth"))

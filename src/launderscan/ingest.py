@@ -236,16 +236,12 @@ def load_ip_map(lines: Iterable[str], strict: bool = False) -> IpMapLoad:
 
 @dataclass(frozen=True, slots=True)
 class RankedDomainList:
-    """Reputation list: rank 1 is the most reputable; the first ``cutoff``
-    entries are the high-value set."""
+    """Reputation list: rank 1 is the most reputable."""
 
     entries: tuple[NormalizedDomain, ...]
-    cutoff: int
-
-    def high_value(self) -> frozenset[str]:
-        return frozenset(d.registrable for d in self.entries[: self.cutoff])
 
     def high_value_at(self, cutoff: int) -> frozenset[str]:
+        """The registrable domains of the first ``cutoff`` entries."""
         return frozenset(d.registrable for d in self.entries[: min(cutoff, len(self.entries))])
 
     def to_lines(self) -> list[str]:
@@ -254,7 +250,6 @@ class RankedDomainList:
 
 def load_ranked_domains(
     lines: Iterable[str],
-    cutoff: int = 2000,
     suffix: Optional[PublicSuffixSet] = None,
     strict: bool = False,
 ) -> tuple[RankedDomainList, list[Skip]]:
@@ -278,8 +273,7 @@ def load_ranked_domains(
             continue
         seen.add(dom.registrable)
         entries.append(dom)
-    clamped = max(0, min(cutoff, len(entries)))
-    return RankedDomainList(entries=tuple(entries), cutoff=clamped), skipped
+    return RankedDomainList(entries=tuple(entries)), skipped
 
 
 @dataclass(frozen=True, slots=True)

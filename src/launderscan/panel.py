@@ -104,7 +104,6 @@ class MisattributionTable:
 def misattribution_table(
     ads: dict[str, list[tuple[int, str]]],
     visits: VisitIndex,
-    policy: SessionPolicy,
 ) -> MisattributionTable:
     dom_attr: dict[str, int] = {}
     dom_miss: dict[str, int] = {}

@@ -17,6 +17,7 @@ than proportionally.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,17 +25,17 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ingest import AliasGroups, RankedDomainList, load_alias_groups, load_ip_map, record_domain
-from .ipattr import IpAttributionTable
-from .model import (
-    DAY_MS,
-    HttpRecord,
-    ImpressionRecord,
-    NormalizedDomain,
-    PageViewRecord,
-    PublicSuffixSet,
-    normalize_domain,
+from .ingest import (
+    AliasGroups,
+    LoadResult,
+    RankedDomainList,
+    load_alias_groups,
+    load_ip_map,
+    load_ranked_domains,
+    load_trace,
 )
+from .ipattr import IpAttributionTable
+from .model import DAY_MS, PublicSuffixSet
 
 KIND_HOSTS_HIJACK = "HostsHijack"
 KIND_MALFORMED_BOT = "MalformedBot"
@@ -216,7 +217,7 @@ def clean_scenario(seed: int = 7, background_machines: int = 1_000, day_count: i
 class GroundTruth:
     planted_pairs: frozenset[tuple[str, str]]
     planted_machines: frozenset[str]
-    record_labels: dict[int, str]  # record index -> scheme label; absent = clean
+    record_labels: dict[int, str]  # trace.jsonl line index -> scheme label; absent = clean
     scheme_pairs: dict[str, frozenset[tuple[str, str]]]
     scheme_machines: dict[str, frozenset[str]]
 
@@ -257,15 +258,22 @@ class GroundTruth:
 class _World:
     domains: list[str]  # rank order
     home_ips: dict[str, list[str]]
-    home_isp: dict[str, str]
-    ipmap_rows: list[tuple[str, str]]
+    ipmap_lines: list[str]  # "CIDR,ISP"
     malware_names: list[str]
-    plant_isp_octet: dict[str, int]
     plant_ips: dict[str, list[str]]  # template label -> ips (index-aligned with isp assignment)
     plant_ip_isp: dict[str, str]
     plant_targets: dict[str, list[str]]
     alias: AliasGroups
     suffix: PublicSuffixSet
+
+    def table_lines(self) -> dict[str, Sequence[str]]:
+        """The reference tables emit_scenario_files writes, by file name."""
+        return {
+            "ipmap.csv": self.ipmap_lines,
+            "ranking.txt": self.domains,
+            "malware.txt": self.malware_names,
+            "aliases.csv": ALIAS_GROUP_LINES,
+        }
 
 
 def _pool_domains(n: int) -> list[str]:
@@ -283,7 +291,6 @@ def _build_world(scenario: Scenario) -> _World:
     high_value = domains[: bg.high_value_cutoff]
 
     home_ips: dict[str, list[str]] = {}
-    home_isp: dict[str, str] = {}
     per_isp_counter = [0] * bg.isp_count
     for i, dom in enumerate(domains):
         isp_idx = i % bg.isp_count
@@ -294,8 +301,7 @@ def _build_world(scenario: Scenario) -> _World:
             h = per_isp_counter[isp_idx]
             ips.append(f"100.{isp_idx}.{h >> 8}.{h & 255}")
         home_ips[dom] = ips
-        home_isp[dom] = f"hostco-{isp_idx:02d}"
-    ipmap_rows = [(f"100.{i}.0.0/16", f"hostco-{i:02d}") for i in range(bg.isp_count)]
+    ipmap_lines = [f"100.{i}.0.0/16,hostco-{i:02d}" for i in range(bg.isp_count)]
 
     plant_isp_octet: dict[str, int] = {}
     plant_ips: dict[str, list[str]] = {}
@@ -312,7 +318,7 @@ def _build_world(scenario: Scenario) -> _World:
             if isp not in plant_isp_octet:
                 octet = len(plant_isp_octet)
                 plant_isp_octet[isp] = octet
-                ipmap_rows.append((f"185.{octet}.0.0/16", isp))
+                ipmap_lines.append(f"185.{octet}.0.0/16,{isp}")
         per_isp_host: dict[str, int] = {}
         ips = []
         for k in range(tpl.ip_count):
@@ -332,10 +338,8 @@ def _build_world(scenario: Scenario) -> _World:
     return _World(
         domains=domains,
         home_ips=home_ips,
-        home_isp=home_isp,
-        ipmap_rows=ipmap_rows,
+        ipmap_lines=ipmap_lines,
         malware_names=sorted(set(malware_names)),
-        plant_isp_octet=plant_isp_octet,
         plant_ips=plant_ips,
         plant_ip_isp=plant_ip_isp,
         plant_targets=plant_targets,
@@ -571,12 +575,26 @@ def _plant_machine_block(
     return rows
 
 
-def _iter_blocks(scenario: Scenario, world: _World) -> Iterator[list[Row]]:
-    for i in range(scenario.background.machine_count):
-        yield _background_block(scenario, world, i)
-    for p_idx, tpl in enumerate(scenario.plants):
-        for k in range(tpl.machine_count):
-            yield _plant_machine_block(scenario, world, p_idx, tpl, k)
+def _trace_blocks(scenario: Scenario, world: _World, labels: dict[int, str]) -> Iterator[list[str]]:
+    """The lines of trace.jsonl, one block per machine (background first, then
+    plants in template order).  Puts the file index of each planted line into
+    ``labels``."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    blocks = itertools.chain(
+        (_background_block(scenario, world, i) for i in range(scenario.background.machine_count)),
+        (
+            _plant_machine_block(scenario, world, p_idx, tpl, k)
+            for p_idx, tpl in enumerate(scenario.plants)
+            for k in range(tpl.machine_count)
+        ),
+    )
+    idx = 0
+    for block in blocks:
+        for _, _, label in block:
+            if label is not None:
+                labels[idx] = label
+            idx += 1
+        yield [encode(payload) for _, payload, _ in block]
 
 
 def _truth_from(
@@ -604,80 +622,30 @@ def _truth_from(
 
 @dataclass
 class GeneratedCorpus:
-    records: list  # HttpRecord | ImpressionRecord | PageViewRecord, file order
+    lines: list[str]  # trace.jsonl's lines, which truth.record_labels indexes
+    trace: LoadResult
     truth: GroundTruth
     table: IpAttributionTable
     ranking: RankedDomainList
     alias: AliasGroups
     malware_names: list[str]
 
-    def http_records(self) -> list[HttpRecord]:
-        return [r for r in self.records if isinstance(r, HttpRecord)]
-
-    def impression_records(self) -> list[ImpressionRecord]:
-        return [r for r in self.records if isinstance(r, ImpressionRecord)]
-
-    def pageview_records(self) -> list[PageViewRecord]:
-        return [r for r in self.records if isinstance(r, PageViewRecord)]
-
-
-def _table_and_ranking(world: _World, cutoff: int) -> tuple[IpAttributionTable, RankedDomainList]:
-    load = load_ip_map(f"{cidr},{isp}" for cidr, isp in world.ipmap_rows)
-    entries = tuple(
-        NormalizedDomain(registrable=d, full_host=d) for d in world.domains
-    )
-    ranking = RankedDomainList(entries=entries, cutoff=min(cutoff, len(entries)))
-    return load.table, ranking
-
-
-def _typed_record(payload: dict, suffix: PublicSuffixSet):
-    kind = payload["kind"]
-    if kind == "http":
-        return HttpRecord(
-            timestamp=payload["ts"],
-            machine_id=payload["machine"],
-            process_name=payload["proc"],
-            method=payload["method"],
-            url=payload["url"],
-            domain=record_domain(payload["url"], suffix),
-            referrer=payload["ref"],
-            server_ip=payload["ip"],
-            status=payload["status"],
-            user_agent=payload["ua"],
-        )
-    if kind == "impression":
-        return ImpressionRecord(
-            timestamp=payload["ts"],
-            machine_id=payload["machine"],
-            attributed_domain=normalize_domain(payload["attr_domain"], suffix),
-            exchange_account=payload.get("account"),
-        )
-    return PageViewRecord(
-        timestamp=payload["ts"],
-        machine_id=payload["machine"],
-        publisher_domain=normalize_domain(payload["pub_domain"], suffix),
-    )
-
 
 def generate(scenario: Scenario) -> GeneratedCorpus:
-    """Materialize a scenario in memory.  For large scenarios prefer
-    emit_scenario_files, which streams machine by machine."""
+    """Materialize a scenario in memory: the lines emit_scenario_files writes,
+    parsed by the loaders the CLI uses (in strict mode, so a line the CLI
+    would skip raises).  For large scenarios prefer emit_scenario_files,
+    which streams machine by machine."""
     world = _build_world(scenario)
-    records = []
     labels: dict[int, str] = {}
-    idx = 0
-    for block in _iter_blocks(scenario, world):
-        for _, payload, label in block:
-            records.append(_typed_record(payload, world.suffix))
-            if label is not None:
-                labels[idx] = label
-            idx += 1
-    truth = _truth_from(scenario, world, labels)
-    table, ranking = _table_and_ranking(world, scenario.background.high_value_cutoff)
+    lines = [line for block in _trace_blocks(scenario, world, labels) for line in block]
+    tables = world.table_lines()
+    ranking, _ = load_ranked_domains(tables["ranking.txt"], world.suffix, strict=True)
     return GeneratedCorpus(
-        records=records,
-        truth=truth,
-        table=table,
+        lines=lines,
+        trace=load_trace(lines, world.suffix, strict=True),
+        truth=_truth_from(scenario, world, labels),
+        table=load_ip_map(tables["ipmap.csv"], strict=True).table,
         ranking=ranking,
         alias=world.alias,
         malware_names=world.malware_names,
@@ -721,23 +689,14 @@ def emit_scenario_files(scenario: Scenario, output_dir) -> dict:
     files: dict[str, dict] = {}
 
     trace = _HashingWriter(outdir / "trace.jsonl")
-    encode = json.JSONEncoder(separators=(",", ":")).encode
     labels: dict[int, str] = {}
-    idx = 0
-    for block in _iter_blocks(scenario, world):
-        trace.write_lines([encode(payload) for _, payload, _ in block])
-        for _, _, label in block:
-            if label is not None:
-                labels[idx] = label
-            idx += 1
+    for lines in _trace_blocks(scenario, world, labels):
+        trace.write_lines(lines)
     files["trace.jsonl"] = trace.close()
 
     truth = _truth_from(scenario, world, labels)
     tables = {
-        "ipmap.csv": [f"{cidr},{isp}" for cidr, isp in world.ipmap_rows],
-        "ranking.txt": world.domains,
-        "malware.txt": world.malware_names,
-        "aliases.csv": ALIAS_GROUP_LINES,
+        **world.table_lines(),
         "truth.json": [json.dumps(truth.to_json_dict(), sort_keys=True)],
     }
     for name, lines in tables.items():

@@ -6,15 +6,15 @@ from launderscan.model import DAY_MS
 
 DAY0 = sg.DEFAULT_EPOCH_MS
 WINDOW = (DAY0, DAY0 + DAY_MS)
+# Five-scheme scenario at desk scale: 320 background machines is the smallest
+# population whose rotation schedule still visits every pool domain daily,
+# keeping plant eligibility deterministic.
+SMALL_SCENARIO = sg.five_scheme_scenario(seed=11, divisor=100, background_machines=320)
 
 
 @pytest.fixture(scope="session")
 def small_corpus():
-    """Five-scheme scenario at desk scale: 320 background machines is the
-    smallest population whose rotation schedule still visits every pool
-    domain daily, keeping plant eligibility deterministic."""
-    scenario = sg.five_scheme_scenario(seed=11, divisor=100, background_machines=320)
-    return sg.generate(scenario)
+    return sg.generate(SMALL_SCENARIO)
 
 
 @pytest.fixture(scope="session")

@@ -83,7 +83,7 @@ def big_run(big_dir):
     with open(big_dir / "ipmap.csv", "r", encoding="utf-8") as fh:
         table = load_ip_map(fh).table
     with open(big_dir / "ranking.txt", "r", encoding="utf-8") as fh:
-        ranking, _ = load_ranked_domains(fh, cutoff=2000, suffix=SUFFIX)
+        ranking, _ = load_ranked_domains(fh, suffix=SUFFIX)
     with open(big_dir / "malware.txt", "r", encoding="utf-8") as fh:
         malware = load_malware_list(fh)
     report = detect(loaded.http, table, ranking, malware, DetectorConfig(), WINDOW)
@@ -194,7 +194,7 @@ def test_criterion_4_jaccard_oracle(big_run):
     for r in records:
         if r.server_ip in flagged_ips:
             by_ip.setdefault(r.server_ip, []).append(r)
-    hv = big_run["ranking"].high_value()
+    hv = big_run["ranking"].high_value_at(2000)
     profiles = group_detections(
         [extract_features(d, by_ip[d.ip], SUFFIX, hv) for d in detections]
     )
@@ -256,9 +256,9 @@ def test_criterion_6_panel_ranking(tmp_path):
     )
     corpus = sg.generate(scenario)
     policy = SessionPolicy(alias=corpus.alias)
-    ads = attributed_ads(corpus.impression_records(), DAY0)
-    visits = publisher_visits(corpus.pageview_records(), policy)
-    table = misattribution_table(ads, visits, policy)
+    ads = attributed_ads(corpus.trace.impressions, DAY0)
+    visits = publisher_visits(corpus.trace.pageviews, policy)
+    table = misattribution_table(ads, visits)
     ranked = rank_machines(table, min_ads=25)
     planted = corpus.truth.planted_machines
     top = ranked[: len(planted)]
@@ -269,7 +269,7 @@ def test_criterion_6_panel_ranking(tmp_path):
     )
     sibling_ads = sum(
         1
-        for imp in corpus.impression_records()
+        for imp in corpus.trace.impressions
         if imp.machine_id.startswith("bg-")
         and imp.attributed_domain.registrable in corpus.alias.index
     )

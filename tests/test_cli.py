@@ -527,3 +527,27 @@ def test_window_day_count_is_arithmetic_and_bounded():
     assert len(_windows(f"{DAY_MS}..{limit + DAY_MS}", [])) == MAX_WINDOW_DAYS
     with pytest.raises(CmdError, match="--window"):
         _windows(f"{DAY_MS - 1}..{limit + DAY_MS - 1}", [])
+
+
+def test_detect_without_window_bounds_the_record_span(tiny_inputs, capsys):
+    """Records 3,660 days apart span 3,661 UTC days, one more than detect
+    makes windows for unless --window picks them; panelscan counts the days
+    without making windows."""
+    d = tiny_inputs
+    last = DAY0 + MAX_WINDOW_DAYS * DAY_MS
+    trace = d / "long.jsonl"
+    trace.write_text("".join(
+        json.dumps({"ts": ts, "machine": "m1", "url": "http://a.com/", "ip": "1.2.3.4"}) + "\n"
+        + json.dumps({"ts": ts, "machine": "m1", "kind": "impression", "attr_domain": "a.com"}) + "\n"
+        for ts in (DAY0, last)
+    ))
+    args = ["detect", "--trace", str(trace), "--ipmap", str(d / "ipmap.csv"),
+            "--ranking", str(d / "ranking.txt"), "--malware", str(d / "malware.txt")]
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "3661" in err and "--window" in err and err.count("\n") == 1
+    assert main([*args, "--window", "2018-03-01"]) == 0
+    assert capsys.readouterr().out.startswith("windows=1 ")
+    assert main(["panelscan", "--trace", str(trace), "--out", str(d / "panel"), "--min-ads", "1"]) == 0
+    assert capsys.readouterr().out.startswith("days=3661 machines_ranked=1 ")

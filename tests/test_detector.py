@@ -43,8 +43,8 @@ def _rec(url, ip, ts=DAY0 + 1000, machine="m1", proc="chrome.exe"):
     )
 
 
-def _ranking(domains, cutoff=None):
-    ranking, _ = load_ranked_domains(list(domains), cutoff=cutoff or len(domains), suffix=SUFFIX)
+def _ranking(domains):
+    ranking, _ = load_ranked_domains(list(domains), suffix=SUFFIX)
     return ranking
 
 
@@ -147,7 +147,7 @@ def test_candidate_domains_rules():
         },
         isp_of,
     )
-    ranking = _ranking(["multi.com", "oneisp.com", "unknown.com", "lowrank.com"], cutoff=3)
+    ranking = _ranking(["multi.com", "oneisp.com", "unknown.com", "lowrank.com"])
     cands = candidate_domains(idx, ranking, DetectorConfig(high_value_cutoff=3))
     assert cands == {"multi.com"}
 
@@ -240,7 +240,7 @@ def test_labeling_counts_only_matching_domains():
 
 def test_detection_invariants_on_corpus(small_corpus, small_malware):
     rep = detect(
-        small_corpus.http_records(),
+        small_corpus.trace.http,
         small_corpus.table,
         small_corpus.ranking,
         small_malware,
@@ -257,7 +257,7 @@ def test_detection_invariants_on_corpus(small_corpus, small_malware):
 
 def test_detect_flags_exactly_the_plants(small_corpus, small_malware):
     rep = detect(
-        small_corpus.http_records(),
+        small_corpus.trace.http,
         small_corpus.table,
         small_corpus.ranking,
         small_malware,
@@ -270,7 +270,7 @@ def test_detect_flags_exactly_the_plants(small_corpus, small_malware):
 
 def test_detect_clean_scenario_is_silent(clean_corpus):
     rep = detect(
-        clean_corpus.http_records(),
+        clean_corpus.trace.http,
         clean_corpus.table,
         clean_corpus.ranking,
         MalwareProcessList(frozenset(clean_corpus.malware_names)),

@@ -268,20 +268,20 @@ def test_cycle_validation():
 
 def test_profiles_from_corpus_group_to_scheme_count(small_corpus, small_malware):
     rep = detect(
-        small_corpus.http_records(),
+        small_corpus.trace.http,
         small_corpus.table,
         small_corpus.ranking,
         small_malware,
         DetectorConfig(),
         WINDOW,
     )
-    records = small_corpus.http_records()
+    records = small_corpus.trace.http
     by_ip = {}
     flagged_ips = {d.ip for d in rep.detections}
     for r in records:
         if r.server_ip in flagged_ips:
             by_ip.setdefault(r.server_ip, []).append(r)
-    hv = small_corpus.ranking.high_value()
+    hv = small_corpus.ranking.high_value_at(rep.config.high_value_cutoff)
     profiles = [extract_features(d, by_ip[d.ip], SUFFIX, hv) for d in rep.detections]
     grouped = group_detections(profiles)
     # hyphbot spans 4 ISPs (grouping is ISP-scoped), the other four schemes

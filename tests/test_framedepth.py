@@ -83,10 +83,13 @@ def test_load_depth_csv():
         "broken",
         "http://c.com/,-2",
         "http://d.com/,notanum",
+        "http://e.com/,\u0661",  # Arabic-Indic one: a digit, but not ASCII
+        "http://f.com/,\u00b2",  # superscript two
+        "http://g.com/,--2",
     ]
     sample, skipped = load_depth_csv(lines, label="t")
     assert [d for _, d in sample.records] == [3, 0]
-    assert [s.reason for s in skipped] == ["bad row", "negative depth", "bad depth"]
+    assert [s.reason for s in skipped] == ["bad row", "negative depth"] + ["bad depth"] * 4
 
 
 def test_plot_lines_cover_range():

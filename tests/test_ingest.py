@@ -177,20 +177,16 @@ def test_load_ip_map_duplicate_prefix_last_wins():
 def test_ranked_domains_cutoff_and_dedupe():
     lines = [f"site{i:04d}.com" for i in range(2500)]
     lines[49] = "site0004.com"  # duplicate of rank 5 at rank 50
-    ranking, skipped = load_ranked_domains(lines, cutoff=2000, suffix=SUFFIX)
+    ranking, skipped = load_ranked_domains(lines, suffix=SUFFIX)
     assert not skipped
     assert len(ranking.entries) == 2499
-    assert ranking.cutoff == 2000
-    hv = ranking.high_value()
+    hv = ranking.high_value_at(2000)
     assert len(hv) == 2000
     assert ranking.entries[4].registrable == "site0004.com"
     # rank 50 duplicate did not displace anything
     assert ranking.entries[49].registrable == "site0050.com"
-
-
-def test_ranked_domains_empty_file_clamps_cutoff():
-    ranking, _ = load_ranked_domains([], cutoff=2000, suffix=SUFFIX)
-    assert ranking.entries == () and ranking.cutoff == 0
+    empty, _ = load_ranked_domains([], suffix=SUFFIX)
+    assert empty.entries == () and empty.high_value_at(2000) == frozenset()
 
 
 def test_ranked_domains_skip_reason():
@@ -204,8 +200,8 @@ def test_ranked_roundtrip_random_lists():
     for _ in range(25):
         n = rng.randrange(1, 60)
         lines = [f"d{rng.randrange(1000):03d}.net" for _ in range(n)]
-        ranking, _ = load_ranked_domains(lines, cutoff=rng.randrange(1, 70), suffix=SUFFIX)
-        again, _ = load_ranked_domains(ranking.to_lines(), cutoff=ranking.cutoff, suffix=SUFFIX)
+        ranking, _ = load_ranked_domains(lines, suffix=SUFFIX)
+        again, _ = load_ranked_domains(ranking.to_lines(), suffix=SUFFIX)
         assert again == ranking
 
 

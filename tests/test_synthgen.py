@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -8,10 +9,10 @@ from launderscan.detector import DetectorConfig, build_resolution_index, candida
 from launderscan.fingerprint import FLAG_REPEAT_CYCLE, extract_features
 from launderscan.ingest import MalwareProcessList
 from launderscan.ingest import load_alias_groups
-from launderscan.model import DAY_MS, HttpRecord, PublicSuffixSet, is_valid_ipv4
+from launderscan.model import DAY_MS, PublicSuffixSet, is_valid_ipv4
 from launderscan.panel import SessionPolicy, attributed_ads, misattribution_table, publisher_visits
 
-from conftest import DAY0, WINDOW
+from conftest import DAY0, SMALL_SCENARIO, WINDOW
 
 SUFFIX = PublicSuffixSet.builtin()
 
@@ -49,7 +50,7 @@ def _tiny_scenario(seed=3, plants=True, machines=60):
 def test_same_seed_identical_output():
     a = sg.generate(_tiny_scenario())
     b = sg.generate(_tiny_scenario())
-    assert a.records == b.records
+    assert a.lines == b.lines
     assert a.truth.planted_pairs == b.truth.planted_pairs
     assert a.truth.record_labels == b.truth.record_labels
 
@@ -57,7 +58,7 @@ def test_same_seed_identical_output():
 def test_different_seed_differs():
     a = sg.generate(_tiny_scenario(seed=3))
     b = sg.generate(_tiny_scenario(seed=4))
-    assert a.records != b.records
+    assert a.lines != b.lines
 
 
 def test_emit_files_and_manifest(tmp_path):
@@ -83,6 +84,18 @@ def test_emit_files_and_manifest(tmp_path):
     )
 
 
+def test_generate_parses_the_emitted_trace_and_truth(small_corpus, tmp_path):
+    """generate() holds exactly the trace.jsonl lines emit writes, every one
+    parsed into a record, and the same ground truth."""
+    sg.emit_scenario_files(SMALL_SCENARIO, tmp_path)
+    text = "".join(line + "\n" for line in small_corpus.lines)
+    assert hashlib.sha256(text.encode()).digest() == hashlib.sha256(
+        (tmp_path / "trace.jsonl").read_bytes()
+    ).digest()
+    assert small_corpus.trace.parsed_count == len(small_corpus.lines)
+    assert small_corpus.truth.to_json_dict() == json.loads((tmp_path / "truth.json").read_text())
+
+
 def test_emit_unwritable_dir_errors():
     with pytest.raises(OSError, match="/proc"):
         sg.emit_scenario_files(_tiny_scenario(), "/proc/launderscan-denied")
@@ -99,7 +112,7 @@ def test_truth_roundtrip(tmp_path):
 
 
 def test_generated_records_satisfy_invariants(small_corpus):
-    http = small_corpus.http_records()
+    http = small_corpus.trace.http
     assert len(http) > 10_000
     for rec in http[:10_000]:
         assert rec.timestamp > 0
@@ -109,19 +122,19 @@ def test_generated_records_satisfy_invariants(small_corpus):
 
 
 def test_every_planted_pair_has_a_labeled_record(small_corpus):
-    records = small_corpus.records
+    lines = small_corpus.lines
     seen_pairs = set()
     for idx, label in small_corpus.truth.record_labels.items():
-        rec = records[idx]
-        if isinstance(rec, HttpRecord):
+        rec = json.loads(lines[idx])
+        if rec["kind"] == "http":
             scheme = next(
                 lab
                 for lab, pairs in small_corpus.truth.scheme_pairs.items()
                 if lab == label
             )
             pair_ips = {ip for ip, _ in small_corpus.truth.scheme_pairs[scheme]}
-            assert rec.server_ip in pair_ips
-            seen_pairs.add((rec.server_ip, label))
+            assert rec["ip"] in pair_ips
+            seen_pairs.add((rec["ip"], label))
     for label, pairs in small_corpus.truth.scheme_pairs.items():
         for ip, _ in pairs:
             assert (ip, label) in seen_pairs
@@ -129,7 +142,7 @@ def test_every_planted_pair_has_a_labeled_record(small_corpus):
 
 def test_clean_background_yields_no_candidates(clean_corpus):
     idx = build_resolution_index(
-        clean_corpus.http_records(), clean_corpus.table, WINDOW
+        clean_corpus.trace.http, clean_corpus.table, WINDOW
     )
     cands = candidate_domains(idx, clean_corpus.ranking, DetectorConfig())
     assert cands == frozenset()
@@ -137,9 +150,9 @@ def test_clean_background_yields_no_candidates(clean_corpus):
 
 def test_clean_background_impressions_never_missing(clean_corpus):
     policy = SessionPolicy(alias=clean_corpus.alias)
-    ads = attributed_ads(clean_corpus.impression_records(), DAY0)
-    visits = publisher_visits(clean_corpus.pageview_records(), policy)
-    table = misattribution_table(ads, visits, policy)
+    ads = attributed_ads(clean_corpus.trace.impressions, DAY0)
+    visits = publisher_visits(clean_corpus.trace.pageviews, policy)
+    table = misattribution_table(ads, visits)
     assert all(s.missing == 0 for s in table.per_machine.values())
     assert sum(s.attributed for s in table.per_machine.values()) > 0
 
@@ -147,7 +160,7 @@ def test_clean_background_impressions_never_missing(clean_corpus):
 def test_plant_machines_have_no_pageviews(small_corpus):
     planted = small_corpus.truth.planted_machines
     assert planted
-    for pv in small_corpus.pageview_records():
+    for pv in small_corpus.trace.pageviews:
         assert pv.machine_id not in planted
 
 
@@ -176,7 +189,7 @@ def test_rotator_changes_active_domains_by_day():
     corpus = sg.generate(scenario)
     plant_ip = next(iter(corpus.truth.planted_pairs))[0]
     by_day = {0: set(), 1: set()}
-    for rec in corpus.http_records():
+    for rec in corpus.trace.http:
         if rec.server_ip == plant_ip:
             day = (rec.timestamp - sg.DEFAULT_EPOCH_MS) // DAY_MS
             host = rec.url.split("://", 1)[1].split("/", 1)[0]
@@ -231,13 +244,13 @@ def test_replay_period_plants_a_repeat_cycle_on_that_scheme_alone():
     )
     scenario = replace(sg.five_scheme_scenario(seed=11, background_machines=320), plants=plants)
     corpus = sg.generate(scenario)
-    records = corpus.http_records()
+    records = corpus.trace.http
     report = detect(records, corpus.table, corpus.ranking,
                     MalwareProcessList(frozenset(corpus.malware_names)), DetectorConfig(), WINDOW)
     by_ip: dict[str, list] = {}
     for rec in records:
         by_ip.setdefault(rec.server_ip, []).append(rec)
-    hv = corpus.ranking.high_value()
+    hv = corpus.ranking.high_value_at(report.config.high_value_cutoff)
     cycled = {
         d.ip
         for d in report.detections
