@@ -84,6 +84,12 @@ def _flag_values(**flags: str):
         raise CmdError(EXIT_MISSING_INPUT, f"bad flag value: {msg}") from None
 
 
+def _check_flag(ok: bool, flag: str, rule: str):
+    """Exit 2 naming ``flag`` unless its value is ``ok``."""
+    if not ok:
+        raise CmdError(EXIT_MISSING_INPUT, f"bad flag value: {flag} must be {rule}")
+
+
 def _read_lines(path: Path):
     """The file's lines.  Bytes that are not UTF-8 arrive as lone surrogates,
     so the trace loader can skip such a line (``ingest.is_utf8``)."""
@@ -234,7 +240,7 @@ def cmd_detect(args) -> int:
     with _parsing(ipmap_path):
         ipmap = load_ip_map(_read_table(ipmap_path), strict=args.strict)
     with _parsing(ranking_path):
-        ranking, _ = load_ranked_domains(_read_table(ranking_path), suffix=suffix)
+        ranking, _ = load_ranked_domains(_read_table(ranking_path), suffix, strict=args.strict)
     with _parsing(malware_path):
         malware = load_malware_list(_read_table(malware_path))
 
@@ -322,6 +328,7 @@ def _detections_from_report(obj: dict) -> list[tuple[tuple[int, int], Detection]
 
 
 def cmd_fingerprint(args) -> int:
+    _check_flag(0.0 <= args.feature_agreement <= 1.0, "--feature-agreement", "in [0, 1]")
     suffix = _suffix_set(args)
     report_path = _require(args.report, "detection report")
     records = _load_trace(args, suffix).http
@@ -346,10 +353,7 @@ def cmd_fingerprint(args) -> int:
     for rec in records:
         if rec.server_ip in flagged_ips:
             by_ip.setdefault(rec.server_ip, []).append(rec)
-    high_value = frozenset().union(*(d.domains for _, d in pairs)) if pairs else frozenset()
-    profiles = [
-        fp.extract_features(d, by_ip.get(d.ip, []), suffix, high_value) for _, d in pairs
-    ]
+    profiles = [fp.extract_features(d, by_ip.get(d.ip, []), suffix) for _, d in pairs]
     grouped = fp.group_detections(profiles, feature_agreement=args.feature_agreement)
     named = []
     for i, prof in enumerate(grouped):
@@ -378,6 +382,7 @@ def cmd_fingerprint(args) -> int:
 
 
 def cmd_panelscan(args) -> int:
+    _check_flag(args.top >= 0, "--top", ">= 0")
     suffix = _suffix_set(args)
     loaded = _load_trace(args, suffix)
     alias = AliasGroups.empty()
@@ -437,7 +442,7 @@ def _depth_sample(path: Path, label: str) -> fd.DepthSample:
     so it is a parse abort like a malformed one."""
     with _parsing(path, ValueError):
         sample, _ = fd.load_depth_csv(_read_table(path), label=label)
-        fd.depth_histogram(sample, include_zero=False)  # raises on such a sample
+        fd.depth_histogram(sample)  # raises on such a sample
     return sample
 
 
@@ -458,7 +463,7 @@ def cmd_framedepth(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    with _flag_values(divisor="--scale-divisor"):
+    with _flag_values(divisor="--scale-divisor", day_count="--days"):
         if args.plants == "five":
             scenario = sg.five_scheme_scenario(
                 seed=args.seed,
@@ -481,6 +486,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_rules(args) -> int:
+    _check_flag(args.horizon >= 1, "--horizon", ">= 1")
     suffix = _suffix_set(args)
     loaded = _load_trace(args, suffix)
     findings: list[dict] = []

@@ -13,10 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .ingest import MalwareProcessList, RankedDomainList
-from .ipattr import IpAttributionTable, ip_to_u32
+from .ipattr import IpAttributionTable
 from .model import HttpRecord
 # Not called here: records carry their domain from ingest.  chainbench/tracer.py
 # counts normalize_domain calls under this module's name, and
@@ -62,24 +60,6 @@ class DomainResolutionIndex:
     skipped_out_of_window: int = 0
     bad_domain_records: int = 0
 
-    def merge(self, other: "DomainResolutionIndex") -> "DomainResolutionIndex":
-        """Combine two shards of the same window (set unions, count sums)."""
-        if other.window != self.window:
-            raise ValueError("cannot merge indexes over different windows")
-        out = DomainResolutionIndex(window=self.window)
-        for src in (self, other):
-            for d, pairs in src.by_domain.items():
-                out.by_domain.setdefault(d, set()).update(pairs)
-            for ip, doms in src.by_ip.items():
-                out.by_ip.setdefault(ip, set()).update(doms)
-            out.ip_isp.update(src.ip_isp)
-            out.unknown_isp_ips.update(src.unknown_isp_ips)
-            out.ip_record_count.update(src.ip_record_count)
-            out.records_seen += src.records_seen
-            out.skipped_out_of_window += src.skipped_out_of_window
-            out.bad_domain_records += src.bad_domain_records
-        return out
-
 
 def build_resolution_index(
     records: Sequence[HttpRecord],
@@ -106,16 +86,11 @@ def build_resolution_index(
         else:
             doms.add(dom)
     # one batch ISP resolution over the distinct IPs
-    ips = sorted(dom_ips)
-    if ips:
-        arr = np.fromiter((ip_to_u32(s) for s in ips), dtype=np.uint32, count=len(ips))
-        owners = table.lookup_batch(arr)
-        names = table.isp_names()
-        for ip, owner in zip(ips, owners):
-            isp = names[owner] if owner >= 0 else None
-            idx.ip_isp[ip] = isp
-            if isp is None:
-                idx.unknown_isp_ips.add(ip)
+    ips = list(dom_ips)
+    for ip, isp in zip(ips, table.lookup_batch(ips)):
+        idx.ip_isp[ip] = isp
+        if isp is None:
+            idx.unknown_isp_ips.add(ip)
     for ip, doms in dom_ips.items():
         isp = idx.ip_isp[ip]
         for d in doms:
@@ -177,7 +152,7 @@ def label_detections(
     flagged: dict[tuple[str, str], frozenset[str]],
     records: Sequence[HttpRecord],
     malware: MalwareProcessList,
-    window: Optional[tuple[int, int]] = None,
+    window: tuple[int, int],
 ) -> list[Detection]:
     """Attach traffic evidence and a label to each flagged pair.
 
@@ -195,7 +170,7 @@ def label_detections(
         hit = by_ip.get(rec.server_ip)
         if hit is None:
             continue
-        if window is not None and not (window[0] <= rec.timestamp < window[1]):
+        if not (window[0] <= rec.timestamp < window[1]):
             continue
         key, doms = hit
         if rec.domain is None or rec.domain.registrable not in doms:

@@ -29,6 +29,10 @@ FLAG_REPEAT_CYCLE = "RepeatCycle"
 
 # record share of malformed hosts on a pair's traffic before the flag fires
 MALFORMED_SHARE_THRESHOLD = 0.05
+# a machine's traffic repeats when at least CYCLE_MIN_LEN events recur, each
+# within CYCLE_TOLERANCE_MS of its place one period later
+CYCLE_TOLERANCE_MS = 60_000
+CYCLE_MIN_LEN = 5
 
 
 def jaccard(a: set | frozenset, b: set | frozenset) -> float:
@@ -81,7 +85,7 @@ class SchemeProfile:
 def detect_repeat_cycle(
     events: Sequence[tuple[int, str]],
     tolerance_ms: int,
-    min_len: int = 3,
+    min_len: int,
 ) -> Optional[int]:
     """Smallest period at which one machine's (timestamp, domain) sequence
     repeats itself: the event block in [t, t+p) must recur element-wise in
@@ -105,9 +109,6 @@ def extract_features(
     detection: Detection,
     records: Sequence[HttpRecord],
     suffix: PublicSuffixSet,
-    high_value: frozenset[str],
-    cycle_tolerance_ms: int = 60_000,
-    cycle_min_len: int = 5,
 ) -> SchemeProfile:
     """Profile one detection from ``records``, which are all the trace
     records that hit its IP and no others.
@@ -148,12 +149,12 @@ def extract_features(
         flags.add(FLAG_EMPTY_PROC)
     for events in per_machine.values():
         events.sort()
-        if detect_repeat_cycle(events, cycle_tolerance_ms, cycle_min_len) is not None:
+        if detect_repeat_cycle(events, CYCLE_TOLERANCE_MS, CYCLE_MIN_LEN) is not None:
             flags.add(FLAG_REPEAT_CYCLE)
             break
     return SchemeProfile(
         label=f"{detection.ip}|{detection.isp}",
-        domains=frozenset(d for d in detection.domains if d in high_value),
+        domains=detection.domains,
         process_names=frozenset(procs),
         user_agents=frozenset(uas),
         isps=frozenset({detection.isp}),

@@ -19,8 +19,9 @@ class DepthSample:
     records: tuple[tuple[str, int], ...]
     label: str
 
-    def depths(self, include_zero: bool) -> list[int]:
-        return [d for _, d in self.records if include_zero or d >= 1]
+    def depths(self) -> list[int]:
+        """The depths of the URLs with iframe structure (depth >= 1)."""
+        return [d for _, d in self.records if d >= 1]
 
 
 def load_depth_csv(lines: Iterable[str], label: str) -> tuple[DepthSample, list[Skip]]:
@@ -43,7 +44,11 @@ def load_depth_csv(lines: Iterable[str], label: str) -> tuple[DepthSample, list[
                 continue  # header
             skipped.append(Skip(line_no, "bad depth"))
             continue
-        depth = int(depth_s)
+        try:
+            depth = int(depth_s)
+        except ValueError:  # more digits than int() converts
+            skipped.append(Skip(line_no, "bad depth"))
+            continue
         if depth < 0:
             skipped.append(Skip(line_no, "negative depth"))
             continue
@@ -51,12 +56,12 @@ def load_depth_csv(lines: Iterable[str], label: str) -> tuple[DepthSample, list[
     return DepthSample(records=tuple(records), label=label), skipped
 
 
-def depth_histogram(sample: DepthSample, include_zero: bool) -> dict[int, float]:
-    """Fraction of URLs at each depth.  With include_zero=False only URLs
-    that have iframe structure (depth >= 1) enter the denominator."""
+def depth_histogram(sample: DepthSample) -> dict[int, float]:
+    """Fraction of URLs at each depth >= 1; only URLs that have iframe
+    structure enter the denominator."""
     if not sample.records:
         raise ValueError(f"sample {sample.label!r} is empty")
-    depths = sample.depths(include_zero)
+    depths = sample.depths()
     if not depths:
         raise ValueError(f"sample {sample.label!r} has no records with iframe structure")
     n = len(depths)
@@ -107,8 +112,8 @@ def _tail(fracs: dict[int, float], k: int) -> float:
 def compare(tainted: DepthSample, general: DepthSample) -> DepthComparison:
     """Zero-excluded per-depth fractions for both samples plus the signed
     tail difference at every depth; negative values are reported as-is."""
-    fa = depth_histogram(tainted, include_zero=False)
-    fb = depth_histogram(general, include_zero=False)
+    fa = depth_histogram(tainted)
+    fb = depth_histogram(general)
     max_a = max(fa)
     max_b = max(fb)
     top = max(max_a, max_b)

@@ -79,12 +79,9 @@ class LoadResult:
 
 
 def load_trace(
-    lines: Iterable[str],
-    suffix: Optional[PublicSuffixSet] = None,
-    strict: bool = False,
+    lines: Iterable[str], suffix: PublicSuffixSet, strict: bool = False
 ) -> LoadResult:
     """Parse a JSON-lines trace into typed records, in file order."""
-    suffix = suffix or PublicSuffixSet.builtin()
     out = LoadResult()
     domains: dict[str, Optional[NormalizedDomain]] = {}  # host -> record_domain
 
@@ -249,12 +246,9 @@ class RankedDomainList:
 
 
 def load_ranked_domains(
-    lines: Iterable[str],
-    suffix: Optional[PublicSuffixSet] = None,
-    strict: bool = False,
+    lines: Iterable[str], suffix: PublicSuffixSet, strict: bool = False
 ) -> tuple[RankedDomainList, list[Skip]]:
     """One domain per line, rank = line order; duplicates keep the first rank."""
-    suffix = suffix or PublicSuffixSet.builtin()
     entries: list[NormalizedDomain] = []
     seen: set[str] = set()
     skipped: list[Skip] = []
@@ -312,12 +306,9 @@ class AliasGroups:
         return [",".join(sorted(g)) for g in self.groups]
 
 
-def load_alias_groups(
-    lines: Iterable[str], suffix: Optional[PublicSuffixSet] = None
-) -> AliasGroups:
+def load_alias_groups(lines: Iterable[str], suffix: PublicSuffixSet) -> AliasGroups:
     """One group per line, comma-separated.  A bad domain or overlapping
     groups raise ParseAbortError."""
-    suffix = suffix or PublicSuffixSet.builtin()
     groups: list[frozenset[str]] = []
     index: dict[str, int] = {}
     for line_no, raw in enumerate(lines, start=1):

@@ -3,9 +3,7 @@ match: one dict probe per mask length in use, longest first."""
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import Iterable, Optional, Sequence
 
 from .model import is_valid_ipv4
 
@@ -49,51 +47,36 @@ class IpAttributionTable:
     """
 
     def __init__(self):
-        self._entries: dict[tuple[int, int], int] = {}
-        self._isp_names: list[str] = []
-        self._isp_index: dict[str, int] = {}
+        self._entries: dict[tuple[int, int], str] = {}
         self._mask_lens: list[int] = []  # descending
         self.replace_count = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def isp_names(self) -> tuple[str, ...]:
-        return tuple(self._isp_names)
-
     def entries(self) -> Iterable[tuple[int, int, str]]:
-        for (net, mask_len), idx in self._entries.items():
-            yield net, mask_len, self._isp_names[idx]
+        for (net, mask_len), isp in self._entries.items():
+            yield net, mask_len, isp
 
     def insert(self, cidr: str, isp: str) -> None:
         net, mask_len = parse_cidr(cidr)
-        idx = self._isp_index.get(isp)
-        if idx is None:
-            idx = len(self._isp_names)
-            self._isp_index[isp] = idx
-            self._isp_names.append(isp)
         key = (net, mask_len)
         if key in self._entries:
             self.replace_count += 1
-        self._entries[key] = idx
+        self._entries[key] = isp
         if mask_len not in self._mask_lens:
             self._mask_lens.append(mask_len)
             self._mask_lens.sort(reverse=True)
 
-    def _probe(self, v: int) -> int:
-        """ISP index of the longest prefix covering u32 address ``v``, or -1."""
-        for mask_len in self._mask_lens:
-            idx = self._entries.get((v & _mask_of(mask_len), mask_len))
-            if idx is not None:
-                return idx
-        return -1
-
     def lookup(self, ip: str) -> Optional[str]:
         """ISP of the longest prefix covering ``ip``, or None."""
-        idx = self._probe(ip_to_u32(ip))
-        return self._isp_names[idx] if idx >= 0 else None
+        v = ip_to_u32(ip)
+        for mask_len in self._mask_lens:
+            isp = self._entries.get((v & _mask_of(mask_len), mask_len))
+            if isp is not None:
+                return isp
+        return None
 
-    def lookup_batch(self, ips_u32: np.ndarray) -> np.ndarray:
-        """ISP index per IP (-1 = no covering prefix)."""
-        ips = np.asarray(ips_u32, dtype=np.uint32).tolist()
-        return np.fromiter(map(self._probe, ips), dtype=np.int32, count=len(ips))
+    def lookup_batch(self, ips: Sequence[str]) -> list[Optional[str]]:
+        """``lookup`` of each IP, in order."""
+        return [self.lookup(ip) for ip in ips]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .ingest import AliasGroups
 from .model import DAY_MS, ImpressionRecord, PageViewRecord
@@ -25,14 +25,13 @@ class SessionPolicy:
 
 
 def attributed_ads(
-    impressions: Sequence[ImpressionRecord], day: int, end: Optional[int] = None
+    impressions: Sequence[ImpressionRecord], start: int, end: int
 ) -> dict[str, list[tuple[int, str]]]:
-    """Impressions inside [day, end) (ms; by default the day starting at
-    ``day``), grouped by machine and time-ordered."""
-    lo, hi = day, day + DAY_MS if end is None else end
+    """Impressions inside [start, end) (ms), grouped by machine and
+    time-ordered."""
     out: dict[str, list[tuple[int, str]]] = {}
     for imp in impressions:
-        if lo <= imp.timestamp < hi:
+        if start <= imp.timestamp < end:
             out.setdefault(imp.machine_id, []).append(
                 (imp.timestamp, imp.attributed_domain.registrable)
             )

@@ -43,8 +43,15 @@ KIND_REFERRER_GATE = "ReferrerGate"
 KIND_EPHEMERAL_ROTATOR = "EphemeralRotator"
 KINDS = (KIND_HOSTS_HIJACK, KIND_MALFORMED_BOT, KIND_REFERRER_GATE, KIND_EPHEMERAL_ROTATOR)
 
-# 2018-03-01T00:00:00Z
-DEFAULT_EPOCH_MS = 1_519_862_400_000
+# 2018-03-01T00:00:00Z: the start of every scenario's first day
+EPOCH_MS = 1_519_862_400_000
+
+# per background machine and day
+DAILY_REQUESTS_PER_MACHINE = 80
+IMPRESSIONS_PER_MACHINE = 8
+# share of a background machine's impressions on an alias domain that are
+# attributed to a sibling in its group
+ALIAS_SIBLING_RATE = 0.5
 
 BACKGROUND_PROCS = ("chrome.exe", "firefox.exe", "iexplore.exe", "safari", "opera.exe")
 BACKGROUND_UAS = (
@@ -97,13 +104,10 @@ class SchemeTemplate:
 @dataclass(frozen=True)
 class BackgroundSpec:
     machine_count: int = 10_000
-    daily_requests_per_machine: int = 80
     visits_per_machine: int = 8
-    impressions_per_machine: int = 8
     domain_count: int = 2_500
     high_value_cutoff: int = 2_000
     isp_count: int = 40
-    alias_sibling_rate: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -113,9 +117,10 @@ class Scenario:
     divisor: int = 100
     background: BackgroundSpec = BackgroundSpec()
     plants: tuple[SchemeTemplate, ...] = ()
-    epoch_ms: int = DEFAULT_EPOCH_MS
 
     def __post_init__(self):
+        if self.day_count < 1:
+            raise ValueError("day_count must be >= 1")
         if self.divisor < 1:
             raise ValueError("divisor must be >= 1")
 
@@ -371,7 +376,7 @@ def _background_block(scenario: Scenario, world: _World, i: int) -> list[Row]:
     visit_doms = [world.domains[j] for j in visit_idx]
     rows: list[Row] = []
     for d in range(scenario.day_count):
-        day = scenario.epoch_ms + d * DAY_MS
+        day = EPOCH_MS + d * DAY_MS
         vts = np.sort(rng.integers(day, day + DAY_MS - 3_600_000, size=len(visit_doms)))
         order = rng.permutation(len(visit_doms))
         visit_ts = {}
@@ -380,7 +385,7 @@ def _background_block(scenario: Scenario, world: _World, i: int) -> list[Row]:
             ts = int(vts[slot])
             visit_ts[dom] = ts
             rows.append((ts, {"ts": ts, "machine": machine, "kind": "pageview", "pub_domain": dom}, None))
-        n_http = bg.daily_requests_per_machine
+        n_http = DAILY_REQUESTS_PER_MACHINE
         hts = rng.integers(day, day + DAY_MS, size=n_http)
         hdx = rng.integers(0, len(visit_doms), size=n_http)
         ip_pick = rng.integers(0, 2, size=n_http)
@@ -412,7 +417,7 @@ def _background_block(scenario: Scenario, world: _World, i: int) -> list[Row]:
                     None,
                 )
             )
-        n_imp = bg.impressions_per_machine
+        n_imp = IMPRESSIONS_PER_MACHINE
         imp_dx = rng.integers(0, len(visit_doms), size=n_imp)
         deltas = rng.integers(60_000, 3_600_000, size=n_imp)
         sib_coin = rng.random(n_imp)
@@ -423,7 +428,7 @@ def _background_block(scenario: Scenario, world: _World, i: int) -> list[Row]:
             ts = min(visit_ts[dom] + int(deltas[k]), day + DAY_MS - 1)
             attr = dom
             gid = world.alias.index.get(dom)
-            if gid is not None and sib_coin[k] < bg.alias_sibling_rate:
+            if gid is not None and sib_coin[k] < ALIAS_SIBLING_RATE:
                 siblings = sorted(world.alias.groups[gid] - {dom})
                 attr = siblings[int(rng.integers(0, len(siblings)))]
             payload = {"ts": ts, "machine": machine, "kind": "impression", "attr_domain": attr}
@@ -493,7 +498,7 @@ def _plant_machine_block(
         )
 
     for d in range(scenario.day_count):
-        day = scenario.epoch_ms + d * DAY_MS
+        day = EPOCH_MS + d * DAY_MS
         today = _active_targets(tpl, targets, d)
         # coverage: this machine's share of (ip, domain) pairs for its IP
         my_doms = [dom for j, dom in enumerate(today) if j % group_size == rank]
@@ -708,7 +713,7 @@ def emit_scenario_files(scenario: Scenario, output_dir) -> dict:
         "seed": scenario.seed,
         "divisor": scenario.divisor,
         "day_count": scenario.day_count,
-        "epoch_ms": scenario.epoch_ms,
+        "epoch_ms": EPOCH_MS,
         "background_machines": scenario.background.machine_count,
         "plants": [tpl.label for tpl in scenario.plants],
         "high_value_cutoff": scenario.background.high_value_cutoff,

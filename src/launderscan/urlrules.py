@@ -48,11 +48,7 @@ class SpoofSignal:
     verified: bool = False
 
 
-def check_spoof_query(
-    url: str,
-    suffix: Optional[PublicSuffixSet] = None,
-    ts: int = 0,
-) -> Optional[SpoofSignal]:
+def check_spoof_query(url: str, suffix: PublicSuffixSet, ts: int = 0) -> Optional[SpoofSignal]:
     """Extract a spoof signal when the URL query carries both hijack keys.
 
     Returns None when either key is absent; raises MalformedSignalError when
@@ -69,7 +65,6 @@ def check_spoof_query(
         spelled = url if url.isprintable() else url.translate(_URLSPLIT_DROPS)
         if SPOOF_DOMAIN_KEY not in spelled or LAND_IP_KEY not in spelled:
             return None
-    suffix = suffix or PublicSuffixSet.builtin()
     query = urlsplit(url).query
     if not query:
         return None
@@ -119,13 +114,10 @@ class ReferrerCheck:
 
 
 def sibling_referrer_consistency(
-    ad_call_urls: Sequence[str],
-    param_name: str = "referrer",
-    suffix: Optional[PublicSuffixSet] = None,
+    ad_call_urls: Sequence[str], param_name: str, suffix: PublicSuffixSet
 ) -> ReferrerCheck:
     """Sibling ad calls from one page load cannot honestly claim different
     referrer domains; more than one distinct registrable value is flagged."""
-    suffix = suffix or PublicSuffixSet.builtin()
     seen: set[str] = set()
     for url in ad_call_urls:
         for key, val in parse_qsl(urlsplit(url).query, keep_blank_values=True):

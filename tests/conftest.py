@@ -4,7 +4,7 @@ from launderscan import synthgen as sg
 from launderscan.ingest import MalwareProcessList
 from launderscan.model import DAY_MS
 
-DAY0 = sg.DEFAULT_EPOCH_MS
+DAY0 = sg.EPOCH_MS
 WINDOW = (DAY0, DAY0 + DAY_MS)
 # Five-scheme scenario at desk scale: 320 background machines is the smallest
 # population whose rotation schedule still visits every pool domain daily,

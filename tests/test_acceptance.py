@@ -194,9 +194,8 @@ def test_criterion_4_jaccard_oracle(big_run):
     for r in records:
         if r.server_ip in flagged_ips:
             by_ip.setdefault(r.server_ip, []).append(r)
-    hv = big_run["ranking"].high_value_at(2000)
     profiles = group_detections(
-        [extract_features(d, by_ip[d.ip], SUFFIX, hv) for d in detections]
+        [extract_features(d, by_ip[d.ip], SUFFIX) for d in detections]
     )
     m = jaccard_matrix(profiles)
     n = len(m.labels)
@@ -219,10 +218,11 @@ def test_criterion_5_longest_prefix_oracle():
         made.add((net, mask_len))
         table.insert(f"{u32_to_ip(net)}/{mask_len}", f"isp-{len(made) % 31:02d}")
     ips = np.array([rng.randrange(2**32) for _ in range(100_000)], dtype=np.uint32)
-    got = table.lookup_batch(ips).astype(np.int64)
+    isp_index = {isp: i for i, isp in enumerate(sorted({isp for _, _, isp in table.entries()}))}
+    names = table.lookup_batch([u32_to_ip(v) for v in ips.tolist()])
+    got = np.array([isp_index.get(isp, -1) for isp in names], dtype=np.int64)
     best_len = np.full(len(ips), -1, dtype=np.int64)
     want = np.full(len(ips), -1, dtype=np.int64)
-    isp_index = {name: i for i, name in enumerate(table.isp_names())}
     for net, mask_len, isp in table.entries():
         isp_idx = isp_index[isp]
         mask = (0xFFFFFFFF << (32 - mask_len)) & 0xFFFFFFFF if mask_len else 0
@@ -256,7 +256,7 @@ def test_criterion_6_panel_ranking(tmp_path):
     )
     corpus = sg.generate(scenario)
     policy = SessionPolicy(alias=corpus.alias)
-    ads = attributed_ads(corpus.trace.impressions, DAY0)
+    ads = attributed_ads(corpus.trace.impressions, DAY0, DAY0 + DAY_MS)
     visits = publisher_visits(corpus.trace.pageviews, policy)
     table = misattribution_table(ads, visits)
     ranked = rank_machines(table, min_ads=25)

@@ -501,6 +501,13 @@ def test_malformed_input_file_is_a_parse_abort(tiny_inputs, capsys, command, fla
         ("detect", "--cutoff", "0"),
         ("panelscan", "--lookback", "0"),
         ("synth", "--scale-divisor", "0"),
+        ("panelscan", "--top", "-1"),
+        ("rules", "--horizon", "-1"),
+        ("rules", "--horizon", "0"),
+        ("fingerprint", "--feature-agreement", "nan"),
+        ("fingerprint", "--feature-agreement", "-0.5"),
+        ("fingerprint", "--feature-agreement", "1.5"),
+        ("synth", "--days", "0"),
     ],
 )
 def test_bad_flag_value_exits_2_naming_the_flag(tiny_inputs, capsys, command, flag, value):
@@ -509,11 +516,49 @@ def test_bad_flag_value_exits_2_naming_the_flag(tiny_inputs, capsys, command, fl
         "detect": ["--trace", d / "trace.jsonl", "--ipmap", d / "ipmap.csv",
                    "--ranking", d / "ranking.txt", "--malware", d / "malware.txt"],
         "panelscan": ["--trace", d / "trace.jsonl", "--out", d / "out"],
+        "rules": ["--trace", d / "trace.jsonl"],
+        "fingerprint": ["--report", d / "report.json", "--trace", d / "trace.jsonl", "--out", d / "out"],
         "synth": ["--out", d / "synth"],
     }[command]
     assert main([command, *map(str, base), flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+
+
+def test_detect_strict_aborts_on_a_bad_ranking_line(tiny_inputs, capsys):
+    d = tiny_inputs
+    args = ["detect", "--trace", str(d / "trace.jsonl"), "--ipmap", str(d / "ipmap.csv"),
+            "--ranking", str(d / "ranking.txt"), "--malware", str(d / "malware.txt")]
+    assert main([*args, "--out", str(d / "clean.json")]) == 0
+    bad = d / "bad_ranking.txt"
+    bad.write_text("a.com\nbad domain\n")
+    args[args.index("--ranking") + 1] = str(bad)
+    assert main([*args, "--out", str(d / "lenient.json")]) == 0
+    assert (d / "lenient.json").read_bytes() == (d / "clean.json").read_bytes()
+    capsys.readouterr()
+    assert main([*args, "--strict"]) == 3
+    assert capsys.readouterr().err == f"parse abort: {bad}: line 2: bad domain\n"
+
+
+def test_fingerprint_profiles_keep_domains_of_no_ranking(tiny_inputs):
+    """A profile's top2k_domains is its detection's domain count, also for
+    domains that no ranking lists."""
+    d = tiny_inputs
+    counts = {("1.2.3.4", "isp-a"): 3, ("5.6.7.8", "isp-b"): 1}
+    dets = [
+        {"ip": ip, "isp": isp, "domains": [f"offlist-{i}.com" for i in range(n)],
+         "process_names": {}, "machine_ids": ["m1"], "request_count": 1, "label": "Unlabeled"}
+        for (ip, isp), n in counts.items()
+    ]
+    report = d / "offlist.json"
+    report.write_text(json.dumps({"reports": [{"window": [0, DAY_MS], "detections": dets}]}))
+    out = d / "fp"
+    assert main(["fingerprint", "--report", str(report), "--trace", str(d / "trace.jsonl"),
+                 "--out", str(out)]) == 0
+    with open(out / "profiles.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    got = {tuple(r["first_member"].split("|")): int(r["top2k_domains"]) for r in rows}
+    assert got == counts
 
 
 def test_window_day_count_is_arithmetic_and_bounded():

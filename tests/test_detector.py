@@ -109,19 +109,6 @@ def test_index_transpose_consistency():
     assert rebuilt == idx.by_ip
 
 
-def test_index_merge_equals_whole():
-    rng = random.Random(8)
-    table = load_ip_map([f"10.0.{i}.0/24,isp{i % 4}" for i in range(12)]).table
-    records = _random_records(rng, n=600)
-    whole = build_resolution_index(records, table, WINDOW)
-    a = build_resolution_index(records[:250], table, WINDOW)
-    b = build_resolution_index(records[250:], table, WINDOW)
-    merged = a.merge(b)
-    assert merged.by_domain == whole.by_domain
-    assert merged.by_ip == whole.by_ip
-    assert merged.records_seen == whole.records_seen
-
-
 def _index_from_pairs(pairs_by_domain, isp_of):
     """Hand-build an index: domain -> list of ips; isp_of maps ip -> isp or None."""
     idx = DomainResolutionIndex(window=WINDOW)
@@ -217,7 +204,7 @@ def test_labeling_rules():
             _rec(f"http://{dom}/x", "5.5.5.5", proc=proc, machine=f"m{i}")
             for i, (dom, proc) in enumerate(proc_names)
         ]
-        dets = label_detections(flagged, records, malware)
+        dets = label_detections(flagged, records, malware, WINDOW)
         assert len(dets) == 1
         return dets[0]
 
@@ -233,7 +220,7 @@ def test_labeling_counts_only_matching_domains():
         _rec("http://other.com/x", "5.5.5.5", machine="m2"),  # not in domain set
         _rec("http://a.com/x", "7.7.7.7", machine="m3"),  # wrong ip
     ]
-    det = label_detections(flagged, records, MalwareProcessList(frozenset()))[0]
+    det = label_detections(flagged, records, MalwareProcessList(frozenset()), WINDOW)[0]
     assert det.request_count == 1
     assert det.machine_ids == {"m1"}
 

@@ -142,49 +142,40 @@ def _detection(ip="5.5.5.5", isp="cloud", domains=("a.com", "b.com")):
 
 def test_extract_features_flags():
     det = _detection()
-    hv = frozenset({"a.com", "b.com"})
     # empty process name
-    prof = extract_features(det, [_rec("http://a.com/x", "5.5.5.5", proc="")], SUFFIX, hv)
+    prof = extract_features(det, [_rec("http://a.com/x", "5.5.5.5", proc="")], SUFFIX)
     assert FLAG_EMPTY_PROC in prof.signature_flags
     # spoof query keys
     prof = extract_features(
         det,
         [_rec("http://x.tld/ad?spoof_domain=a.com&land_ip=1.2.3.4", "5.5.5.5")],
         SUFFIX,
-        hv,
     )
     assert FLAG_SPOOF_QUERY in prof.signature_flags
     # 6% of hosts malformed -> flag; 4% -> no flag
     records = [_rec(f"http://a.com/{i}", "5.5.5.5") for i in range(94)]
     records += [_rec(f"http://li.zulilycom/{i}", "5.5.5.5") for i in range(6)]
-    prof = extract_features(det, records, SUFFIX, hv)
+    prof = extract_features(det, records, SUFFIX)
     assert FLAG_MALFORMED in prof.signature_flags
     records = [_rec(f"http://a.com/{i}", "5.5.5.5") for i in range(96)]
     records += [_rec(f"http://li.zulilycom/{i}", "5.5.5.5") for i in range(4)]
-    prof = extract_features(det, records, SUFFIX, hv)
+    prof = extract_features(det, records, SUFFIX)
     assert FLAG_MALFORMED not in prof.signature_flags
 
 
 def test_extract_features_repeat_cycle_and_counts():
     det = _detection()
-    hv = frozenset({"a.com", "b.com"})
     base = [(DAY0 + i * 60_000, "a.com" if i % 2 else "b.com") for i in range(6)]
     period = 2 * 3_600_000
     records = [
         _rec(f"http://{dom}/x", "5.5.5.5", ts=ts, machine="bot")
         for ts, dom in base + [(ts + period, d) for ts, d in base]
     ]
-    prof = extract_features(det, records, SUFFIX, hv, cycle_tolerance_ms=1_000, cycle_min_len=5)
+    prof = extract_features(det, records, SUFFIX)
     assert FLAG_REPEAT_CYCLE in prof.signature_flags
     assert prof.ip_count == 1 and prof.isp_count == 1
     assert prof.days_seen == 1
     assert prof.request_count == det.request_count
-
-
-def test_extract_features_restricts_domains_to_high_value():
-    det = _detection(domains=("a.com", "offlist.com"))
-    prof = extract_features(det, [], SUFFIX, frozenset({"a.com"}))
-    assert prof.domains == {"a.com"}
 
 
 def test_group_merges_same_isp_same_flags():
@@ -281,8 +272,7 @@ def test_profiles_from_corpus_group_to_scheme_count(small_corpus, small_malware)
     for r in records:
         if r.server_ip in flagged_ips:
             by_ip.setdefault(r.server_ip, []).append(r)
-    hv = small_corpus.ranking.high_value_at(rep.config.high_value_cutoff)
-    profiles = [extract_features(d, by_ip[d.ip], SUFFIX, hv) for d in rep.detections]
+    profiles = [extract_features(d, by_ip[d.ip], SUFFIX) for d in rep.detections]
     grouped = group_detections(profiles)
     # hyphbot spans 4 ISPs (grouping is ISP-scoped), the other four schemes
     # collapse to one profile each

@@ -10,21 +10,19 @@ def _sample(depths, label="s"):
 
 
 def test_histogram_exclude_zero():
-    h = depth_histogram(_sample([1, 1, 2]), include_zero=False)
+    h = depth_histogram(_sample([1, 1, 2]))
     assert h == {1: pytest.approx(2 / 3), 2: pytest.approx(1 / 3)}
 
 
 def test_histogram_zero_denominator_rule():
-    assert depth_histogram(_sample([0, 0, 1]), include_zero=False) == {1: 1.0}
-    h = depth_histogram(_sample([0, 0, 1]), include_zero=True)
-    assert h == {0: pytest.approx(2 / 3), 1: pytest.approx(1 / 3)}
+    assert depth_histogram(_sample([0, 0, 1])) == {1: 1.0}
 
 
 def test_histogram_errors():
     with pytest.raises(ValueError):
-        depth_histogram(_sample([]), include_zero=True)
+        depth_histogram(_sample([]))
     with pytest.raises(ValueError):
-        depth_histogram(_sample([0, 0]), include_zero=False)
+        depth_histogram(_sample([0, 0]))
 
 
 def test_histogram_fractions_sum_to_one():
@@ -33,9 +31,8 @@ def test_histogram_fractions_sum_to_one():
         depths = [rng.randrange(0, 12) for _ in range(rng.randrange(1, 200))]
         if not any(d >= 1 for d in depths):
             depths.append(1)
-        for include_zero in (True, False):
-            h = depth_histogram(_sample(depths), include_zero=include_zero)
-            assert abs(sum(h.values()) - 1.0) < 1e-12
+        h = depth_histogram(_sample(depths))
+        assert abs(sum(h.values()) - 1.0) < 1e-12
 
 
 def test_compare_identical_samples_zero_dominance():
@@ -86,10 +83,11 @@ def test_load_depth_csv():
         "http://e.com/,\u0661",  # Arabic-Indic one: a digit, but not ASCII
         "http://f.com/,\u00b2",  # superscript two
         "http://g.com/,--2",
+        "http://b/," + "1" * 5_000,  # more digits than int() converts
     ]
     sample, skipped = load_depth_csv(lines, label="t")
     assert [d for _, d in sample.records] == [3, 0]
-    assert [s.reason for s in skipped] == ["bad row", "negative depth"] + ["bad depth"] * 4
+    assert [s.reason for s in skipped] == ["bad row", "negative depth"] + ["bad depth"] * 5
 
 
 def test_plot_lines_cover_range():

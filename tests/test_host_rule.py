@@ -72,7 +72,7 @@ def _answers(url: str, host: str):
         request_count=1,
         label="Unlabeled",
     )
-    profile = extract_features(detection, [_rec(url)], SUFFIX, frozenset())
+    profile = extract_features(detection, [_rec(url)], SUFFIX)
     signal = SpoofSignal(
         source_url="http://ads.net/call", source_ts=1_000,
         spoof_domain=normalize_domain(host, SUFFIX), land_ip=IP,

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from launderscan.cli import _read_lines
 from launderscan.ingest import ParseAbortError, load_trace
+from launderscan.model import PublicSuffixSet
 
 GOOD_HTTP = b'{"ts": 5, "machine": "m1", "url": "http://a.com/x", "ip": "1.2.3.4"}'
 SAMPLE_LINES = [
@@ -26,7 +27,7 @@ def _load(data: bytes, strict: bool):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "trace.jsonl"
         path.write_bytes(data)
-        return load_trace(_read_lines(path), strict=strict)
+        return load_trace(_read_lines(path), PublicSuffixSet.builtin(), strict=strict)
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from launderscan import kernels
-from launderscan.ipattr import IpAttributionTable
+from launderscan.ipattr import IpAttributionTable, u32_to_ip
 
 
 def oracle_period(ts, dom, tol, min_len):
@@ -116,5 +116,5 @@ def test_one_large_domain_stays_bounded_in_memory():
 
 def test_lpm_empty_table():
     t = IpAttributionTable()
-    ips = np.array([1, 2, 3], dtype=np.uint32)
-    assert list(t.lookup_batch(ips)) == [-1, -1, -1]
+    ips = [u32_to_ip(v) for v in (1, 2, 3)]
+    assert t.lookup_batch(ips) == [None, None, None]

@@ -43,10 +43,10 @@ def test_attributed_ads_day_boundary():
         _imp("m1", "a.com", DAY0 + DAY_MS),  # next day
         _imp("m2", "b.com", DAY0 + 5),
     ]
-    ads = attributed_ads(imps, DAY0)
+    ads = attributed_ads(imps, DAY0, DAY0 + DAY_MS)
     assert len(ads["m1"]) == 2
     assert ads["m2"] == [(DAY0 + 5, "b.com")]
-    assert attributed_ads([], DAY0) == {}
+    assert attributed_ads([], DAY0, DAY0 + DAY_MS) == {}
 
 
 def test_visits_alias_sibling_counts():
@@ -81,7 +81,9 @@ def test_no_visits_means_nothing_visited():
 
 def test_fraction_all_missing():
     policy = SessionPolicy()
-    ads = attributed_ads([_imp("m1", "d.com", DAY0 + i) for i in range(1, 11)], DAY0)
+    ads = attributed_ads(
+        [_imp("m1", "d.com", DAY0 + i) for i in range(1, 11)], DAY0, DAY0 + DAY_MS
+    )
     table = misattribution_table(ads, publisher_visits([], policy))
     assert table.per_domain["d.com"].fraction == 1.0
     assert table.per_machine["m1"].missing == 10
@@ -97,7 +99,7 @@ def test_fraction_hand_counted_quarters():
         _imp("m1", "d.com", DAY0 + 300_000),  # missing
     ]
     table = misattribution_table(
-        attributed_ads(imps, DAY0), publisher_visits(pvs, policy)
+        attributed_ads(imps, DAY0, DAY0 + DAY_MS), publisher_visits(pvs, policy)
     )
     stat = table.per_domain["d.com"]
     assert (stat.attributed, stat.missing) == (4, 3)
@@ -109,14 +111,14 @@ def test_alias_rule_prevents_false_positive():
     pvs = [_pv("m1", "hotmail.com", DAY0 + 1000)]
     imps = [_imp("m1", "live.com", DAY0 + 60_000), _imp("m1", "outlook.com", DAY0 + 90_000)]
     table = misattribution_table(
-        attributed_ads(imps, DAY0), publisher_visits(pvs, policy)
+        attributed_ads(imps, DAY0, DAY0 + DAY_MS), publisher_visits(pvs, policy)
     )
     assert table.per_domain["live.com"].fraction == 0.0
     assert table.per_machine["m1"].missing == 0
     # without the alias groups the same ads are missing
     bare = SessionPolicy()
     table = misattribution_table(
-        attributed_ads(imps, DAY0), publisher_visits(pvs, bare)
+        attributed_ads(imps, DAY0, DAY0 + DAY_MS), publisher_visits(pvs, bare)
     )
     assert table.per_machine["m1"].missing == 2
 
@@ -127,7 +129,7 @@ def test_rank_machines_bot_first_and_min_ads():
     imps += [_imp("clean", "d0.com", DAY0 + 1_000_000 + i) for i in range(50)]
     pvs = [_pv("clean", "d0.com", DAY0 + 900_000)]
     table = misattribution_table(
-        attributed_ads(imps, DAY0), publisher_visits(pvs, policy)
+        attributed_ads(imps, DAY0, DAY0 + DAY_MS), publisher_visits(pvs, policy)
     )
     ranked = rank_machines(table, min_ads=25)
     assert ranked[0] == "bot"
@@ -139,7 +141,7 @@ def test_rank_machines_tie_breaks_lexically():
     policy = SessionPolicy()
     imps = [_imp("mB", "x.com", DAY0 + 1), _imp("mA", "x.com", DAY0 + 2)]
     table = misattribution_table(
-        attributed_ads(imps, DAY0), publisher_visits([], policy)
+        attributed_ads(imps, DAY0, DAY0 + DAY_MS), publisher_visits([], policy)
     )
     assert rank_machines(table, min_ads=1) == ["mA", "mB"]
 
@@ -159,7 +161,7 @@ def _random_day(rng, n_machines=6, n_domains=5, n_imps=120, n_views=60):
 
 def _total_missing(imps, pvs, policy):
     table = misattribution_table(
-        attributed_ads(imps, DAY0), publisher_visits(pvs, policy)
+        attributed_ads(imps, DAY0, DAY0 + DAY_MS), publisher_visits(pvs, policy)
     )
     return sum(s.missing for s in table.per_machine.values()), table
 

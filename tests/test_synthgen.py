@@ -150,7 +150,7 @@ def test_clean_background_yields_no_candidates(clean_corpus):
 
 def test_clean_background_impressions_never_missing(clean_corpus):
     policy = SessionPolicy(alias=clean_corpus.alias)
-    ads = attributed_ads(clean_corpus.trace.impressions, DAY0)
+    ads = attributed_ads(clean_corpus.trace.impressions, DAY0, DAY0 + DAY_MS)
     visits = publisher_visits(clean_corpus.trace.pageviews, policy)
     table = misattribution_table(ads, visits)
     assert all(s.missing == 0 for s in table.per_machine.values())
@@ -191,7 +191,7 @@ def test_rotator_changes_active_domains_by_day():
     by_day = {0: set(), 1: set()}
     for rec in corpus.trace.http:
         if rec.server_ip == plant_ip:
-            day = (rec.timestamp - sg.DEFAULT_EPOCH_MS) // DAY_MS
+            day = (rec.timestamp - sg.EPOCH_MS) // DAY_MS
             host = rec.url.split("://", 1)[1].split("/", 1)[0]
             by_day[day].add(host)
     assert by_day[0] and by_day[1]
@@ -250,11 +250,10 @@ def test_replay_period_plants_a_repeat_cycle_on_that_scheme_alone():
     by_ip: dict[str, list] = {}
     for rec in records:
         by_ip.setdefault(rec.server_ip, []).append(rec)
-    hv = corpus.ranking.high_value_at(report.config.high_value_cutoff)
     cycled = {
         d.ip
         for d in report.detections
-        if FLAG_REPEAT_CYCLE in extract_features(d, by_ip[d.ip], SUFFIX, hv).signature_flags
+        if FLAG_REPEAT_CYCLE in extract_features(d, by_ip[d.ip], SUFFIX).signature_flags
     }
     gamma = {ip for ip, _ in corpus.truth.scheme_pairs["scheme-gamma"]}
     assert len(gamma) == 4 and {d.ip for d in report.detections} >= gamma

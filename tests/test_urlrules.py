@@ -137,19 +137,19 @@ def test_referrer_inconsistency_detected():
         "http://exch.net/bid?referrer=forbes.com&sz=300x250",
         "http://exch.net/bid?referrer=cnn.com&sz=728x90",
     ]
-    check = sibling_referrer_consistency(urls, suffix=SUFFIX)
+    check = sibling_referrer_consistency(urls, "referrer", SUFFIX)
     assert not check.consistent
     assert check.values == {"forbes.com", "cnn.com"}
 
 
 def test_referrer_single_or_absent_is_consistent():
     assert sibling_referrer_consistency(
-        ["http://exch.net/bid?referrer=forbes.com"], suffix=SUFFIX
+        ["http://exch.net/bid?referrer=forbes.com"], "referrer", SUFFIX
     ).consistent
     assert sibling_referrer_consistency(
-        ["http://exch.net/bid?sz=1x1", "http://exch.net/other"], suffix=SUFFIX
+        ["http://exch.net/bid?sz=1x1", "http://exch.net/other"], "referrer", SUFFIX
     ).consistent
-    assert sibling_referrer_consistency([], suffix=SUFFIX).consistent
+    assert sibling_referrer_consistency([], "referrer", SUFFIX).consistent
 
 
 def test_referrer_same_registrable_is_consistent():
@@ -158,14 +158,14 @@ def test_referrer_same_registrable_is_consistent():
         "http://exch.net/bid?referrer=forbes.com",
         "http://exch.net/bid?referrer=http://forbes.com/story",
     ]
-    assert sibling_referrer_consistency(urls, suffix=SUFFIX).consistent
+    assert sibling_referrer_consistency(urls, "referrer", SUFFIX).consistent
 
 
 def test_referrer_never_inconsistent_for_short_lists():
     rng = random.Random(4)
     for _ in range(50):
         url = f"http://exch.net/bid?referrer=site{rng.randrange(100)}.com"
-        assert sibling_referrer_consistency([url], suffix=SUFFIX).consistent
+        assert sibling_referrer_consistency([url], "referrer", SUFFIX).consistent
 
 
 def test_classify_env_verbatim_strings():
