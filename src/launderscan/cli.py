@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -29,7 +30,6 @@ from . import synthgen as sg
 from . import urlrules as ur
 from .detector import Detection, DetectorConfig, detect
 from .ingest import (
-    AliasGroups,
     ParseAbortError,
     is_utf8,
     load_alias_groups,
@@ -166,17 +166,25 @@ def _day_count(w: tuple[int, int]) -> int:
     return (end - 1) // DAY_MS - start // DAY_MS + 1
 
 
-def _span(window_arg, records) -> tuple[int, int] | None:
-    """``--window``, else the UTC days the records span; None for no records."""
-    if window_arg:
-        w = parse_window(window_arg)
-        days = _day_count(w)
-        if days > MAX_WINDOW_DAYS:
-            raise CmdError(
-                EXIT_MISSING_INPUT,
-                f"bad --window {window_arg!r}: {days} day windows, more than {MAX_WINDOW_DAYS}",
-            )
-        return w
+def _window(window_arg) -> tuple[int, int] | None:
+    """``--window`` parsed, at most MAX_WINDOW_DAYS UTC days; None without one."""
+    if not window_arg:
+        return None
+    w = parse_window(window_arg)
+    days = _day_count(w)
+    if days > MAX_WINDOW_DAYS:
+        raise CmdError(
+            EXIT_MISSING_INPUT,
+            f"bad --window {window_arg!r}: {days} day windows, more than {MAX_WINDOW_DAYS}",
+        )
+    return w
+
+
+def _span(window, records) -> tuple[int, int] | None:
+    """``window`` (from ``_window``), else the UTC days the records span;
+    None for no records."""
+    if window:
+        return window
     if not records:
         return None
     lo = min(r.timestamp for r in records)
@@ -184,9 +192,9 @@ def _span(window_arg, records) -> tuple[int, int] | None:
     return (lo - lo % DAY_MS, hi - hi % DAY_MS + DAY_MS)
 
 
-def _windows(window_arg, records) -> list[tuple[int, int]]:
+def _windows(window, records) -> list[tuple[int, int]]:
     """``_span`` split at UTC midnights: at most MAX_WINDOW_DAYS windows."""
-    span = _span(window_arg, records)
+    span = _span(window, records)
     if span is None:
         return []
     days = _day_count(span)
@@ -231,6 +239,7 @@ def cmd_detect(args) -> int:
             min_isps_per_domain=args.min_isps,
             flag_threshold=args.threshold,
         )
+    window = _window(args.window)
     suffix = _suffix_set(args)
     ipmap_path = _require(args.ipmap, "ipmap")
     ranking_path = _require(args.ranking, "ranking")
@@ -245,7 +254,7 @@ def cmd_detect(args) -> int:
         malware = load_malware_list(_read_table(malware_path))
 
     records = loaded.http
-    windows = _windows(args.window, records)
+    windows = _windows(window, records)
 
     reports = [
         detect(records, ipmap.table, ranking, malware, cfg, w) for w in windows
@@ -383,19 +392,20 @@ def cmd_fingerprint(args) -> int:
 
 def cmd_panelscan(args) -> int:
     _check_flag(args.top >= 0, "--top", ">= 0")
+    with _flag_values(lookback_ms="--lookback"):
+        policy = pn.SessionPolicy(lookback_ms=args.lookback)
+    window = _window(args.window)
     suffix = _suffix_set(args)
     loaded = _load_trace(args, suffix)
-    alias = AliasGroups.empty()
     if args.alias:
         alias_path = _require(args.alias, "alias groups")
         with _parsing(alias_path):
             alias = load_alias_groups(_read_table(alias_path), suffix)
-    with _flag_values(lookback_ms="--lookback"):
-        policy = pn.SessionPolicy(lookback_ms=args.lookback, alias=alias)
+        policy = dataclasses.replace(policy, alias=alias)
 
     # A visit qualifies by its distance from the impression alone, so the
     # span only bounds which impressions count.
-    span = _span(args.window, loaded.impressions)
+    span = _span(window, loaded.impressions)
     ads = pn.attributed_ads(loaded.impressions, *(span or (0, 0)))
     visits = pn.publisher_visits(loaded.pageviews, policy)
     table = pn.misattribution_table(ads, visits)
@@ -463,6 +473,8 @@ def cmd_framedepth(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _check_flag(args.seed >= 0, "--seed", ">= 0")
+    _check_flag(args.machines >= 0, "--machines", ">= 0")
     with _flag_values(divisor="--scale-divisor", day_count="--days"):
         if args.plants == "five":
             scenario = sg.five_scheme_scenario(

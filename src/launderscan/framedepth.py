@@ -13,6 +13,12 @@ from typing import Iterable, Sequence
 
 from .ingest import Skip
 
+# The deepest iframe nesting a row may state.  A depth needs that many nested
+# frames, and Chromium lets one page hold at most 1,000 frames, so a deeper
+# row is a broken one.  The bound also caps the output: the comparison and
+# plot data have one entry per depth up to the largest one loaded.
+MAX_DEPTH = 1_000
+
 
 @dataclass(frozen=True, slots=True)
 class DepthSample:
@@ -25,7 +31,8 @@ class DepthSample:
 
 
 def load_depth_csv(lines: Iterable[str], label: str) -> tuple[DepthSample, list[Skip]]:
-    """CSV of url,max_depth; a header row is tolerated."""
+    """CSV of url,max_depth; a header row is tolerated.  A depth above
+    MAX_DEPTH is a "bad depth" skip."""
     records: list[tuple[str, int]] = []
     skipped: list[Skip] = []
     for line_no, raw in enumerate(lines, start=1):
@@ -51,6 +58,9 @@ def load_depth_csv(lines: Iterable[str], label: str) -> tuple[DepthSample, list[
             continue
         if depth < 0:
             skipped.append(Skip(line_no, "negative depth"))
+            continue
+        if depth > MAX_DEPTH:
+            skipped.append(Skip(line_no, "bad depth"))
             continue
         records.append((url, depth))
     return DepthSample(records=tuple(records), label=label), skipped

@@ -73,22 +73,37 @@ class LoadResult:
     skipped: list[Skip] = field(default_factory=list)
     total_lines: int = 0
 
-    @property
-    def parsed_count(self) -> int:
-        return len(self.http) + len(self.impressions) + len(self.pageviews)
-
 
 def load_trace(
     lines: Iterable[str], suffix: PublicSuffixSet, strict: bool = False
 ) -> LoadResult:
-    """Parse a JSON-lines trace into typed records, in file order."""
+    """Parse a JSON-lines trace into typed records, in file order.
+
+    Each distinct value is checked once and stored once, however many lines
+    repeat it: an IP string is validated once, a URL host, attr_domain or
+    pub_domain is normalized once, and every record gets the first ``str``
+    object seen for its machine, process, method, IP, user agent, referrer
+    and (string) exchange account.
+    """
     out = LoadResult()
-    domains: dict[str, Optional[NormalizedDomain]] = {}  # host -> record_domain
+    # name -> normalize_domain(name), None when it does not normalize; a URL
+    # host maps to what ``record_domain`` gives for its URL
+    domains: dict[str, Optional[NormalizedDomain]] = {}
+    valid_ip: dict[str, bool] = {}  # ip -> is_valid_ipv4(ip)
+    shared = {}.setdefault  # str value -> the first equal object seen
 
     def skip(line_no: int, reason: str):
         if strict:
             raise ParseAbortError(line_no, reason)
         out.skipped.append(Skip(line_no, reason))
+
+    def domain_of(name: str) -> Optional[NormalizedDomain]:
+        if name not in domains:
+            try:
+                domains[name] = normalize_domain(name, suffix)
+            except InvalidDomainError:
+                domains[name] = None
+        return domains[name]
 
     for line_no, raw in enumerate(lines, start=1):
         out.total_lines += 1
@@ -121,6 +136,7 @@ def load_trace(
         if not isinstance(machine, str) or not machine:
             skip(line_no, "bad machine")
             continue
+        machine = shared(machine, machine)
         if kind == "http":
             url = obj.get("url")
             ip = obj.get("ip")
@@ -128,7 +144,11 @@ def load_trace(
             if not host:
                 skip(line_no, "bad url")
                 continue
-            if not isinstance(ip, str) or not is_valid_ipv4(ip):
+            # the type test comes first: a JSON list or object is unhashable
+            ok = isinstance(ip, str) and valid_ip.get(ip)
+            if ok is None:
+                ok = valid_ip[ip] = is_valid_ipv4(ip)
+            if not ok:
                 skip(line_no, "bad ip")
                 continue
             status = obj.get("status")
@@ -145,40 +165,39 @@ def load_trace(
             if bad:
                 skip(line_no, f"bad {bad}")
                 continue
-            if host not in domains:
-                domains[host] = record_domain(url, suffix)
             out.http.append(
                 HttpRecord(
                     timestamp=ts,
                     machine_id=machine,
-                    process_name=proc,
-                    method=method,
+                    process_name=shared(proc, proc),
+                    method=shared(method, method),
                     url=url,
-                    domain=domains[host],
-                    referrer=ref,
-                    server_ip=ip,
+                    domain=domain_of(host),
+                    referrer=None if ref is None else shared(ref, ref),
+                    server_ip=shared(ip, ip),
                     status=status,
-                    user_agent=ua,
+                    user_agent=None if ua is None else shared(ua, ua),
                 )
             )
         elif kind == "impression":
-            try:
-                dom = normalize_domain(str(obj["attr_domain"]), suffix)
-            except (KeyError, InvalidDomainError):
+            dom = domain_of(str(obj["attr_domain"])) if "attr_domain" in obj else None
+            if dom is None:
                 skip(line_no, "bad attr_domain")
                 continue
+            account = obj.get("account")
+            if isinstance(account, str):
+                account = shared(account, account)
             out.impressions.append(
                 ImpressionRecord(
                     timestamp=ts,
                     machine_id=machine,
                     attributed_domain=dom,
-                    exchange_account=obj.get("account"),
+                    exchange_account=account,
                 )
             )
         elif kind == "pageview":
-            try:
-                dom = normalize_domain(str(obj["pub_domain"]), suffix)
-            except (KeyError, InvalidDomainError):
+            dom = domain_of(str(obj["pub_domain"])) if "pub_domain" in obj else None
+            if dom is None:
                 skip(line_no, "bad pub_domain")
                 continue
             out.pageviews.append(

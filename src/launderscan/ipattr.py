@@ -13,10 +13,6 @@ def ip_to_u32(ip: str) -> int:
     return (int(a) << 24) | (int(b) << 16) | (int(c) << 8) | int(d)
 
 
-def u32_to_ip(v: int) -> str:
-    return f"{(v >> 24) & 255}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}"
-
-
 def parse_cidr(cidr: str) -> tuple[int, int]:
     """Parse canonical "a.b.c.d/len"; host bits below the mask are an error."""
     parts = cidr.strip().split("/")

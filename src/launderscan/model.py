@@ -128,8 +128,11 @@ class HttpRecord:
     """One client-side HTTP(S) event from a panel trace.
 
     ``process_name`` is kept verbatim: empty and whitespace-only names are
-    distinct, deliberate signals.  ``domain`` is the URL's domain, derived
-    once by ``ingest.record_domain``; None when the host does not normalize.
+    distinct, deliberate signals.  ``domain`` is the URL's domain, as
+    ``ingest.record_domain`` gives it; None when the host does not normalize.
+    ``ingest.load_trace`` normalizes each distinct host once and shares the
+    result, and records it loads share one ``str`` object per distinct
+    machine, process, method, server IP, user agent and referrer value.
     """
 
     timestamp: int

@@ -12,6 +12,16 @@ WINDOW = (DAY0, DAY0 + DAY_MS)
 SMALL_SCENARIO = sg.five_scheme_scenario(seed=11, divisor=100, background_machines=320)
 
 
+def parsed_count(result) -> int:
+    """Records a ``LoadResult`` holds, of every kind."""
+    return len(result.http) + len(result.impressions) + len(result.pageviews)
+
+
+def u32_to_ip(v: int) -> str:
+    """The dotted quad of a 32-bit value; ``ipattr.ip_to_u32`` inverts it."""
+    return f"{(v >> 24) & 255}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}"
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     return sg.generate(SMALL_SCENARIO)

@@ -38,7 +38,7 @@ from launderscan.ingest import (
     load_ranked_domains,
     load_trace,
 )
-from launderscan.ipattr import IpAttributionTable, u32_to_ip
+from launderscan.ipattr import IpAttributionTable
 from launderscan.model import DAY_MS, PublicSuffixSet
 from launderscan.panel import (
     SessionPolicy,
@@ -54,7 +54,7 @@ from launderscan.urlrules import (
     verify_spoof_followthrough,
 )
 
-from conftest import DAY0, WINDOW
+from conftest import DAY0, WINDOW, u32_to_ip
 
 SUFFIX = PublicSuffixSet.builtin()
 HOUR_MS = 3_600_000

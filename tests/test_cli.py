@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from launderscan.cli import MAX_WINDOW_DAYS, CmdError, _day_count, _split_days, _windows, main
+from launderscan.cli import (
+    MAX_WINDOW_DAYS, CmdError, _day_count, _split_days, _window, _windows, main,
+)
 from launderscan.model import DAY_MS
 
 from conftest import DAY0
@@ -508,6 +510,8 @@ def test_malformed_input_file_is_a_parse_abort(tiny_inputs, capsys, command, fla
         ("fingerprint", "--feature-agreement", "-0.5"),
         ("fingerprint", "--feature-agreement", "1.5"),
         ("synth", "--days", "0"),
+        ("synth", "--seed", "-1"),
+        ("synth", "--machines", "-5"),
     ],
 )
 def test_bad_flag_value_exits_2_naming_the_flag(tiny_inputs, capsys, command, flag, value):
@@ -523,6 +527,28 @@ def test_bad_flag_value_exits_2_naming_the_flag(tiny_inputs, capsys, command, fl
     assert main([command, *map(str, base), flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("detect", "--window", "garbage"),
+        ("panelscan", "--window", "garbage"),
+        ("panelscan", "--lookback", "0"),
+    ],
+)
+def test_bad_flag_value_exits_2_before_any_file_is_read(tmp_path, capsys, command, flag, value):
+    """Every input path names a missing file, so a flag checked after the
+    first read would report that file instead."""
+    paths = {"detect": ["--trace", "--ipmap", "--ranking", "--malware"],
+             "panelscan": ["--trace", "--alias", "--suffixes", "--out"]}[command]
+    args = [command, flag, value]
+    for p in paths:
+        args += [p, str(tmp_path / "nothere" / p.lstrip("-"))]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and flag in err and err.count("\n") == 1
+    assert not (tmp_path / "nothere").exists()
 
 
 def test_detect_strict_aborts_on_a_bad_ranking_line(tiny_inputs, capsys):
@@ -568,10 +594,10 @@ def test_window_day_count_is_arithmetic_and_bounded():
         w = (start, start + rng.randrange(1, 6 * DAY_MS))
         assert _day_count(w) == len(_split_days(w))
     limit = MAX_WINDOW_DAYS * DAY_MS
-    assert len(_windows(f"0..{limit}", [])) == MAX_WINDOW_DAYS
-    assert len(_windows(f"{DAY_MS}..{limit + DAY_MS}", [])) == MAX_WINDOW_DAYS
+    assert len(_windows(_window(f"0..{limit}"), [])) == MAX_WINDOW_DAYS
+    assert len(_windows(_window(f"{DAY_MS}..{limit + DAY_MS}"), [])) == MAX_WINDOW_DAYS
     with pytest.raises(CmdError, match="--window"):
-        _windows(f"{DAY_MS - 1}..{limit + DAY_MS - 1}", [])
+        _windows(_window(f"{DAY_MS - 1}..{limit + DAY_MS - 1}"), [])
 
 
 def test_detect_without_window_bounds_the_record_span(tiny_inputs, capsys):

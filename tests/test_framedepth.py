@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from launderscan.framedepth import DepthSample, compare, depth_histogram, load_depth_csv
+from launderscan.framedepth import MAX_DEPTH, DepthSample, compare, depth_histogram, load_depth_csv
 
 
 def _sample(depths, label="s"):
@@ -84,10 +84,14 @@ def test_load_depth_csv():
         "http://f.com/,\u00b2",  # superscript two
         "http://g.com/,--2",
         "http://b/," + "1" * 5_000,  # more digits than int() converts
+        f"http://h.com/,{MAX_DEPTH}",
+        f"http://i.com/,{MAX_DEPTH + 1}",
+        "http://j.com/,200000",
     ]
     sample, skipped = load_depth_csv(lines, label="t")
-    assert [d for _, d in sample.records] == [3, 0]
-    assert [s.reason for s in skipped] == ["bad row", "negative depth"] + ["bad depth"] * 5
+    assert [d for _, d in sample.records] == [3, 0, MAX_DEPTH]
+    assert [s.reason for s in skipped] == ["bad row", "negative depth"] + ["bad depth"] * 7
+    assert [s.line_no for s in skipped[-2:]] == [12, 13]
 
 
 def test_plot_lines_cover_range():

@@ -2,7 +2,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from launderscan import ingest
 from launderscan.ingest import (
     MAX_TS_MS,
     ParseAbortError,
@@ -12,7 +14,9 @@ from launderscan.ingest import (
     load_ranked_domains,
     load_trace,
 )
-from launderscan.model import PublicSuffixSet
+from launderscan.model import PublicSuffixSet, url_host
+
+from conftest import parsed_count
 
 SUFFIX = PublicSuffixSet.builtin()
 
@@ -52,7 +56,7 @@ def test_bad_ip_skipped_with_reason():
 
 def test_empty_file():
     result = load_trace([], SUFFIX)
-    assert result.parsed_count == 0 and result.total_lines == 0
+    assert parsed_count(result) == 0 and result.total_lines == 0
 
 
 def test_mixed_kinds_and_default_kind():
@@ -98,6 +102,8 @@ def test_strict_mode_aborts():
         ("ts", 2**63),
         ("ip", "1.1.1.\u00b2"),  # superscript two: isdigit() but not int()
         ("ip", "\u0661.1.1.1"),  # Arabic-Indic one
+        ("ip", ["1.1.1.1"]),  # unhashable: the type test must come first
+        ("ip", {"a": 1}),
     ],
 )
 def test_wrongly_typed_http_fields_are_skipped(field, value):
@@ -105,10 +111,83 @@ def test_wrongly_typed_http_fields_are_skipped(field, value):
     result = load_trace(lines, SUFFIX)
     assert len(result.http) == 1
     assert [(s.line_no, s.reason) for s in result.skipped] == [(2, f"bad {field}")]
-    assert result.parsed_count + len(result.skipped) == result.total_lines
+    assert parsed_count(result) + len(result.skipped) == result.total_lines
     with pytest.raises(ParseAbortError) as err:
         load_trace(lines, SUFFIX, strict=True)
     assert (err.value.line_no, err.value.reason) == (2, f"bad {field}")
+
+
+@pytest.mark.parametrize("account", [["x", 1], {"a": [1]}, 5, None, "acct-1"])
+def test_impression_account_loads_as_given(account):
+    line = json.dumps({"ts": 5, "machine": "m1", "kind": "impression",
+                       "attr_domain": "a.com", "account": account})
+    result = load_trace([line], SUFFIX, strict=True)
+    assert [r.exchange_account for r in result.impressions] == [account]
+
+
+# Pools that repeat good and bad values, with hosts and domain names in common.
+_IPS = ["10.1.2.3", "10.1.2.4", "999.1.1.1", "1.1.1.\u00b2", ["1.1.1.1"], None]
+_HOSTS = ["www.a.com", "a.com", "B.net:8080", "b..com", "x y.com", "user@c.org"]
+_NAMES = ["a.com", "B.net:8080", "c.org", "bad..name", "", "7", 7, None]
+
+
+def _pool_line(kind, machine, ip, host, ua, name):
+    if kind == "http":
+        return json.dumps({"ts": 1, "machine": machine, "url": f"http://{host}/p",
+                           "ip": ip, "ua": ua, "proc": "p.exe"})
+    key = "attr_domain" if kind == "impression" else "pub_domain"
+    obj = {"ts": 1, "machine": machine, "kind": kind, "account": ua}
+    if name is not None:
+        obj[key] = name
+    return json.dumps(obj)
+
+
+_POOL_LINES = st.lists(
+    st.builds(
+        _pool_line,
+        st.sampled_from(["http", "http", "impression", "pageview"]),
+        st.sampled_from(["m-one", "m-two", "m-three"]),
+        st.sampled_from(_IPS),
+        st.sampled_from(_HOSTS),
+        st.sampled_from(["UA-one/1", "UA-two/2", None]),
+        st.sampled_from(_NAMES),
+    ),
+    max_size=40,
+)
+
+
+@given(_POOL_LINES)
+def test_repeated_values_are_checked_once_and_shared(lines):
+    calls: list[str] = []
+
+    def counted(name, suffix):
+        calls.append(name)
+        return normalize(name, suffix)
+
+    normalize = ingest.normalize_domain
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "normalize_domain", counted)
+        whole = load_trace(lines, SUFFIX)
+        whole_calls, calls[:] = list(calls), []
+        alone = [load_trace([line], SUFFIX) for line in lines]
+
+    # the memos change no record and no skip
+    for kind in ("http", "impressions", "pageviews"):
+        assert getattr(whole, kind) == [r for one in alone for r in getattr(one, kind)]
+    assert [(s.line_no, s.reason) for s in whole.skipped] == [
+        (i + 1, s.reason) for i, one in enumerate(alone) for s in one.skipped
+    ]
+    # one normalize_domain call per distinct name, host and domain names alike
+    assert sorted(whole_calls) == sorted(set(calls))
+    assert set(url_host(r.url) for r in whole.http) <= set(whole_calls)
+    # equal values are one object
+    records = whole.http + whole.impressions + whole.pageviews
+    for attr, recs in (("machine_id", records), ("user_agent", whole.http),
+                       ("server_ip", whole.http)):
+        first = {}
+        for r in recs:
+            value = getattr(r, attr)
+            assert first.setdefault(value, value) is value
 
 
 def test_bool_ts_skipped_for_every_kind():
@@ -117,7 +196,7 @@ def test_bool_ts_skipped_for_every_kind():
         json.dumps({"ts": True, "machine": "m1", "kind": "pageview", "pub_domain": "a.com"}),
     ]
     result = load_trace(lines, SUFFIX)
-    assert result.parsed_count == 0
+    assert parsed_count(result) == 0
     assert [s.reason for s in result.skipped] == ["bad ts", "bad ts"]
 
 
@@ -148,7 +227,7 @@ def test_skips_plus_parsed_equals_total():
         else:
             lines.append(json.dumps({"ts": i + 1, "machine": "m", "kind": "impression", "attr_domain": "a b"}))
     result = load_trace(lines, SUFFIX)
-    assert result.parsed_count + len(result.skipped) == result.total_lines == 200
+    assert parsed_count(result) + len(result.skipped) == result.total_lines == 200
 
 
 def test_load_ip_map_basics():

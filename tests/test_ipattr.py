@@ -3,7 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from launderscan.ipattr import IpAttributionTable, ip_to_u32, parse_cidr, u32_to_ip
+from launderscan.ipattr import IpAttributionTable, ip_to_u32, parse_cidr
+
+from conftest import u32_to_ip
 
 
 def linear_scan_oracle(entries, ips_u32):

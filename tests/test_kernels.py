@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from launderscan import kernels
-from launderscan.ipattr import IpAttributionTable, u32_to_ip
+from launderscan.ipattr import IpAttributionTable
+
+from conftest import u32_to_ip
 
 
 def oracle_period(ts, dom, tol, min_len):

@@ -12,7 +12,7 @@ from launderscan.ingest import load_alias_groups
 from launderscan.model import DAY_MS, PublicSuffixSet, is_valid_ipv4
 from launderscan.panel import SessionPolicy, attributed_ads, misattribution_table, publisher_visits
 
-from conftest import DAY0, SMALL_SCENARIO, WINDOW
+from conftest import DAY0, SMALL_SCENARIO, WINDOW, parsed_count
 
 SUFFIX = PublicSuffixSet.builtin()
 
@@ -92,7 +92,7 @@ def test_generate_parses_the_emitted_trace_and_truth(small_corpus, tmp_path):
     assert hashlib.sha256(text.encode()).digest() == hashlib.sha256(
         (tmp_path / "trace.jsonl").read_bytes()
     ).digest()
-    assert small_corpus.trace.parsed_count == len(small_corpus.lines)
+    assert parsed_count(small_corpus.trace) == len(small_corpus.lines)
     assert small_corpus.truth.to_json_dict() == json.loads((tmp_path / "truth.json").read_text())
 
 
