@@ -37,10 +37,9 @@ from .ingest import (
 )
 from .ipattr import IpAttributionTable
 from .model import (
+    DomainEvent,
     HttpRecord,
-    ImpressionRecord,
     NormalizedDomain,
-    PageViewRecord,
     PublicSuffixSet,
     is_malformed_domain,
     normalize_domain,

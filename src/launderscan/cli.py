@@ -180,15 +180,22 @@ def _window(window_arg) -> tuple[int, int] | None:
     return w
 
 
+def _time_range(records) -> tuple[int, int] | None:
+    """The records' first and last timestamp; None for no records."""
+    if not records:
+        return None
+    return min(r.timestamp for r in records), max(r.timestamp for r in records)
+
+
 def _span(window, records) -> tuple[int, int] | None:
     """``window`` (from ``_window``), else the UTC days the records span;
     None for no records."""
     if window:
         return window
-    if not records:
+    times = _time_range(records)
+    if times is None:
         return None
-    lo = min(r.timestamp for r in records)
-    hi = max(r.timestamp for r in records)
+    lo, hi = times
     return (lo - lo % DAY_MS, hi - hi % DAY_MS + DAY_MS)
 
 
@@ -345,17 +352,17 @@ def cmd_fingerprint(args) -> int:
     with _parsing(report_path, ValueError, KeyError, TypeError, AttributeError):
         with open(report_path, "r", encoding="utf-8") as fh:
             pairs = _detections_from_report(json.load(fh))
-    if pairs and records:
-        lo = min(r.timestamp for r in records)
-        hi = max(r.timestamp for r in records)
+    if pairs:
+        times = _time_range(records)
+        if times is None:
+            raise CmdError(EXIT_WINDOW_MISMATCH, "report has detections but trace has no records")
+        lo, hi = times
         for window, _ in pairs:
             if window[1] <= lo or window[0] > hi:
                 raise CmdError(
                     EXIT_WINDOW_MISMATCH,
                     f"report window {window} does not overlap trace span [{lo}, {hi}]",
                 )
-    elif pairs and not records:
-        raise CmdError(EXIT_WINDOW_MISMATCH, "report has detections but trace has no records")
 
     by_ip: dict[str, list] = {}
     flagged_ips = {d.ip for _, d in pairs}
@@ -447,27 +454,29 @@ def cmd_panelscan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _depth_sample(path: Path, label: str) -> fd.DepthSample:
-    """A frame-depth CSV.  One with no row of depth >= 1 cannot be compared,
-    so it is a parse abort like a malformed one."""
+def _depth_sample(path: Path, label: str) -> tuple[fd.DepthSample, int]:
+    """A frame-depth CSV and how many rows it skipped.  One with no row of
+    depth >= 1 cannot be compared, so it is a parse abort like a malformed
+    one."""
     with _parsing(path, ValueError):
-        sample, _ = fd.load_depth_csv(_read_table(path), label=label)
+        sample, skipped = fd.load_depth_csv(_read_table(path), label=label)
         fd.depth_histogram(sample)  # raises on such a sample
-    return sample
+    return sample, len(skipped)
 
 
 def cmd_framedepth(args) -> int:
     tainted_path = _require(args.tainted, "tainted sample")
     general_path = _require(args.general, "general sample")
-    tainted = _depth_sample(tainted_path, "tainted")
-    general = _depth_sample(general_path, "general")
+    tainted, tainted_skipped = _depth_sample(tainted_path, "tainted")
+    general, general_skipped = _depth_sample(general_path, "general")
     cmp_result = fd.compare(tainted, general)
     _write_json(Path(args.out), cmp_result.to_json_dict())
     if args.plotdata:
         _write_text(Path(args.plotdata), "\n".join(cmp_result.plot_lines()) + "\n")
     print(
         f"max_depth tainted={cmp_result.max_depth_a} general={cmp_result.max_depth_b} "
-        f"dominance_k3={dict(cmp_result.tail_dominance).get(3, 0.0):+.4f}"
+        f"dominance_k3={dict(cmp_result.tail_dominance).get(3, 0.0):+.4f} "
+        f"skipped tainted={tainted_skipped} general={general_skipped}"
     )
     return EXIT_OK
 
@@ -511,7 +520,7 @@ def cmd_rules(args) -> int:
         recs = sorted(by_machine[machine], key=lambda r: r.timestamp)
         for rec in recs:
             try:
-                signal = ur.check_spoof_query(rec.url, suffix, ts=rec.timestamp)
+                signal = ur.check_spoof_query(rec.url, suffix)
             except ur.MalformedSignalError as err:
                 findings.append(
                     {"type": "malformed_spoof_signal", "machine": machine, "ts": rec.timestamp,
@@ -520,8 +529,8 @@ def cmd_rules(args) -> int:
                 continue
             if signal is None:
                 continue
-            signal = ur.verify_spoof_followthrough(signal, recs, args.horizon)
-            verified += signal.verified
+            followed = ur.verify_spoof_followthrough(signal, rec.timestamp, recs, args.horizon)
+            verified += followed
             findings.append(
                 {
                     "type": "spoof_signal",
@@ -530,7 +539,7 @@ def cmd_rules(args) -> int:
                     "url": rec.url,
                     "spoof_domain": signal.spoof_domain.registrable,
                     "land_ip": signal.land_ip,
-                    "verified": signal.verified,
+                    "verified": followed,
                 }
             )
         groups: dict[str, list[str]] = {}

@@ -22,18 +22,14 @@ MAX_DEPTH = 1_000
 
 @dataclass(frozen=True, slots=True)
 class DepthSample:
-    records: tuple[tuple[str, int], ...]
+    depths: tuple[int, ...]  # one per URL, in file order
     label: str
-
-    def depths(self) -> list[int]:
-        """The depths of the URLs with iframe structure (depth >= 1)."""
-        return [d for _, d in self.records if d >= 1]
 
 
 def load_depth_csv(lines: Iterable[str], label: str) -> tuple[DepthSample, list[Skip]]:
-    """CSV of url,max_depth; a header row is tolerated.  A depth above
-    MAX_DEPTH is a "bad depth" skip."""
-    records: list[tuple[str, int]] = []
+    """CSV of url,max_depth; a header row is tolerated.  Only the depths are
+    kept.  A depth above MAX_DEPTH is a "bad depth" skip."""
+    depths: list[int] = []
     skipped: list[Skip] = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -43,7 +39,7 @@ def load_depth_csv(lines: Iterable[str], label: str) -> tuple[DepthSample, list[
         if len(parts) != 2:
             skipped.append(Skip(line_no, "bad row"))
             continue
-        url, depth_s = parts[0].strip(), parts[1].strip()
+        depth_s = parts[1].strip()
         digits = depth_s.removeprefix("-")
         # isdigit() alone passes '١' (int() reads it as 1) and '²' (int() fails)
         if not (digits.isascii() and digits.isdigit()):
@@ -62,16 +58,16 @@ def load_depth_csv(lines: Iterable[str], label: str) -> tuple[DepthSample, list[
         if depth > MAX_DEPTH:
             skipped.append(Skip(line_no, "bad depth"))
             continue
-        records.append((url, depth))
-    return DepthSample(records=tuple(records), label=label), skipped
+        depths.append(depth)
+    return DepthSample(depths=tuple(depths), label=label), skipped
 
 
 def depth_histogram(sample: DepthSample) -> dict[int, float]:
     """Fraction of URLs at each depth >= 1; only URLs that have iframe
     structure enter the denominator."""
-    if not sample.records:
+    if not sample.depths:
         raise ValueError(f"sample {sample.label!r} is empty")
-    depths = sample.depths()
+    depths = [d for d in sample.depths if d >= 1]
     if not depths:
         raise ValueError(f"sample {sample.label!r} has no records with iframe structure")
     n = len(depths)

@@ -15,11 +15,10 @@ from typing import Iterable, Optional
 
 from .ipattr import IpAttributionTable
 from .model import (
+    DomainEvent,
     HttpRecord,
-    ImpressionRecord,
     InvalidDomainError,
     NormalizedDomain,
-    PageViewRecord,
     PublicSuffixSet,
     canonical_isp,
     is_valid_ipv4,
@@ -68,8 +67,8 @@ def record_domain(url: str, suffix: PublicSuffixSet) -> Optional[NormalizedDomai
 @dataclass(slots=True)
 class LoadResult:
     http: list[HttpRecord] = field(default_factory=list)
-    impressions: list[ImpressionRecord] = field(default_factory=list)
-    pageviews: list[PageViewRecord] = field(default_factory=list)
+    impressions: list[DomainEvent] = field(default_factory=list)
+    pageviews: list[DomainEvent] = field(default_factory=list)
     skipped: list[Skip] = field(default_factory=list)
     total_lines: int = 0
 
@@ -79,11 +78,13 @@ def load_trace(
 ) -> LoadResult:
     """Parse a JSON-lines trace into typed records, in file order.
 
-    Each distinct value is checked once and stored once, however many lines
-    repeat it: an IP string is validated once, a URL host, attr_domain or
-    pub_domain is normalized once, and every record gets the first ``str``
-    object seen for its machine, process, method, IP, user agent, referrer
-    and (string) exchange account.
+    An http line's ``method`` and ``status`` are checked (a string; an int or
+    absent) but not stored, and an impression's ``account`` is neither: no
+    analysis reads them.  Each distinct value is checked once and stored
+    once, however many lines repeat it: an IP string is validated once, a
+    URL host, attr_domain or pub_domain is normalized once, and every record
+    gets the first ``str`` object seen for its machine, process, IP, user
+    agent and referrer.
     """
     out = LoadResult()
     # name -> normalize_domain(name), None when it does not normalize; a URL
@@ -151,14 +152,11 @@ def load_trace(
             if not ok:
                 skip(line_no, "bad ip")
                 continue
-            status = obj.get("status")
-            if status is not None and type(status) is not int:
-                skip(line_no, "bad status")
-                continue
-            proc, method = obj.get("proc", ""), obj.get("method", "GET")
+            proc, status = obj.get("proc", ""), obj.get("status")
             ua, ref = obj.get("ua"), obj.get("ref")
-            bad = ("proc" if not isinstance(proc, str)
-                   else "method" if not isinstance(method, str)
+            bad = ("status" if status is not None and type(status) is not int
+                   else "proc" if not isinstance(proc, str)
+                   else "method" if not isinstance(obj.get("method", ""), str)
                    else "ua" if ua is not None and not isinstance(ua, str)
                    else "ref" if ref is not None and not isinstance(ref, str)
                    else None)
@@ -170,12 +168,10 @@ def load_trace(
                     timestamp=ts,
                     machine_id=machine,
                     process_name=shared(proc, proc),
-                    method=shared(method, method),
                     url=url,
                     domain=domain_of(host),
                     referrer=None if ref is None else shared(ref, ref),
                     server_ip=shared(ip, ip),
-                    status=status,
                     user_agent=None if ua is None else shared(ua, ua),
                 )
             )
@@ -184,25 +180,13 @@ def load_trace(
             if dom is None:
                 skip(line_no, "bad attr_domain")
                 continue
-            account = obj.get("account")
-            if isinstance(account, str):
-                account = shared(account, account)
-            out.impressions.append(
-                ImpressionRecord(
-                    timestamp=ts,
-                    machine_id=machine,
-                    attributed_domain=dom,
-                    exchange_account=account,
-                )
-            )
+            out.impressions.append(DomainEvent(timestamp=ts, machine_id=machine, domain=dom))
         elif kind == "pageview":
             dom = domain_of(str(obj["pub_domain"])) if "pub_domain" in obj else None
             if dom is None:
                 skip(line_no, "bad pub_domain")
                 continue
-            out.pageviews.append(
-                PageViewRecord(timestamp=ts, machine_id=machine, publisher_domain=dom)
-            )
+            out.pageviews.append(DomainEvent(timestamp=ts, machine_id=machine, domain=dom))
         else:
             skip(line_no, f"bad kind {kind!r}")
     return out

@@ -132,31 +132,25 @@ class HttpRecord:
     ``ingest.record_domain`` gives it; None when the host does not normalize.
     ``ingest.load_trace`` normalizes each distinct host once and shares the
     result, and records it loads share one ``str`` object per distinct
-    machine, process, method, server IP, user agent and referrer value.
+    machine, process, server IP, user agent and referrer value.
     """
 
     timestamp: int
     machine_id: str
     process_name: str
-    method: str
     url: str
     domain: Optional[NormalizedDomain]
     referrer: Optional[str]
     server_ip: str
-    status: Optional[int]
     user_agent: Optional[str]
 
 
 @dataclass(frozen=True, slots=True)
-class ImpressionRecord:
+class DomainEvent:
+    """A machine met a domain at a time: an ad impression attributed to the
+    domain (``LoadResult.impressions``) or a page view of it
+    (``LoadResult.pageviews``).  Panel reconciliation compares the two."""
+
     timestamp: int
     machine_id: str
-    attributed_domain: NormalizedDomain
-    exchange_account: Optional[str] = None
-
-
-@dataclass(frozen=True, slots=True)
-class PageViewRecord:
-    timestamp: int
-    machine_id: str
-    publisher_domain: NormalizedDomain
+    domain: NormalizedDomain

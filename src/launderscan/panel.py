@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .ingest import AliasGroups
-from .model import DAY_MS, ImpressionRecord, PageViewRecord
+from .model import DAY_MS, DomainEvent
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,7 +25,7 @@ class SessionPolicy:
 
 
 def attributed_ads(
-    impressions: Sequence[ImpressionRecord], start: int, end: int
+    impressions: Sequence[DomainEvent], start: int, end: int
 ) -> dict[str, list[tuple[int, str]]]:
     """Impressions inside [start, end) (ms), grouped by machine and
     time-ordered."""
@@ -33,7 +33,7 @@ def attributed_ads(
     for imp in impressions:
         if start <= imp.timestamp < end:
             out.setdefault(imp.machine_id, []).append(
-                (imp.timestamp, imp.attributed_domain.registrable)
+                (imp.timestamp, imp.domain.registrable)
             )
     for ads in out.values():
         ads.sort()
@@ -65,17 +65,20 @@ class VisitIndex:
         return hi > lo
 
 
-def publisher_visits(pageviews: Sequence[PageViewRecord], policy: SessionPolicy) -> VisitIndex:
+def publisher_visits(pageviews: Sequence[DomainEvent], policy: SessionPolicy) -> VisitIndex:
     """Index every page view by machine and alias group."""
     index = VisitIndex(policy=policy)
     for pv in pageviews:
-        index.add(pv.machine_id, pv.publisher_domain.registrable, pv.timestamp)
+        index.add(pv.machine_id, pv.domain.registrable, pv.timestamp)
     index.seal()
     return index
 
 
 @dataclass(frozen=True, slots=True)
-class DomainStat:
+class AdStat:
+    """Attributed impressions, and how many of them had no qualifying visit,
+    of one domain or one machine."""
+
     attributed: int
     missing: int
 
@@ -85,19 +88,10 @@ class DomainStat:
 
 
 @dataclass(frozen=True, slots=True)
-class MachineStat:
-    attributed: int
-    missing: int
-
-
-@dataclass(frozen=True, slots=True)
 class MisattributionTable:
-    per_domain: dict[str, DomainStat]
-    per_machine: dict[str, MachineStat]
+    per_domain: dict[str, AdStat]
+    per_machine: dict[str, AdStat]
     missing_events: dict[str, tuple[tuple[int, str], ...]]  # machine -> time-ordered (ts, domain)
-
-    def total_attributed(self) -> int:
-        return sum(s.attributed for s in self.per_domain.values())
 
 
 def misattribution_table(
@@ -106,7 +100,7 @@ def misattribution_table(
 ) -> MisattributionTable:
     dom_attr: dict[str, int] = {}
     dom_miss: dict[str, int] = {}
-    per_machine: dict[str, MachineStat] = {}
+    per_machine: dict[str, AdStat] = {}
     missing_events: dict[str, tuple[tuple[int, str], ...]] = {}
     for machine in sorted(ads):
         events = ads[machine]
@@ -116,11 +110,11 @@ def misattribution_table(
             if not visits.visited(machine, dom, ts):
                 dom_miss[dom] = dom_miss.get(dom, 0) + 1
                 misses.append((ts, dom))
-        per_machine[machine] = MachineStat(attributed=len(events), missing=len(misses))
+        per_machine[machine] = AdStat(attributed=len(events), missing=len(misses))
         if misses:
             missing_events[machine] = tuple(misses)
     per_domain = {
-        d: DomainStat(attributed=n, missing=dom_miss.get(d, 0)) for d, n in dom_attr.items()
+        d: AdStat(attributed=n, missing=dom_miss.get(d, 0)) for d, n in dom_attr.items()
     }
     return MisattributionTable(
         per_domain=per_domain,

@@ -208,16 +208,6 @@ def five_scheme_scenario(
     )
 
 
-def clean_scenario(seed: int = 7, background_machines: int = 1_000, day_count: int = 1) -> Scenario:
-    return Scenario(
-        seed=seed,
-        day_count=day_count,
-        divisor=100,
-        background=BackgroundSpec(machine_count=background_machines),
-        plants=(),
-    )
-
-
 @dataclass(frozen=True)
 class GroundTruth:
     planted_pairs: frozenset[tuple[str, str]]
@@ -239,19 +229,6 @@ class GroundTruth:
                 for lab in sorted(self.scheme_pairs)
             },
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "GroundTruth":
-        return cls(
-            planted_pairs=frozenset((p[0], p[1]) for p in obj["planted_pairs"]),
-            planted_machines=frozenset(obj["planted_machines"]),
-            record_labels={int(k): v for k, v in obj["record_labels"].items()},
-            scheme_pairs={
-                lab: frozenset((p[0], p[1]) for p in s["pairs"])
-                for lab, s in obj["schemes"].items()
-            },
-            scheme_machines={lab: frozenset(s["machines"]) for lab, s in obj["schemes"].items()},
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional, Sequence
 from urllib.parse import parse_qsl, urlsplit
@@ -41,14 +41,13 @@ class EmptyFingerprintError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class SpoofSignal:
-    source_url: str
-    source_ts: int
+    """What a hijack query says: the spoofed domain resolves to ``land_ip``."""
+
     spoof_domain: NormalizedDomain
     land_ip: str
-    verified: bool = False
 
 
-def check_spoof_query(url: str, suffix: PublicSuffixSet, ts: int = 0) -> Optional[SpoofSignal]:
+def check_spoof_query(url: str, suffix: PublicSuffixSet) -> Optional[SpoofSignal]:
     """Extract a spoof signal when the URL query carries both hijack keys.
 
     Returns None when either key is absent; raises MalformedSignalError when
@@ -83,18 +82,19 @@ def check_spoof_query(url: str, suffix: PublicSuffixSet, ts: int = 0) -> Optiona
         dom = normalize_domain(spoof_val, suffix)
     except InvalidDomainError as err:
         raise MalformedSignalError(f"unparseable {SPOOF_DOMAIN_KEY} value {spoof_val!r}") from err
-    return SpoofSignal(source_url=url, source_ts=ts, spoof_domain=dom, land_ip=land_val, verified=False)
+    return SpoofSignal(spoof_domain=dom, land_ip=land_val)
 
 
 def verify_spoof_followthrough(
     signal: SpoofSignal,
+    ts: int,
     trace: Sequence[HttpRecord],
     horizon_ms: int,
-) -> SpoofSignal:
-    """Mark the signal verified when, within the horizon after it, the same
-    machine's trace (sorted by timestamp) requests the spoofed domain from
-    the landing IP."""
-    lo, hi = signal.source_ts, signal.source_ts + horizon_ms
+) -> bool:
+    """True when, after the signal's request at ``ts`` and at most
+    ``horizon_ms`` later, the same machine's trace (sorted by timestamp)
+    requests the spoofed domain from the landing IP."""
+    lo, hi = ts, ts + horizon_ms
     want = signal.spoof_domain.registrable
     for k in range(bisect_right(trace, lo, key=attrgetter("timestamp")), len(trace)):
         rec = trace[k]
@@ -103,8 +103,8 @@ def verify_spoof_followthrough(
         if rec.server_ip != signal.land_ip:
             continue
         if rec.domain is not None and rec.domain.registrable == want:
-            return replace(signal, verified=True)
-    return replace(signal, verified=False)
+            return True
+    return False
 
 
 @dataclass(frozen=True, slots=True)

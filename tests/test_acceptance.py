@@ -54,7 +54,7 @@ from launderscan.urlrules import (
     verify_spoof_followthrough,
 )
 
-from conftest import DAY0, WINDOW, u32_to_ip
+from conftest import DAY0, WINDOW, truth_from_json, u32_to_ip
 
 SUFFIX = PublicSuffixSet.builtin()
 HOUR_MS = 3_600_000
@@ -88,7 +88,7 @@ def big_run(big_dir):
         malware = load_malware_list(fh)
     report = detect(loaded.http, table, ranking, malware, DetectorConfig(), WINDOW)
     elapsed = time.monotonic() - t0
-    truth = sg.GroundTruth.from_json_dict(json.loads((big_dir / "truth.json").read_text()))
+    truth = truth_from_json(json.loads((big_dir / "truth.json").read_text()))
     index = build_resolution_index(loaded.http, table, WINDOW)
     return {
         "loaded": loaded,
@@ -271,7 +271,7 @@ def test_criterion_6_panel_ranking(tmp_path):
         1
         for imp in corpus.trace.impressions
         if imp.machine_id.startswith("bg-")
-        and imp.attributed_domain.registrable in corpus.alias.index
+        and imp.domain.registrable in corpus.alias.index
     )
     print(f"    ranked={len(ranked)} planted_top={top} sibling_attributed={sibling_ads}")
     check(6, "planted machines occupy the top ranks", set(top) == set(planted))
@@ -339,12 +339,11 @@ def test_criterion_9_spoof_rule(big_run):
     for machine in sorted(by_machine):
         recs = sorted(by_machine[machine], key=lambda r: r.timestamp)
         for rec in recs:
-            signal = check_spoof_query(rec.url, SUFFIX, ts=rec.timestamp)
+            signal = check_spoof_query(rec.url, SUFFIX)
             if signal is None:
                 continue
             total += 1
-            signal = verify_spoof_followthrough(signal, recs, 60_000)
-            verified += signal.verified
+            verified += verify_spoof_followthrough(signal, rec.timestamp, recs, 60_000)
     ad_calls = sum(
         1
         for recs in by_machine.values()
@@ -363,10 +362,10 @@ def test_criterion_9_spoof_rule(big_run):
             for rec in sorted(by_machine[machine], key=lambda r: r.timestamp)
         ]
         for rec in recs:
-            signal = check_spoof_query(rec.url, SUFFIX, ts=rec.timestamp)
+            signal = check_spoof_query(rec.url, SUFFIX)
             if signal is None:
                 continue
-            mutated_verified += verify_spoof_followthrough(signal, recs, 60_000).verified
+            mutated_verified += verify_spoof_followthrough(signal, rec.timestamp, recs, 60_000)
     check(9, "mutated land_ip leaves every signal unverified", mutated_verified == 0)
 
 
@@ -377,15 +376,11 @@ def test_criterion_10_frame_depth():
     assert sum(tainted_counts.values()) == 6139
     assert sum(general_counts.values()) == 660
     tainted = DepthSample(
-        records=tuple(
-            (f"http://t{i}-{d}/", d) for d, n in tainted_counts.items() for i in range(n)
-        ) + tuple((f"http://tz{i}/", 0) for i in range(44_358)),
+        depths=tuple(d for d, n in tainted_counts.items() for _ in range(n)) + (0,) * 44_358,
         label="tainted",
     )
     general = DepthSample(
-        records=tuple(
-            (f"http://g{i}-{d}/", d) for d, n in general_counts.items() for i in range(n)
-        ) + tuple((f"http://gz{i}/", 0) for i in range(5_825)),
+        depths=tuple(d for d, n in general_counts.items() for _ in range(n)) + (0,) * 5_825,
         label="general",
     )
     result = compare(tainted, general)

@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+import re
 import shlex
 from pathlib import Path
 
@@ -340,7 +341,7 @@ def test_non_ascii_digit_land_ip_is_a_malformed_signal(tmp_path):
     assert "SpoofQueryFields" in profile[7].split(";")
 
 
-def test_framedepth_cli(tmp_path):
+def test_framedepth_cli(tmp_path, capsys):
     tainted = tmp_path / "tainted.csv"
     general = tmp_path / "general.csv"
     tainted.write_text("url,max_depth\n" + "".join(f"http://t{i}/,{d}\n" for i, d in enumerate([2, 3, 11, 5, 4])))
@@ -352,8 +353,53 @@ def test_framedepth_cli(tmp_path):
     obj = json.loads(out.read_text())
     assert obj["a"]["max_depth"] == 11
     assert plot.read_text().startswith("# depth")
+    assert "skipped tainted=0 general=0" in capsys.readouterr().out
     assert main(["framedepth", "--tainted", str(tmp_path / "nope.csv"), "--general", str(general),
                  "--out", str(out)]) == 2
+    # a depth past MAX_DEPTH is a skipped row, and stdout counts it
+    tainted.write_text("http://a/,200000\nhttp://b/,1\n")
+    capsys.readouterr()
+    assert main(["framedepth", "--tainted", str(tainted), "--general", str(general),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("skipped tainted=1 general=0")
+
+
+def test_unstored_trace_fields_feed_no_output(scenario_dir, tmp_path, capsys):
+    """load_trace checks an http line's method and status and loads an
+    impression whatever its account, but stores none of them: other valid
+    values leave every output file and stdout byte-identical."""
+    rewritten = tmp_path / "rewritten.jsonl"
+    with open(scenario_dir / "trace.jsonl", encoding="utf-8") as src, \
+            open(rewritten, "w", encoding="utf-8") as dst:
+        for line in src:
+            obj = json.loads(line)
+            if obj.get("kind", "http") == "http":
+                obj.update(method="POST", status=404)
+            elif obj["kind"] == "impression":
+                obj["account"] = ["x", 1]
+            dst.write(json.dumps(obj) + "\n")
+
+    def outputs(trace: Path, out: Path):
+        report = out / "report.json"
+        chain = [
+            ["detect", "--trace", trace, "--ipmap", scenario_dir / "ipmap.csv",
+             "--ranking", scenario_dir / "ranking.txt", "--malware", scenario_dir / "malware.txt",
+             "--out", report],
+            ["fingerprint", "--report", report, "--trace", trace, "--out", out / "fp"],
+            ["rules", "--trace", trace, "--out", out / "findings.jsonl"],
+            ["panelscan", "--trace", trace, "--alias", scenario_dir / "aliases.csv",
+             "--min-ads", "5", "--out", out / "panel"],
+        ]
+        stdout = []
+        for argv in chain:
+            assert main([str(a) for a in argv]) == 0, argv
+            stdout.append(re.sub(r"elapsed_s=\S+", "", capsys.readouterr().out))
+        files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        return stdout, files
+
+    original = outputs(scenario_dir / "trace.jsonl", tmp_path / "original")
+    assert "profiles=0" not in original[0][1] and "spoof_signals=0" not in original[0][2]
+    assert outputs(rewritten, tmp_path / "rewritten") == original
 
 
 def test_rules_finds_verified_spoof_signals(scenario_dir, tmp_path):

@@ -33,12 +33,10 @@ def _rec(url, ip, ts=DAY0 + 1000, machine="m1", proc="chrome.exe"):
         timestamp=ts,
         machine_id=machine,
         process_name=proc,
-        method="GET",
         url=url,
         domain=record_domain(url, SUFFIX),
         referrer=None,
         server_ip=ip,
-        status=200,
         user_agent="UA",
     )
 

@@ -118,12 +118,10 @@ def _rec(url, ip, ts=DAY0 + 1000, machine="m1", proc="botproc.exe", ua="UA-1"):
         timestamp=ts,
         machine_id=machine,
         process_name=proc,
-        method="GET",
         url=url,
         domain=record_domain(url, SUFFIX),
         referrer=None,
         server_ip=ip,
-        status=200,
         user_agent=ua,
     )
 

@@ -6,7 +6,7 @@ from launderscan.framedepth import MAX_DEPTH, DepthSample, compare, depth_histog
 
 
 def _sample(depths, label="s"):
-    return DepthSample(records=tuple((f"http://u{i}/", d) for i, d in enumerate(depths)), label=label)
+    return DepthSample(depths=tuple(depths), label=label)
 
 
 def test_histogram_exclude_zero():
@@ -89,7 +89,7 @@ def test_load_depth_csv():
         "http://j.com/,200000",
     ]
     sample, skipped = load_depth_csv(lines, label="t")
-    assert [d for _, d in sample.records] == [3, 0, MAX_DEPTH]
+    assert sample.depths == (3, 0, MAX_DEPTH)
     assert [s.reason for s in skipped] == ["bad row", "negative depth"] + ["bad depth"] * 7
     assert [s.line_no for s in skipped[-2:]] == [12, 13]
 

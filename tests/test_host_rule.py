@@ -73,11 +73,8 @@ def _answers(url: str, host: str):
         label="Unlabeled",
     )
     profile = extract_features(detection, [_rec(url)], SUFFIX)
-    signal = SpoofSignal(
-        source_url="http://ads.net/call", source_ts=1_000,
-        spoof_domain=normalize_domain(host, SUFFIX), land_ip=IP,
-    )
-    verified = verify_spoof_followthrough(signal, [_rec(url)], 60_000).verified
+    signal = SpoofSignal(spoof_domain=normalize_domain(host, SUFFIX), land_ip=IP)
+    verified = verify_spoof_followthrough(signal, 1_000, [_rec(url)], 60_000)
     referrer = sibling_referrer_consistency(
         [f"http://ads.net/call?referrer={quote(url, safe='')}"], "referrer", SUFFIX
     )

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from launderscan.ingest import AliasGroups, load_alias_groups
-from launderscan.model import DAY_MS, ImpressionRecord, PageViewRecord, PublicSuffixSet, normalize_domain
+from launderscan.model import DAY_MS, DomainEvent, PublicSuffixSet, normalize_domain
 from launderscan.panel import (
     SessionPolicy,
     attributed_ads,
@@ -12,22 +12,18 @@ from launderscan.panel import (
     rank_machines,
 )
 
-from conftest import DAY0
+from conftest import DAY0, total_attributed
 
 SUFFIX = PublicSuffixSet.builtin()
 ALIAS = load_alias_groups(["outlook.com,live.com,hotmail.com", "realtor.com,move.com"], SUFFIX)
 
 
 def _imp(machine, domain, ts):
-    return ImpressionRecord(
-        timestamp=ts, machine_id=machine, attributed_domain=normalize_domain(domain, SUFFIX)
-    )
+    return DomainEvent(timestamp=ts, machine_id=machine, domain=normalize_domain(domain, SUFFIX))
 
 
 def _pv(machine, domain, ts):
-    return PageViewRecord(
-        timestamp=ts, machine_id=machine, publisher_domain=normalize_domain(domain, SUFFIX)
-    )
+    return DomainEvent(timestamp=ts, machine_id=machine, domain=normalize_domain(domain, SUFFIX))
 
 
 def test_policy_validation():
@@ -191,5 +187,5 @@ def test_conservation_of_attributed_counts():
     in_day = [i for i in imps if DAY0 <= i.timestamp < DAY0 + DAY_MS]
     policy = SessionPolicy()
     _, table = _total_missing(imps, pvs, policy)
-    assert table.total_attributed() == len(in_day)
+    assert total_attributed(table) == len(in_day)
     assert sum(s.attributed for s in table.per_machine.values()) == len(in_day)

@@ -12,7 +12,7 @@ from launderscan.ingest import load_alias_groups
 from launderscan.model import DAY_MS, PublicSuffixSet, is_valid_ipv4
 from launderscan.panel import SessionPolicy, attributed_ads, misattribution_table, publisher_visits
 
-from conftest import DAY0, SMALL_SCENARIO, WINDOW, parsed_count
+from conftest import DAY0, SMALL_SCENARIO, WINDOW, parsed_count, truth_from_json
 
 SUFFIX = PublicSuffixSet.builtin()
 
@@ -105,7 +105,7 @@ def test_truth_roundtrip(tmp_path):
     scenario = _tiny_scenario()
     corpus = sg.generate(scenario)
     sg.emit_scenario_files(scenario, tmp_path)
-    loaded = sg.GroundTruth.from_json_dict(json.loads((tmp_path / "truth.json").read_text()))
+    loaded = truth_from_json(json.loads((tmp_path / "truth.json").read_text()))
     assert loaded.planted_pairs == corpus.truth.planted_pairs
     assert loaded.record_labels == corpus.truth.record_labels
     assert loaded.scheme_machines == corpus.truth.scheme_machines

@@ -25,7 +25,6 @@ def test_spoof_query_extraction():
     assert sig is not None
     assert sig.spoof_domain.registrable == "example.com"
     assert sig.land_ip == "10.1.2.3"
-    assert not sig.verified
 
 
 def test_spoof_query_requires_both_keys():
@@ -83,20 +82,16 @@ def _rec(ts, url, ip, machine="m1"):
         timestamp=ts,
         machine_id=machine,
         process_name="p",
-        method="GET",
         url=url,
         domain=record_domain(url, SUFFIX),
         referrer=None,
         server_ip=ip,
-        status=200,
         user_agent=None,
     )
 
 
-def _signal(ts=1000):
-    return check_spoof_query(
-        "http://x.tld/ad?spoof_domain=example.com&land_ip=10.1.2.3", SUFFIX, ts=ts
-    )
+def _signal():
+    return check_spoof_query("http://x.tld/ad?spoof_domain=example.com&land_ip=10.1.2.3", SUFFIX)
 
 
 def test_followthrough_verified():
@@ -105,12 +100,12 @@ def test_followthrough_verified():
         _rec(3000, "http://other.com/", "5.5.5.5"),
         _rec(6000, "http://www.example.com/page", "10.1.2.3"),
     ]
-    assert verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000).verified
+    assert verify_spoof_followthrough(_signal(), 1000, trace, horizon_ms=60_000)
 
 
 def test_followthrough_wrong_ip_not_verified():
     trace = [_rec(6000, "http://www.example.com/page", "10.9.9.9")]
-    assert not verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000).verified
+    assert not verify_spoof_followthrough(_signal(), 1000, trace, horizon_ms=60_000)
 
 
 def test_followthrough_at_the_signal_time_not_verified():
@@ -119,17 +114,17 @@ def test_followthrough_at_the_signal_time_not_verified():
         _rec(1000, "http://www.example.com/page", "10.1.2.3"),
         _rec(1000, "http://x.tld/ad?spoof_domain=example.com&land_ip=10.1.2.3", "4.4.4.4"),
     ]
-    assert not verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000).verified
+    assert not verify_spoof_followthrough(_signal(), 1000, trace, horizon_ms=60_000)
     trace.append(_rec(1001, "http://www.example.com/page", "10.1.2.3"))
-    assert verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000).verified
+    assert verify_spoof_followthrough(_signal(), 1000, trace, horizon_ms=60_000)
 
 
 def test_followthrough_outside_horizon_not_verified():
     trace = [_rec(70_000, "http://www.example.com/page", "10.1.2.3")]
-    assert not verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000).verified
+    assert not verify_spoof_followthrough(_signal(), 1000, trace, horizon_ms=60_000)
     # horizon is inclusive at the edge
     trace = [_rec(61_000, "http://www.example.com/page", "10.1.2.3")]
-    assert verify_spoof_followthrough(_signal(), trace, horizon_ms=60_000).verified
+    assert verify_spoof_followthrough(_signal(), 1000, trace, horizon_ms=60_000)
 
 
 def test_referrer_inconsistency_detected():
