@@ -22,6 +22,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 from . import fingerprint as fp
 from . import framedepth as fd
@@ -214,14 +215,15 @@ def _windows(window, records) -> list[tuple[int, int]]:
     return _split_days(span)
 
 
-def _write_text(path: Path, text: str):
+def _write_text(path: Path, chunks: Iterable[str]):
+    """Write the strings one after another, without holding them joined."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _write_json(path: Path, obj):
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    _write_text(path, [json.dumps(obj, sort_keys=True, indent=1) + "\n"])
 
 
 def _write_csv(path: Path, rows):
@@ -385,9 +387,9 @@ def cmd_fingerprint(args) -> int:
     _write_csv(outdir / "profiles.csv", rows)
     if named:
         matrix = fp.jaccard_matrix([p for p, _ in named])
-        _write_text(outdir / "jaccard.csv", "\n".join(matrix.to_csv_lines()) + "\n")
+        _write_text(outdir / "jaccard.csv", ["\n".join(matrix.to_csv_lines()) + "\n"])
     else:
-        _write_text(outdir / "jaccard.csv", "\n")
+        _write_text(outdir / "jaccard.csv", ["\n"])
     print(f"detections={len(pairs)} profiles={len(named)}")
     return EXIT_OK
 
@@ -432,7 +434,7 @@ def cmd_panelscan(args) -> int:
         stat = table.per_machine[machine]
         mach_rows.append([machine, stat.attributed, stat.missing])
     _write_csv(outdir / "machines.csv", mach_rows)
-    _write_text(outdir / "ranking.txt", "".join(m + "\n" for m in ranked))
+    _write_text(outdir / "ranking.txt", (m + "\n" for m in ranked))
 
     evidence = []
     for machine in ranked[: args.top]:
@@ -441,7 +443,7 @@ def cmd_panelscan(args) -> int:
         for ts, dom in events:
             evidence.append(f"{ts} {dom}")
         evidence.append("")
-    _write_text(outdir / "evidence.txt", "\n".join(evidence) + ("\n" if evidence else ""))
+    _write_text(outdir / "evidence.txt", (e + "\n" for e in evidence))
     print(
         f"days={_day_count(span) if span else 0} machines_ranked={len(ranked)} "
         f"below_min_ads={below_min_ads} impressions={len(loaded.impressions)}"
@@ -472,7 +474,7 @@ def cmd_framedepth(args) -> int:
     cmp_result = fd.compare(tainted, general)
     _write_json(Path(args.out), cmp_result.to_json_dict())
     if args.plotdata:
-        _write_text(Path(args.plotdata), "\n".join(cmp_result.plot_lines()) + "\n")
+        _write_text(Path(args.plotdata), ["\n".join(cmp_result.plot_lines()) + "\n"])
     print(
         f"max_depth tainted={cmp_result.max_depth_a} general={cmp_result.max_depth_b} "
         f"dominance_k3={dict(cmp_result.tail_dominance).get(3, 0.0):+.4f} "
@@ -485,21 +487,13 @@ def cmd_synth(args) -> int:
     _check_flag(args.seed >= 0, "--seed", ">= 0")
     _check_flag(args.machines >= 0, "--machines", ">= 0")
     with _flag_values(divisor="--scale-divisor", day_count="--days"):
-        if args.plants == "five":
-            scenario = sg.five_scheme_scenario(
-                seed=args.seed,
-                divisor=args.scale_divisor,
-                background_machines=args.machines,
-                day_count=args.days,
-            )
-        else:
-            scenario = sg.Scenario(
-                seed=args.seed,
-                day_count=args.days,
-                divisor=args.scale_divisor,
-                background=sg.BackgroundSpec(machine_count=args.machines),
-                plants=(),
-            )
+        scenario = sg.Scenario(
+            seed=args.seed,
+            day_count=args.days,
+            divisor=args.scale_divisor,
+            background=sg.BackgroundSpec(machine_count=args.machines),
+            plants=sg.five_scheme_plants() if args.plants == "five" else (),
+        )
     manifest = sg.emit_scenario_files(scenario, args.out)
     lines = manifest["files"]["trace.jsonl"]["lines"]
     print(f"out={args.out} trace_lines={lines} plants={len(manifest['plants'])} seed={manifest['seed']}")
@@ -571,10 +565,7 @@ def cmd_rules(args) -> int:
             }
         )
     if args.out:
-        _write_text(
-            Path(args.out),
-            "".join(json.dumps(f, sort_keys=True) + "\n" for f in findings),
-        )
+        _write_text(Path(args.out), (json.dumps(f, sort_keys=True) + "\n" for f in findings))
     spoof_total = sum(1 for f in findings if f["type"] == "spoof_signal")
     print(f"findings={len(findings)} spoof_signals={spoof_total} verified={verified}")
     return EXIT_OK

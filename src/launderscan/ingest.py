@@ -80,7 +80,8 @@ def load_trace(
 
     An http line's ``method`` and ``status`` are checked (a string; an int or
     absent) but not stored, and an impression's ``account`` is neither: no
-    analysis reads them.  Each distinct value is checked once and stored
+    analysis reads them.  ``attr_domain`` and ``pub_domain`` load only from a
+    string that normalizes.  Each distinct value is checked once and stored
     once, however many lines repeat it: an IP string is validated once, a
     URL host, attr_domain or pub_domain is normalized once, and every record
     gets the first ``str`` object seen for its machine, process, IP, user
@@ -98,7 +99,9 @@ def load_trace(
             raise ParseAbortError(line_no, reason)
         out.skipped.append(Skip(line_no, reason))
 
-    def domain_of(name: str) -> Optional[NormalizedDomain]:
+    def domain_of(name) -> Optional[NormalizedDomain]:
+        if not isinstance(name, str):  # a JSON null, bool, number, list or object
+            return None
         if name not in domains:
             try:
                 domains[name] = normalize_domain(name, suffix)
@@ -176,13 +179,13 @@ def load_trace(
                 )
             )
         elif kind == "impression":
-            dom = domain_of(str(obj["attr_domain"])) if "attr_domain" in obj else None
+            dom = domain_of(obj.get("attr_domain"))
             if dom is None:
                 skip(line_no, "bad attr_domain")
                 continue
             out.impressions.append(DomainEvent(timestamp=ts, machine_id=machine, domain=dom))
         elif kind == "pageview":
-            dom = domain_of(str(obj["pub_domain"])) if "pub_domain" in obj else None
+            dom = domain_of(obj.get("pub_domain"))
             if dom is None:
                 skip(line_no, "bad pub_domain")
                 continue

@@ -5,7 +5,9 @@ with full ground truth for evaluating every detector.
 Determinism contract: a fixed seed yields byte-identical output files.
 Generation is partitioned per machine with derived sub-seeds, records are
 written grouped by machine (background first, then plants in template order)
-and time-ordered within each machine.
+and time-ordered within each machine.  A block's scheme label marks every
+line of it in the ground truth: a plant machine's lines carry its template's
+label, and a background machine's lines carry none.
 
 Volume scaling: a scheme's daily request volume is divided by the scenario
 divisor, but every plant IP still serves its full per-day target-domain set
@@ -21,7 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,8 +68,10 @@ UA_IE = "Mozilla/5.0 (compatible; MSIE 11.0; Windows NT 6.1; Trident/7.0)"
 
 MALWARE_DECOYS = ("adware_helper.exe", "trkbot32.exe", "clickzombie.exe")
 
-ALIAS_DOMAINS = ("outlook.com", "live.com", "hotmail.com", "realtor.com", "move.com")
 ALIAS_GROUP_LINES = ("outlook.com,live.com,hotmail.com", "realtor.com,move.com")
+ALIAS_DOMAINS = tuple(dom for line in ALIAS_GROUP_LINES for dom in line.split(","))
+# the referrer parameter every ReferrerGate scheme's secondary requests carry
+GATE_TOKEN = "monkeysee"
 
 _TLDS = ("com", "net", "org", "info", "biz")
 
@@ -164,7 +168,6 @@ def five_scheme_plants() -> tuple[SchemeTemplate, ...]:
             daily_requests=18_878,
             daily_impressions=4_700,
             process_name="updater.exe",
-            extras={"gate_token": "monkeysee"},
         ),
         SchemeTemplate(
             label="scheme-omega",
@@ -210,11 +213,17 @@ def five_scheme_scenario(
 
 @dataclass(frozen=True)
 class GroundTruth:
-    planted_pairs: frozenset[tuple[str, str]]
-    planted_machines: frozenset[str]
     record_labels: dict[int, str]  # trace.jsonl line index -> scheme label; absent = clean
     scheme_pairs: dict[str, frozenset[tuple[str, str]]]
     scheme_machines: dict[str, frozenset[str]]
+
+    @property
+    def planted_pairs(self) -> frozenset[tuple[str, str]]:
+        return frozenset().union(*self.scheme_pairs.values())
+
+    @property
+    def planted_machines(self) -> frozenset[str]:
+        return frozenset().union(*self.scheme_machines.values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -334,24 +343,23 @@ def _build_world(scenario: Scenario) -> _World:
 # Record streams (one block per machine, time-ordered inside the block)
 # ---------------------------------------------------------------------------
 
-Row = tuple[int, dict, Optional[str]]  # (sort ts, json-ready payload, scheme label)
+
+def _http(ts: int, machine: str, proc: str, url: str, ref: str | None, ip: str, ua: str) -> dict:
+    """One http line's payload, its keys in the order trace.jsonl writes them."""
+    return {"ts": ts, "machine": machine, "proc": proc, "method": "GET", "url": url,
+            "ref": ref, "ip": ip, "status": 200, "ua": ua, "kind": "http"}
 
 
-def _background_block(scenario: Scenario, world: _World, i: int) -> list[Row]:
+def _background_block(scenario: Scenario, world: _World, i: int) -> list[dict]:
     bg = scenario.background
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(scenario.seed, 1, i)))
     machine = f"bg-{i:05d}"
-    n_dom = len(world.domains)
     # block schedule: machine i visits domains [i*v, i*v + v) mod pool, so the
     # population collectively covers every pool domain each day whenever
     # machine_count * visits_per_machine >= domain_count
-    visit_idx: list[int] = []
-    for k in range(bg.visits_per_machine):
-        j = (i * bg.visits_per_machine + k) % n_dom
-        if j not in visit_idx:
-            visit_idx.append(j)
-    visit_doms = [world.domains[j] for j in visit_idx]
-    rows: list[Row] = []
+    v = bg.visits_per_machine
+    visit_doms = list(dict.fromkeys(world.domains[(i * v + k) % len(world.domains)] for k in range(v)))
+    rows: list[dict] = []
     for d in range(scenario.day_count):
         day = EPOCH_MS + d * DAY_MS
         vts = np.sort(rng.integers(day, day + DAY_MS - 3_600_000, size=len(visit_doms)))
@@ -359,9 +367,8 @@ def _background_block(scenario: Scenario, world: _World, i: int) -> list[Row]:
         visit_ts = {}
         for slot, j in enumerate(order):
             dom = visit_doms[int(j)]
-            ts = int(vts[slot])
-            visit_ts[dom] = ts
-            rows.append((ts, {"ts": ts, "machine": machine, "kind": "pageview", "pub_domain": dom}, None))
+            visit_ts[dom] = ts = int(vts[slot])
+            rows.append({"ts": ts, "machine": machine, "kind": "pageview", "pub_domain": dom})
         n_http = DAILY_REQUESTS_PER_MACHINE
         hts = rng.integers(day, day + DAY_MS, size=n_http)
         hdx = rng.integers(0, len(visit_doms), size=n_http)
@@ -373,27 +380,12 @@ def _background_block(scenario: Scenario, world: _World, i: int) -> list[Row]:
         for k in range(n_http):
             dom = visit_doms[int(hdx[k])]
             ips = world.home_ips[dom]
-            ip = ips[int(ip_pick[k]) % len(ips)]
-            ts = int(hts[k])
-            url = f"http://www.{dom}/p/{int(paths[k])}"
-            rows.append(
-                (
-                    ts,
-                    {
-                        "ts": ts,
-                        "machine": machine,
-                        "proc": BACKGROUND_PROCS[int(proc_i[k])],
-                        "method": "GET",
-                        "url": url,
-                        "ref": f"http://www.{dom}/" if ref_coin[k] < 0.5 else None,
-                        "ip": ip,
-                        "status": 200,
-                        "ua": BACKGROUND_UAS[int(ua_i[k])],
-                        "kind": "http",
-                    },
-                    None,
-                )
-            )
+            rows.append(_http(
+                int(hts[k]), machine, BACKGROUND_PROCS[int(proc_i[k])],
+                f"http://www.{dom}/p/{int(paths[k])}",
+                f"http://www.{dom}/" if ref_coin[k] < 0.5 else None,
+                ips[int(ip_pick[k]) % len(ips)], BACKGROUND_UAS[int(ua_i[k])],
+            ))
         n_imp = IMPRESSIONS_PER_MACHINE
         imp_dx = rng.integers(0, len(visit_doms), size=n_imp)
         deltas = rng.integers(60_000, 3_600_000, size=n_imp)
@@ -408,11 +400,11 @@ def _background_block(scenario: Scenario, world: _World, i: int) -> list[Row]:
             if gid is not None and sib_coin[k] < ALIAS_SIBLING_RATE:
                 siblings = sorted(world.alias.groups[gid] - {dom})
                 attr = siblings[int(rng.integers(0, len(siblings)))]
-            payload = {"ts": ts, "machine": machine, "kind": "impression", "attr_domain": attr}
+            row = {"ts": ts, "machine": machine, "kind": "impression", "attr_domain": attr}
             if acct_coin[k] < 0.3:
-                payload["account"] = f"acct-{int(acct_val[k]):02d}"
-            rows.append((ts, payload, None))
-    rows.sort(key=lambda r: r[0])
+                row["account"] = f"acct-{int(acct_val[k]):02d}"
+            rows.append(row)
+    rows.sort(key=lambda r: r["ts"])
     return rows
 
 
@@ -432,48 +424,27 @@ def _malformed_variant(dom: str, tag: str) -> str:
 
 def _plant_machine_block(
     scenario: Scenario, world: _World, p_idx: int, tpl: SchemeTemplate, k: int
-) -> list[Row]:
+) -> list[dict]:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(scenario.seed, 2, p_idx, k)))
     machine = f"{tpl.label}-m{k:03d}"
-    ips = world.plant_ips[tpl.label]
     targets = world.plant_targets[tpl.label]
     g = k % tpl.ip_count
-    ip = ips[g]
+    ip = world.plant_ips[tpl.label][g]
     group = list(range(g, tpl.machine_count, tpl.ip_count))
     rank = group.index(k)
     group_size = len(group)
     scaled_fill = max(0, round(tpl.daily_requests / scenario.divisor))
     imp_total = max(0, round(tpl.daily_impressions / scenario.divisor))
-    gate_token = tpl.extras.get("gate_token", "monkeysee")
     malformed_fraction = float(tpl.extras.get("malformed_fraction", 0.0))
     replay_ms = int(tpl.extras.get("replay_period_ms", 0))
-    rows: list[Row] = []
-    ua_seq = 0
+    if not 0 < replay_ms < DAY_MS:
+        replay_ms = 0
+    uas = itertools.cycle(tpl.user_agents)
 
-    def ua() -> str:
-        nonlocal ua_seq
-        s = tpl.user_agents[ua_seq % len(tpl.user_agents)]
-        ua_seq += 1
-        return s
+    def http(ts: int, url: str, ref: str | None = None) -> dict:
+        return _http(ts, machine, tpl.process_name, url, ref, ip, next(uas))
 
-    def http_row(ts: int, url: str, ref: Optional[str], server_ip: str) -> Row:
-        return (
-            ts,
-            {
-                "ts": ts,
-                "machine": machine,
-                "proc": tpl.process_name,
-                "method": "GET",
-                "url": url,
-                "ref": ref,
-                "ip": server_ip,
-                "status": 200,
-                "ua": ua(),
-                "kind": "http",
-            },
-            tpl.label,
-        )
-
+    rows: list[dict] = []
     for d in range(scenario.day_count):
         day = EPOCH_MS + d * DAY_MS
         today = _active_targets(tpl, targets, d)
@@ -483,38 +454,32 @@ def _plant_machine_block(
         coverage_total = len(today) * tpl.ip_count
         fill_total = max(0, scaled_fill - coverage_total)
         my_fill = fill_total // tpl.machine_count + (1 if k < fill_total % tpl.machine_count else 0)
-        fill_doms = [today[int(j)] for j in rng.integers(0, len(today), size=my_fill)]
-        units = [(dom, True) for dom in my_doms] + [(dom, False) for dom in fill_doms]
-        if replay_ms > 0 and replay_ms < DAY_MS:
+        units = my_doms + [today[int(j)] for j in rng.integers(0, len(today), size=my_fill)]
+        if replay_ms:
             base_span = min(DAY_MS - replay_ms, replay_ms) - 1
             uts = np.sort(rng.integers(day, day + base_span, size=len(units)))
         else:
             uts = np.sort(rng.integers(day, day + DAY_MS - 60_000, size=len(units)))
-        day_rows: list[Row] = []
-        for u, (dom, _) in enumerate(units):
-            ts = int(uts[u])
+        day_rows: list[dict] = []
+        for dom, ts in zip(units, uts.tolist()):
             if tpl.kind == KIND_HOSTS_HIJACK:
                 cb = int(rng.integers(0, 10_000_000))
                 ad_url = (
                     f"http://sync.adx-mediahub.net/imp?cb={cb}"
                     f"&spoof_domain={dom}&land_ip={ip}"
                 )
-                day_rows.append(http_row(ts, ad_url, None, ip))
+                day_rows.append(http(ts, ad_url))
                 follow_ts = ts + int(rng.integers(2_000, 8_000))
-                day_rows.append(
-                    http_row(follow_ts, f"http://www.{dom}/article/{cb}", ad_url, ip)
-                )
+                day_rows.append(http(follow_ts, f"http://www.{dom}/article/{cb}", ad_url))
             elif tpl.kind == KIND_REFERRER_GATE:
                 c = int(rng.integers(1, 9))
                 staging = f"http://{dom}/featured?category={c}"
-                day_rows.append(http_row(ts, staging, None, ip))
+                day_rows.append(http(ts, staging))
                 sec_ts = ts + int(rng.integers(500, 3_000))
                 sec = f"http://{dom}/living/post-{int(rng.integers(0, 100_000))}"
-                day_rows.append(http_row(sec_ts, sec, f"{staging}&gate={gate_token}", ip))
+                day_rows.append(http(sec_ts, sec, f"{staging}&gate={GATE_TOKEN}"))
             else:
-                day_rows.append(
-                    http_row(ts, f"http://{dom}/c/{int(rng.integers(0, 100_000))}", None, ip)
-                )
+                day_rows.append(http(ts, f"http://{dom}/c/{int(rng.integers(0, 100_000))}"))
         if malformed_fraction > 0.0:
             n_bad = round(malformed_fraction * len(units))
             bad_dx = rng.integers(0, len(today), size=n_bad)
@@ -523,82 +488,55 @@ def _plant_machine_block(
             tag_dx = rng.integers(0, len(tags), size=n_bad)
             for b in range(n_bad):
                 host = _malformed_variant(today[int(bad_dx[b])], tags[int(tag_dx[b])])
-                ts = int(bad_ts[b])
-                day_rows.append(http_row(ts, f"http://{host}/t/{b}", None, ip))
-        if replay_ms > 0 and replay_ms < DAY_MS:
-            dup = []
-            for ts, payload, label in day_rows:
-                ts2 = ts + replay_ms
-                if ts2 < day + DAY_MS:
-                    p2 = dict(payload)
-                    p2["ts"] = ts2
-                    dup.append((ts2, p2, label))
-            day_rows.extend(dup)
+                day_rows.append(http(int(bad_ts[b]), f"http://{host}/t/{b}"))
+        if replay_ms:
+            day_rows += [{**row, "ts": row["ts"] + replay_ms}
+                         for row in day_rows if row["ts"] + replay_ms < day + DAY_MS]
         my_imps = imp_total // tpl.machine_count + (1 if k < imp_total % tpl.machine_count else 0)
         imp_dx = rng.integers(0, len(today), size=my_imps)
         imp_ts = rng.integers(day, day + DAY_MS, size=my_imps)
         for b in range(my_imps):
-            ts = int(imp_ts[b])
-            day_rows.append(
-                (
-                    ts,
-                    {
-                        "ts": ts,
-                        "machine": machine,
-                        "kind": "impression",
-                        "attr_domain": today[int(imp_dx[b])],
-                        "account": f"acct-x{p_idx:02d}",
-                    },
-                    tpl.label,
-                )
-            )
+            day_rows.append({"ts": int(imp_ts[b]), "machine": machine, "kind": "impression",
+                             "attr_domain": today[int(imp_dx[b])], "account": f"acct-x{p_idx:02d}"})
         rows.extend(day_rows)
-    rows.sort(key=lambda r: r[0])
+    rows.sort(key=lambda r: r["ts"])
     return rows
 
 
 def _trace_blocks(scenario: Scenario, world: _World, labels: dict[int, str]) -> Iterator[list[str]]:
     """The lines of trace.jsonl, one block per machine (background first, then
-    plants in template order).  Puts the file index of each planted line into
-    ``labels``."""
+    plants in template order).  Maps the file index of every line of a plant
+    machine's block to its template's label in ``labels``."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
     blocks = itertools.chain(
-        (_background_block(scenario, world, i) for i in range(scenario.background.machine_count)),
+        ((None, _background_block(scenario, world, i)) for i in range(scenario.background.machine_count)),
         (
-            _plant_machine_block(scenario, world, p_idx, tpl, k)
+            (tpl.label, _plant_machine_block(scenario, world, p_idx, tpl, k))
             for p_idx, tpl in enumerate(scenario.plants)
             for k in range(tpl.machine_count)
         ),
     )
-    idx = 0
-    for block in blocks:
-        for _, _, label in block:
-            if label is not None:
-                labels[idx] = label
-            idx += 1
-        yield [encode(payload) for _, payload, _ in block]
+    start = 0
+    for label, rows in blocks:
+        if label is not None:
+            labels.update(dict.fromkeys(range(start, start + len(rows)), label))
+        start += len(rows)
+        yield [encode(row) for row in rows]
 
 
 def _truth_from(
     scenario: Scenario, world: _World, record_labels: dict[int, str]
 ) -> GroundTruth:
-    scheme_pairs: dict[str, frozenset] = {}
-    scheme_machines: dict[str, frozenset] = {}
-    for tpl in scenario.plants:
-        pairs = frozenset(
-            (ip, world.plant_ip_isp[ip]) for ip in world.plant_ips[tpl.label]
-        )
-        machines = frozenset(f"{tpl.label}-m{k:03d}" for k in range(tpl.machine_count))
-        scheme_pairs[tpl.label] = pairs
-        scheme_machines[tpl.label] = machines
-    all_pairs = frozenset(p for s in scheme_pairs.values() for p in s)
-    all_machines = frozenset(m for s in scheme_machines.values() for m in s)
     return GroundTruth(
-        planted_pairs=all_pairs,
-        planted_machines=all_machines,
         record_labels=record_labels,
-        scheme_pairs=scheme_pairs,
-        scheme_machines=scheme_machines,
+        scheme_pairs={
+            tpl.label: frozenset((ip, world.plant_ip_isp[ip]) for ip in world.plant_ips[tpl.label])
+            for tpl in scenario.plants
+        },
+        scheme_machines={
+            tpl.label: frozenset(f"{tpl.label}-m{k:03d}" for k in range(tpl.machine_count))
+            for tpl in scenario.plants
+        },
     )
 
 
@@ -634,25 +572,18 @@ def generate(scenario: Scenario) -> GeneratedCorpus:
     )
 
 
-class _HashingWriter:
-    def __init__(self, path: Path):
-        self.path = path
-        self.sha = hashlib.sha256()
-        self.lines = 0
-        self.bytes = 0
-        self._fh = open(path, "wb")
-
-    def write_lines(self, lines: Sequence[str]):
-        """Write and hash the lines as one block, each ending in a newline."""
-        data = "".join(line + "\n" for line in lines).encode("utf-8")
-        self._fh.write(data)
-        self.sha.update(data)
-        self.lines += len(lines)
-        self.bytes += len(data)
-
-    def close(self) -> dict:
-        self._fh.close()
-        return {"sha256": self.sha.hexdigest(), "lines": self.lines, "bytes": self.bytes}
+def _write_blocks(path: Path, blocks: Iterable[Sequence[str]]) -> dict:
+    """Write the blocks of lines in order, each line ending in a newline;
+    returns the file's sha256, line count and byte count."""
+    sha, lines, size = hashlib.sha256(), 0, 0
+    with open(path, "wb") as fh:
+        for block in blocks:
+            data = "".join(line + "\n" for line in block).encode("utf-8")
+            fh.write(data)
+            sha.update(data)
+            lines += len(block)
+            size += len(data)
+    return {"sha256": sha.hexdigest(), "lines": lines, "bytes": size}
 
 
 def emit_scenario_files(scenario: Scenario, output_dir) -> dict:
@@ -668,23 +599,15 @@ def emit_scenario_files(scenario: Scenario, output_dir) -> dict:
         raise OSError(f"output directory not writable: {outdir}") from err
 
     world = _build_world(scenario)
-    files: dict[str, dict] = {}
-
-    trace = _HashingWriter(outdir / "trace.jsonl")
     labels: dict[int, str] = {}
-    for lines in _trace_blocks(scenario, world, labels):
-        trace.write_lines(lines)
-    files["trace.jsonl"] = trace.close()
-
+    files = {"trace.jsonl": _write_blocks(outdir / "trace.jsonl", _trace_blocks(scenario, world, labels))}
     truth = _truth_from(scenario, world, labels)
     tables = {
         **world.table_lines(),
         "truth.json": [json.dumps(truth.to_json_dict(), sort_keys=True)],
     }
     for name, lines in tables.items():
-        w = _HashingWriter(outdir / name)
-        w.write_lines(lines)
-        files[name] = w.close()
+        files[name] = _write_blocks(outdir / name, [lines])
 
     manifest = {
         "seed": scenario.seed,

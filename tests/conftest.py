@@ -29,8 +29,6 @@ def clean_scenario(seed: int, background_machines: int) -> sg.Scenario:
 def truth_from_json(obj: dict) -> sg.GroundTruth:
     """The ``GroundTruth`` whose ``to_json_dict()`` is ``obj``."""
     return sg.GroundTruth(
-        planted_pairs=frozenset((p[0], p[1]) for p in obj["planted_pairs"]),
-        planted_machines=frozenset(obj["planted_machines"]),
         record_labels={int(k): v for k, v in obj["record_labels"].items()},
         scheme_pairs={
             lab: frozenset((p[0], p[1]) for p in s["pairs"])

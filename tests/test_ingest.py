@@ -125,6 +125,20 @@ def test_impression_account_loads_as_given(account):
     assert len(result.impressions) == 1 and not result.skipped
 
 
+@pytest.mark.parametrize("kind, key", [("impression", "attr_domain"), ("pageview", "pub_domain")])
+@pytest.mark.parametrize("value", [None, True, 7, ["a.com"]])
+def test_non_string_domain_fields_are_skipped(kind, key, value):
+    """Only a JSON string names a domain: null, true, 7 and ["a.com"] are not
+    the domains none, true, 7 and ['a.com']."""
+    lines = [json.dumps({"ts": 5, "machine": "m1", "kind": kind, key: v}) for v in ("a.com", value)]
+    result = load_trace(lines, SUFFIX)
+    assert parsed_count(result) == 1
+    assert [(s.line_no, s.reason) for s in result.skipped] == [(2, f"bad {key}")]
+    with pytest.raises(ParseAbortError) as err:
+        load_trace(lines, SUFFIX, strict=True)
+    assert (err.value.line_no, err.value.reason) == (2, f"bad {key}")
+
+
 # Pools that repeat good and bad values, with hosts and domain names in common.
 _IPS = ["10.1.2.3", "10.1.2.4", "999.1.1.1", "1.1.1.\u00b2", ["1.1.1.1"], None]
 _HOSTS = ["www.a.com", "a.com", "B.net:8080", "b..com", "x y.com", "user@c.org"]

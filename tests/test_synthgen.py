@@ -1,9 +1,12 @@
 import hashlib
 import json
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from launderscan import cli
 from launderscan import synthgen as sg
 from launderscan.detector import DetectorConfig, build_resolution_index, candidate_domains, detect
 from launderscan.fingerprint import FLAG_REPEAT_CYCLE, extract_features
@@ -13,6 +16,9 @@ from launderscan.model import DAY_MS, PublicSuffixSet, is_valid_ipv4
 from launderscan.panel import SessionPolicy, attributed_ads, misattribution_table, publisher_visits
 
 from conftest import DAY0, SMALL_SCENARIO, WINDOW, parsed_count, truth_from_json
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from chainbench.run import PINS, synth_argv  # noqa: E402
 
 SUFFIX = PublicSuffixSet.builtin()
 
@@ -233,17 +239,22 @@ def test_alias_lines_load():
     assert len(groups.groups) == 2
 
 
-def test_replay_period_plants_a_repeat_cycle_on_that_scheme_alone():
-    """A 22 h ``replay_period_ms`` on scheme-gamma replays each gamma
-    machine's first two hours 22 h later; RepeatCycle then flags gamma's
-    profiles and no other scheme's."""
+@pytest.fixture(scope="module")
+def replay_corpus():
+    """SMALL_SCENARIO with a 22 h ``replay_period_ms`` on scheme-gamma."""
     period = 22 * 3_600_000
     plants = tuple(
         replace(t, extras={**t.extras, "replay_period_ms": period}) if t.label == "scheme-gamma" else t
         for t in sg.five_scheme_plants()
     )
-    scenario = replace(sg.five_scheme_scenario(seed=11, background_machines=320), plants=plants)
-    corpus = sg.generate(scenario)
+    return sg.generate(replace(SMALL_SCENARIO, plants=plants))
+
+
+def test_replay_period_plants_a_repeat_cycle_on_that_scheme_alone(replay_corpus):
+    """A 22 h ``replay_period_ms`` on scheme-gamma replays each gamma
+    machine's first two hours 22 h later; RepeatCycle then flags gamma's
+    profiles and no other scheme's."""
+    corpus = replay_corpus
     records = corpus.trace.http
     report = detect(records, corpus.table, corpus.ranking,
                     MalwareProcessList(frozenset(corpus.malware_names)), DetectorConfig(), WINDOW)
@@ -258,3 +269,40 @@ def test_replay_period_plants_a_repeat_cycle_on_that_scheme_alone():
     gamma = {ip for ip, _ in corpus.truth.scheme_pairs["scheme-gamma"]}
     assert len(gamma) == 4 and {d.ip for d in report.detections} >= gamma
     assert cycled == gamma
+
+
+@pytest.mark.parametrize("workload", ["day-mixed", "clean-3day"])
+def test_synth_trace_matches_the_benchmark_pin(workload, tmp_path):
+    """``synth`` with a benchmark workload's flags writes, for seed 7, the
+    trace whose sha256 and line count chainbench/pins.json holds."""
+    assert cli.main(synth_argv(workload, 7, tmp_path)) == 0
+    trace = json.loads((tmp_path / "manifest.json").read_text("utf-8"))["files"]["trace.jsonl"]
+    assert trace["sha256"] == hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()).hexdigest()
+    assert [trace["sha256"], trace["lines"]] == json.loads(PINS.read_text("utf-8"))[workload]["7"]
+
+
+@pytest.fixture(scope="module")
+def dense_two_day_corpus():
+    """Five schemes at divisor 25 over two days: the plants outweigh the
+    background, and each rotator machine changes targets between days."""
+    return sg.generate(sg.five_scheme_scenario(seed=3, divisor=25, background_machines=100, day_count=2))
+
+
+# for scenarios no benchmark pin covers: the sha256 of the trace lines (each
+# ending in a newline), their count and the sha256 of truth.json
+RECORDED_DIGESTS = {
+    "replay_corpus": ("dd3bfb1b7deb1f578356402e6f4b199bea83e63c6bb38652cd41bd77a14d0a53", 73_709,
+                      "39491bb2d915a00eea80bacefd94df06f68ccf17de71fb1c70569d591db329b8"),
+    "dense_two_day_corpus": ("aacbae412ff358b7d7dc0e299e1b43128f140e3cb7de77c1c070a39c179c37e4", 122_764,
+                             "bc18804bf9325bd1a4c86255e8957160a626bee7cb544c16df913f6ca1615c4d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_DIGESTS))
+def test_generated_lines_match_recorded_digests(name, request):
+    corpus = request.getfixturevalue(name)
+    text = "".join(line + "\n" for line in corpus.lines)
+    truth = json.dumps(corpus.truth.to_json_dict(), sort_keys=True)
+    digests = (hashlib.sha256(text.encode()).hexdigest(), len(corpus.lines),
+               hashlib.sha256(truth.encode()).hexdigest())
+    assert digests == RECORDED_DIGESTS[name]
