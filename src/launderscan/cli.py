@@ -146,25 +146,14 @@ def parse_window(s: str) -> tuple[int, int]:
     return w
 
 
-def _split_days(w: tuple[int, int]) -> list[tuple[int, int]]:
+def _day_cuts(w: tuple[int, int]) -> range:
+    """The UTC midnights strictly inside ``w``, where it splits into day
+    windows: none when ``w`` is at most one day long.  ``w`` makes
+    ``len(_day_cuts(w)) + 1`` windows."""
     start, end = w
     if end - start <= DAY_MS:
-        return [w]
-    out = []
-    cur = start
-    while cur < end:
-        nxt = min(end, (cur - cur % DAY_MS) + DAY_MS)
-        out.append((cur, nxt))
-        cur = nxt
-    return out
-
-
-def _day_count(w: tuple[int, int]) -> int:
-    """How many windows ``_split_days(w)`` makes, without making them."""
-    start, end = w
-    if end - start <= DAY_MS:
-        return 1
-    return (end - 1) // DAY_MS - start // DAY_MS + 1
+        return range(0)
+    return range(start - start % DAY_MS + DAY_MS, end, DAY_MS)
 
 
 def _window(window_arg) -> tuple[int, int] | None:
@@ -172,7 +161,7 @@ def _window(window_arg) -> tuple[int, int] | None:
     if not window_arg:
         return None
     w = parse_window(window_arg)
-    days = _day_count(w)
+    days = len(_day_cuts(w)) + 1
     if days > MAX_WINDOW_DAYS:
         raise CmdError(
             EXIT_MISSING_INPUT,
@@ -205,14 +194,16 @@ def _windows(window, records) -> list[tuple[int, int]]:
     span = _span(window, records)
     if span is None:
         return []
-    days = _day_count(span)
+    cuts = _day_cuts(span)
+    days = len(cuts) + 1
     if days > MAX_WINDOW_DAYS:
         raise CmdError(
             EXIT_MISSING_INPUT,
             f"the records span {days} UTC days, more than {MAX_WINDOW_DAYS}; "
             "pass --window to pick the days to scan",
         )
-    return _split_days(span)
+    edges = [span[0], *cuts, span[1]]
+    return list(zip(edges, edges[1:]))
 
 
 def _write_text(path: Path, chunks: Iterable[str]):
@@ -401,6 +392,7 @@ def cmd_fingerprint(args) -> int:
 
 def cmd_panelscan(args) -> int:
     _check_flag(args.top >= 0, "--top", ">= 0")
+    _check_flag(args.min_ads >= 0, "--min-ads", ">= 0")
     with _flag_values(lookback_ms="--lookback"):
         policy = pn.SessionPolicy(lookback_ms=args.lookback)
     window = _window(args.window)
@@ -445,7 +437,7 @@ def cmd_panelscan(args) -> int:
         evidence.append("")
     _write_text(outdir / "evidence.txt", (e + "\n" for e in evidence))
     print(
-        f"days={_day_count(span) if span else 0} machines_ranked={len(ranked)} "
+        f"days={len(_day_cuts(span)) + 1 if span else 0} machines_ranked={len(ranked)} "
         f"below_min_ads={below_min_ads} impressions={len(loaded.impressions)}"
     )
     return EXIT_OK

@@ -10,7 +10,7 @@ process names seen on its traffic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 from .ingest import MalwareProcessList, RankedDomainList
@@ -44,17 +44,11 @@ class DetectorConfig:
 
 @dataclass(slots=True)
 class DomainResolutionIndex:
-    """Transposed views of domain↔IP resolutions observed inside a window.
+    """The domains each server IP resolved inside a window, and each IP's ISP
+    (None when the ip map has none)."""
 
-    by_domain and by_ip are mutually consistent: (d, ip) appears in one iff
-    it appears in the other.
-    """
-
-    window: tuple[int, int]
-    by_domain: dict[str, set[tuple[str, Optional[str]]]] = field(default_factory=dict)
     by_ip: dict[str, set[str]] = field(default_factory=dict)
     ip_isp: dict[str, Optional[str]] = field(default_factory=dict)
-    unknown_isp_ips: set[str] = field(default_factory=set)
     ip_record_count: Counter = field(default_factory=Counter)
     records_seen: int = 0
     skipped_out_of_window: int = 0
@@ -67,9 +61,8 @@ def build_resolution_index(
     window: tuple[int, int],
 ) -> DomainResolutionIndex:
     """Index domain→IP resolutions for records inside [window[0], window[1])."""
-    idx = DomainResolutionIndex(window=window)
+    idx = DomainResolutionIndex()
     start, end = window
-    dom_ips: dict[str, set[str]] = idx.by_ip  # ip -> domains, built directly
     for rec in records:
         if not (start <= rec.timestamp < end):
             idx.skipped_out_of_window += 1
@@ -77,24 +70,12 @@ def build_resolution_index(
         if rec.domain is None:
             idx.bad_domain_records += 1
             continue
-        dom = rec.domain.registrable
         idx.records_seen += 1
         idx.ip_record_count[rec.server_ip] += 1
-        doms = dom_ips.get(rec.server_ip)
-        if doms is None:
-            dom_ips[rec.server_ip] = {dom}
-        else:
-            doms.add(dom)
+        idx.by_ip.setdefault(rec.server_ip, set()).add(rec.domain.registrable)
     # one batch ISP resolution over the distinct IPs
-    ips = list(dom_ips)
-    for ip, isp in zip(ips, table.lookup_batch(ips)):
-        idx.ip_isp[ip] = isp
-        if isp is None:
-            idx.unknown_isp_ips.add(ip)
-    for ip, doms in dom_ips.items():
-        isp = idx.ip_isp[ip]
-        for d in doms:
-            idx.by_domain.setdefault(d, set()).add((ip, isp))
+    ips = list(idx.by_ip)
+    idx.ip_isp = dict(zip(ips, table.lookup_batch(ips)))
     return idx
 
 
@@ -107,16 +88,18 @@ def candidate_domains(
     >= min_isps distinct known ISPs (unknown-ISP IPs count toward the IP
     minimum only)."""
     high_value = ranking.high_value_at(cfg.high_value_cutoff)
-    out = set()
-    for dom, pairs in index.by_domain.items():
-        if dom not in high_value:
-            continue
-        if len({ip for ip, _ in pairs}) < cfg.min_ips_per_domain:
-            continue
-        isps = {isp for _, isp in pairs if isp is not None}
-        if len(isps) >= cfg.min_isps_per_domain:
-            out.add(dom)
-    return frozenset(out)
+    ip_counts: Counter = Counter()
+    isps: dict[str, set[str]] = {}
+    for ip, doms in index.by_ip.items():
+        isp = index.ip_isp[ip]
+        for dom in doms & high_value:
+            ip_counts[dom] += 1
+            if isp is not None:
+                isps.setdefault(dom, set()).add(isp)
+    return frozenset(
+        dom for dom, n in ip_counts.items()
+        if n >= cfg.min_ips_per_domain and len(isps.get(dom, ())) >= cfg.min_isps_per_domain
+    )
 
 
 def flag_pairs(
@@ -212,12 +195,7 @@ class DetectionReport:
     def to_json_dict(self) -> dict:
         return {
             "window": list(self.window),
-            "config": {
-                "high_value_cutoff": self.config.high_value_cutoff,
-                "min_ips_per_domain": self.config.min_ips_per_domain,
-                "min_isps_per_domain": self.config.min_isps_per_domain,
-                "flag_threshold": self.config.flag_threshold,
-            },
+            "config": asdict(self.config),
             "detections": [
                 {
                     "ip": d.ip,
@@ -255,10 +233,8 @@ def detect(
     cands = candidate_domains(index, ranking, cfg)
     flagged = flag_pairs(index, cands, cfg)
     detections = label_detections(flagged, records, malware, window)
+    unknown_isp_ips = [ip for ip, isp in index.ip_isp.items() if isp is None]
     affected = set()
-    unknown_records = 0
-    for ip in index.unknown_isp_ips:
-        unknown_records += index.ip_record_count[ip]
     for d in detections:
         affected.update(d.domains)
     labels = Counter(d.label for d in detections)
@@ -267,8 +243,8 @@ def detect(
         "out_of_window": index.skipped_out_of_window,
         "bad_domain_records": index.bad_domain_records,
         "distinct_ips": len(index.by_ip),
-        "unknown_isp_ips": len(index.unknown_isp_ips),
-        "unknown_isp_records": unknown_records,
+        "unknown_isp_ips": len(unknown_isp_ips),
+        "unknown_isp_records": sum(index.ip_record_count[ip] for ip in unknown_isp_ips),
         "candidate_domains": len(cands),
         "pairs_flagged": len(flagged),
         "affected_domain_total": len(affected),

@@ -46,40 +46,20 @@ def jaccard(a: set | frozenset, b: set | frozenset) -> float:
 class SchemeProfile:
     """One scheme's footprint: domain set plus distinguishing features.
 
-    Sets are kept (not just counts) so profiles can be merged; the count
-    properties mirror the summary-table columns.
+    Sets are kept (not just counts) so profiles can be merged; their sizes
+    are the summary-table columns.  User agents are not kept: no output
+    reads them.
     """
 
     label: str
     domains: frozenset[str]
     process_names: frozenset[str]
-    user_agents: frozenset[str]
     isps: frozenset[str]
     ips: frozenset[str]
     machines: frozenset[str]
     days: frozenset[int]
     request_count: int
     signature_flags: frozenset[str]
-
-    @property
-    def isp_count(self) -> int:
-        return len(self.isps)
-
-    @property
-    def ip_count(self) -> int:
-        return len(self.ips)
-
-    @property
-    def machine_count(self) -> int:
-        return len(self.machines)
-
-    @property
-    def days_seen(self) -> int:
-        return len(self.days)
-
-    @property
-    def avg_daily_requests(self) -> float:
-        return self.request_count / len(self.days) if self.days else 0.0
 
 
 def detect_repeat_cycle(
@@ -118,15 +98,12 @@ def extract_features(
     the same infrastructure but never enter the high-value domain set.
     """
     procs: set[str] = set()
-    uas: set[str] = set()
     days: set[int] = set()
     malformed = 0
     spoof = False
     per_machine: dict[str, list[tuple[int, str]]] = {}
     for rec in records:
         procs.add(rec.process_name)
-        if rec.user_agent:
-            uas.add(rec.user_agent)
         days.add(rec.timestamp // DAY_MS)
         if not spoof:
             try:
@@ -156,7 +133,6 @@ def extract_features(
         label=f"{detection.ip}|{detection.isp}",
         domains=detection.domains,
         process_names=frozenset(procs),
-        user_agents=frozenset(uas),
         isps=frozenset({detection.isp}),
         ips=frozenset({detection.ip}),
         machines=detection.machine_ids,
@@ -183,7 +159,6 @@ def _merge(a: SchemeProfile, b: SchemeProfile) -> SchemeProfile:
         label=min(a.label, b.label),
         domains=a.domains | b.domains,
         process_names=a.process_names | b.process_names,
-        user_agents=a.user_agents | b.user_agents,
         isps=a.isps | b.isps,
         ips=a.ips | b.ips,
         machines=a.machines | b.machines,
@@ -229,9 +204,6 @@ class JaccardMatrix:
     labels: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]  # full symmetric matrix
 
-    def value(self, i: int, j: int) -> float:
-        return self.values[i][j]
-
     def to_csv_lines(self) -> list[str]:
         """Upper triangle filled, lower triangle '-', like a published
         similarity table."""
@@ -267,12 +239,12 @@ def profile_csv_rows(profiles: Sequence[SchemeProfile]) -> list[list]:
         rows.append(
             [
                 p.label,
-                p.isp_count,
-                p.ip_count,
-                p.days_seen,
+                len(p.isps),
+                len(p.ips),
+                len(p.days),
                 len(p.domains),
-                p.machine_count,
-                f"{p.avg_daily_requests:.2f}",
+                len(p.machines),
+                f"{p.request_count / len(p.days) if p.days else 0.0:.2f}",
                 ";".join(sorted(p.signature_flags)),
             ]
         )

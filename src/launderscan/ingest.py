@@ -21,6 +21,7 @@ from .model import (
     NormalizedDomain,
     PublicSuffixSet,
     canonical_isp,
+    content_lines,
     is_valid_ipv4,
     normalize_domain,
     url_host,
@@ -43,6 +44,18 @@ class ParseAbortError(ValueError):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
+
+
+def _skipper(skipped: list[Skip], strict: bool):
+    """A loader's ``skip(line_no, reason)``: record the bad line in
+    ``skipped``, or in strict mode raise ParseAbortError for it."""
+
+    def skip(line_no: int, reason: str):
+        if strict:
+            raise ParseAbortError(line_no, reason)
+        skipped.append(Skip(line_no, reason))
+
+    return skip
 
 
 def is_utf8(line: str) -> bool:
@@ -78,14 +91,15 @@ def load_trace(
 ) -> LoadResult:
     """Parse a JSON-lines trace into typed records, in file order.
 
-    An http line's ``method`` and ``status`` are checked (a string; an int or
-    absent) but not stored, and an impression's ``account`` is neither: no
-    analysis reads them.  ``attr_domain`` and ``pub_domain`` load only from a
-    string that normalizes.  Each distinct value is checked once and stored
+    An http line's ``method``, ``status`` and ``ua`` are checked (a string;
+    an int or absent; a string or absent) but not stored, and an
+    impression's ``account`` is neither: no analysis reads them.
+    ``attr_domain`` and ``pub_domain`` load only from a string that
+    normalizes.  Each distinct value is checked once and stored
     once, however many lines repeat it: an IP string is validated once, a
     URL host, attr_domain or pub_domain is normalized once, and every record
-    gets the first ``str`` object seen for its machine, process, IP, user
-    agent and referrer.
+    gets the first ``str`` object seen for its machine, process, IP and
+    referrer.
     """
     out = LoadResult()
     # name -> normalize_domain(name), None when it does not normalize; a URL
@@ -93,11 +107,7 @@ def load_trace(
     domains: dict[str, Optional[NormalizedDomain]] = {}
     valid_ip: dict[str, bool] = {}  # ip -> is_valid_ipv4(ip)
     shared = {}.setdefault  # str value -> the first equal object seen
-
-    def skip(line_no: int, reason: str):
-        if strict:
-            raise ParseAbortError(line_no, reason)
-        out.skipped.append(Skip(line_no, reason))
+    skip = _skipper(out.skipped, strict)
 
     def domain_of(name) -> Optional[NormalizedDomain]:
         if not isinstance(name, str):  # a JSON null, bool, number, list or object
@@ -175,7 +185,6 @@ def load_trace(
                     domain=domain_of(host),
                     referrer=None if ref is None else shared(ref, ref),
                     server_ip=shared(ip, ip),
-                    user_agent=None if ua is None else shared(ua, ua),
                 )
             )
         elif kind == "impression":
@@ -199,7 +208,6 @@ def load_trace(
 class IpMapLoad:
     table: IpAttributionTable
     skipped: list[Skip]
-    total_lines: int
 
 
 def load_ip_map(lines: Iterable[str], strict: bool = False) -> IpMapLoad:
@@ -207,18 +215,8 @@ def load_ip_map(lines: Iterable[str], strict: bool = False) -> IpMapLoad:
     last-wins; the table's replace counter records how many."""
     table = IpAttributionTable()
     skipped: list[Skip] = []
-    total = 0
-
-    def skip(line_no: int, reason: str):
-        if strict:
-            raise ParseAbortError(line_no, reason)
-        skipped.append(Skip(line_no, reason))
-
-    for line_no, raw in enumerate(lines, start=1):
-        total += 1
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    skip = _skipper(skipped, strict)
+    for line_no, line in content_lines(lines):
         parts = line.split(",", 1)
         if len(parts) != 2 or not parts[1].strip():
             skip(line_no, "bad row")
@@ -234,7 +232,7 @@ def load_ip_map(lines: Iterable[str], strict: bool = False) -> IpMapLoad:
         except ValueError as err:
             skip(line_no, str(err))
             continue
-    return IpMapLoad(table=table, skipped=skipped, total_lines=total)
+    return IpMapLoad(table=table, skipped=skipped)
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,9 +245,6 @@ class RankedDomainList:
         """The registrable domains of the first ``cutoff`` entries."""
         return frozenset(d.registrable for d in self.entries[: min(cutoff, len(self.entries))])
 
-    def to_lines(self) -> list[str]:
-        return [d.registrable for d in self.entries]
-
 
 def load_ranked_domains(
     lines: Iterable[str], suffix: PublicSuffixSet, strict: bool = False
@@ -258,16 +253,12 @@ def load_ranked_domains(
     entries: list[NormalizedDomain] = []
     seen: set[str] = set()
     skipped: list[Skip] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    skip = _skipper(skipped, strict)
+    for line_no, line in content_lines(lines):
         try:
             dom = normalize_domain(line, suffix)
         except InvalidDomainError:
-            if strict:
-                raise ParseAbortError(line_no, "bad domain")
-            skipped.append(Skip(line_no, "bad domain"))
+            skip(line_no, "bad domain")
             continue
         if dom.registrable in seen:
             continue
@@ -285,12 +276,7 @@ class MalwareProcessList:
 
 
 def load_malware_list(lines: Iterable[str]) -> MalwareProcessList:
-    names = set()
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            names.add(line.casefold())
-    return MalwareProcessList(names=frozenset(names))
+    return MalwareProcessList(names=frozenset(line.casefold() for _, line in content_lines(lines)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,19 +294,13 @@ class AliasGroups:
         gid = self.index.get(registrable)
         return registrable if gid is None else f"alias:{gid}"
 
-    def to_lines(self) -> list[str]:
-        return [",".join(sorted(g)) for g in self.groups]
-
 
 def load_alias_groups(lines: Iterable[str], suffix: PublicSuffixSet) -> AliasGroups:
     """One group per line, comma-separated.  A bad domain or overlapping
     groups raise ParseAbortError."""
     groups: list[frozenset[str]] = []
     index: dict[str, int] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in content_lines(lines):
         members = set()
         for item in line.split(","):
             item = item.strip()

@@ -9,7 +9,7 @@ host-level analyses stay possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 DAY_MS = 86_400_000
 
@@ -20,6 +20,15 @@ BUILTIN_SUFFIXES = ("com", "net", "org", "co.uk", "info", "biz")
 
 class InvalidDomainError(ValueError):
     """Raised when a host string cannot be normalized into a domain."""
+
+
+def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line_no, text) for each line of a reference table that has text left
+    once its '#' comment is cut and it is stripped; line numbers count from 1."""
+    for line_no, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            yield line_no, text
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,12 +42,7 @@ class PublicSuffixSet:
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "PublicSuffixSet":
         """Parse a suffix file: one suffix per line, '#' comments, blanks ignored."""
-        out = set()
-        for raw in lines:
-            line = raw.split("#", 1)[0].strip().lower().lstrip(".")
-            if line:
-                out.add(line)
-        return cls(frozenset(out))
+        return cls(frozenset({text.lower().lstrip(".") for _, text in content_lines(lines)} - {""}))
 
     def match(self, host: str) -> Optional[str]:
         """Longest suffix whose label sequence ends ``host``, or None."""
@@ -111,14 +115,16 @@ def canonical_isp(name: str) -> str:
 
 def is_valid_ipv4(s: str) -> bool:
     """Dotted quad of ASCII-digit octets, each at most 255.  ``str.isdigit``
-    alone would pass other scripts' digits and superscripts such as '²'."""
+    alone would pass other scripts' digits and superscripts such as '²'.  An
+    octet of two or more digits may not start with '0': ``inet_aton`` reads
+    '04' as octal, so '1.2.3.04' would name a second host beside '1.2.3.4'."""
     parts = s.split(".")
     if len(parts) != 4:
         return False
     for p in parts:
         if not (p.isascii() and p.isdigit()) or len(p) > 3:
             return False
-        if int(p) > 255:
+        if int(p) > 255 or (len(p) > 1 and p[0] == "0"):
             return False
     return True
 
@@ -132,7 +138,8 @@ class HttpRecord:
     ``ingest.record_domain`` gives it; None when the host does not normalize.
     ``ingest.load_trace`` normalizes each distinct host once and shares the
     result, and records it loads share one ``str`` object per distinct
-    machine, process, server IP, user agent and referrer value.
+    machine, process, server IP and referrer value.  The trace line's user
+    agent is checked but not stored: no output reads it.
     """
 
     timestamp: int
@@ -142,7 +149,6 @@ class HttpRecord:
     domain: Optional[NormalizedDomain]
     referrer: Optional[str]
     server_ip: str
-    user_agent: Optional[str]
 
 
 @dataclass(frozen=True, slots=True)

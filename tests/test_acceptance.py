@@ -199,8 +199,8 @@ def test_criterion_4_jaccard_oracle(big_run):
     )
     m = jaccard_matrix(profiles)
     n = len(m.labels)
-    sym = all(m.value(i, j) == m.value(j, i) for i in range(n) for j in range(n))
-    diag = all(m.value(i, i) == 1.0 for i in range(n))
+    sym = all(m.values[i][j] == m.values[j][i] for i in range(n) for j in range(n))
+    diag = all(m.values[i][i] == 1.0 for i in range(n))
     print(f"    profiles={n}")
     check(4, "five-plant matrix symmetric with unit diagonal", sym and diag)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from launderscan.cli import (
-    MAX_WINDOW_DAYS, CmdError, _day_count, _split_days, _window, _windows, main,
+    MAX_WINDOW_DAYS, CmdError, _day_cuts, _window, _windows, main,
 )
 from launderscan.model import DAY_MS
 
@@ -365,7 +365,7 @@ def test_framedepth_cli(tmp_path, capsys):
 
 
 def test_unstored_trace_fields_feed_no_output(scenario_dir, tmp_path, capsys):
-    """load_trace checks an http line's method and status and loads an
+    """load_trace checks an http line's method, status and ua and loads an
     impression whatever its account, but stores none of them: other valid
     values leave every output file and stdout byte-identical."""
     rewritten = tmp_path / "rewritten.jsonl"
@@ -374,7 +374,7 @@ def test_unstored_trace_fields_feed_no_output(scenario_dir, tmp_path, capsys):
         for line in src:
             obj = json.loads(line)
             if obj.get("kind", "http") == "http":
-                obj.update(method="POST", status=404)
+                obj.update(method="POST", status=404, ua="Other-UA/1.0")
             elif obj["kind"] == "impression":
                 obj["account"] = ["x", 1]
             dst.write(json.dumps(obj) + "\n")
@@ -550,6 +550,7 @@ def test_malformed_input_file_is_a_parse_abort(tiny_inputs, capsys, command, fla
         ("panelscan", "--lookback", "0"),
         ("synth", "--scale-divisor", "0"),
         ("panelscan", "--top", "-1"),
+        ("panelscan", "--min-ads", "-3"),
         ("rules", "--horizon", "-1"),
         ("rules", "--horizon", "0"),
         ("fingerprint", "--feature-agreement", "nan"),
@@ -581,6 +582,7 @@ def test_bad_flag_value_exits_2_naming_the_flag(tiny_inputs, capsys, command, fl
         ("detect", "--window", "garbage"),
         ("panelscan", "--window", "garbage"),
         ("panelscan", "--lookback", "0"),
+        ("panelscan", "--min-ads", "-3"),
     ],
 )
 def test_bad_flag_value_exits_2_before_any_file_is_read(tmp_path, capsys, command, flag, value):
@@ -638,7 +640,18 @@ def test_window_day_count_is_arithmetic_and_bounded():
     for _ in range(300):
         start = rng.randrange(-5 * DAY_MS, 5 * DAY_MS)
         w = (start, start + rng.randrange(1, 6 * DAY_MS))
-        assert _day_count(w) == len(_split_days(w))
+        windows = _windows(w, [])
+        assert len(windows) == len(_day_cuts(w)) + 1
+        # the windows tile w exactly
+        assert windows[0][0] == w[0] and windows[-1][1] == w[1]
+        assert all(a < b for a, b in windows)
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(windows, windows[1:]))
+        if w[1] - w[0] > DAY_MS:
+            # one window per UTC day touched, none crossing a midnight
+            assert len(windows) == (w[1] - 1) // DAY_MS - w[0] // DAY_MS + 1
+            assert all(a // DAY_MS == (b - 1) // DAY_MS for a, b in windows)
+        else:
+            assert windows == [w]
     limit = MAX_WINDOW_DAYS * DAY_MS
     assert len(_windows(_window(f"0..{limit}"), [])) == MAX_WINDOW_DAYS
     assert len(_windows(_window(f"{DAY_MS}..{limit + DAY_MS}"), [])) == MAX_WINDOW_DAYS

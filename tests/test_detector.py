@@ -37,7 +37,6 @@ def _rec(url, ip, ts=DAY0 + 1000, machine="m1", proc="chrome.exe"):
         domain=record_domain(url, SUFFIX),
         referrer=None,
         server_ip=ip,
-        user_agent="UA",
     )
 
 
@@ -57,16 +56,15 @@ def test_config_validation():
 def test_index_single_record():
     table = load_ip_map(["1.2.3.0/24,A"]).table
     idx = build_resolution_index([_rec("http://example.com/x", "1.2.3.4")], table, WINDOW)
-    assert idx.by_domain == {"example.com": {("1.2.3.4", "a")}}
     assert idx.by_ip == {"1.2.3.4": {"example.com"}}
-    assert not idx.unknown_isp_ips
+    assert idx.ip_isp == {"1.2.3.4": "a"}
 
 
 def test_index_unknown_isp_still_indexed():
     table = load_ip_map(["1.2.3.0/24,A"]).table
     idx = build_resolution_index([_rec("http://example.com/x", "9.9.9.9")], table, WINDOW)
-    assert idx.by_domain == {"example.com": {("9.9.9.9", None)}}
-    assert idx.unknown_isp_ips == {"9.9.9.9"}
+    assert idx.by_ip == {"9.9.9.9": {"example.com"}}
+    assert idx.ip_isp == {"9.9.9.9": None}
 
 
 def test_index_window_filter_and_counts():
@@ -95,29 +93,13 @@ def _random_records(rng, n_domains=20, n_ips=12, n=1000):
     ]
 
 
-def test_index_transpose_consistency():
-    rng = random.Random(21)
-    table = load_ip_map([f"10.0.{i}.0/24,isp{i % 4}" for i in range(12)]).table
-    records = _random_records(rng)
-    idx = build_resolution_index(records, table, WINDOW)
-    rebuilt = {}
-    for dom, pairs in idx.by_domain.items():
-        for ip, _ in pairs:
-            rebuilt.setdefault(ip, set()).add(dom)
-    assert rebuilt == idx.by_ip
-
-
 def _index_from_pairs(pairs_by_domain, isp_of):
     """Hand-build an index: domain -> list of ips; isp_of maps ip -> isp or None."""
-    idx = DomainResolutionIndex(window=WINDOW)
+    idx = DomainResolutionIndex()
     for dom, ips in pairs_by_domain.items():
         for ip in ips:
-            isp = isp_of.get(ip)
-            idx.by_domain.setdefault(dom, set()).add((ip, isp))
             idx.by_ip.setdefault(ip, set()).add(dom)
-            idx.ip_isp[ip] = isp
-            if isp is None:
-                idx.unknown_isp_ips.add(ip)
+            idx.ip_isp[ip] = isp_of.get(ip)
     return idx
 
 
@@ -163,6 +145,32 @@ def test_flag_threshold_boundary():
 def test_flag_pairs_empty_candidates():
     idx = _index_from_pairs({"a.com": ["1.1.1.1"]}, {"1.1.1.1": "a"})
     assert flag_pairs(idx, frozenset(), DetectorConfig()) == {}
+
+
+def test_candidate_domains_match_bruteforce_oracle():
+    """Candidates and the unknown-ISP diagnostics, from the records alone."""
+    rng = random.Random(21)
+    # 10.0.10.1 and 10.0.11.1 have no ISP
+    table = load_ip_map([f"10.0.{i}.0/24,isp{i % 4}" for i in range(10)]).table
+    records = _random_records(rng, n=80)  # 2 of the top 5 domains qualify, 9 of all 20
+    ranking = _ranking([f"d{i:02d}.com" for i in range(20)])
+    idx = build_resolution_index(records, table, WINDOW)
+    ips_of: dict[str, set] = {}
+    for r in records:
+        ips_of.setdefault(r.domain.registrable, set()).add(r.server_ip)
+    for cutoff in (5, 20):
+        cfg = DetectorConfig(high_value_cutoff=cutoff, min_ips_per_domain=3,
+                             min_isps_per_domain=3, flag_threshold=3)
+        want = {
+            dom for dom, ips in ips_of.items()
+            if int(dom[1:3]) < cutoff and len(ips) >= 3
+            and len({table.lookup(ip) for ip in ips} - {None}) >= 3
+        }
+        assert candidate_domains(idx, ranking, cfg) == want
+    unknown = [r for r in records if table.lookup(r.server_ip) is None]
+    diag = detect(records, table, ranking, MalwareProcessList(frozenset()), cfg, WINDOW).diagnostics
+    assert diag["unknown_isp_ips"] == len({r.server_ip for r in unknown}) == 2
+    assert diag["unknown_isp_records"] == len(unknown) > 0
 
 
 def test_flag_pairs_matches_bruteforce_oracle():

@@ -64,7 +64,6 @@ def _profile(label, domains, procs=("p",), isps=("isp",), flags=()):
         label=label,
         domains=frozenset(domains),
         process_names=frozenset(procs),
-        user_agents=frozenset(),
         isps=frozenset(isps),
         ips=frozenset({label}),
         machines=frozenset({f"m-{label}"}),
@@ -78,8 +77,8 @@ def test_matrix_disjoint_and_single():
     p1 = _profile("x", {"a.com"})
     p2 = _profile("y", {"b.com"})
     m = jaccard_matrix([p1, p2])
-    assert m.value(0, 0) == 1.0 and m.value(1, 1) == 1.0
-    assert m.value(0, 1) == 0.0 and m.value(1, 0) == 0.0
+    assert m.values[0][0] == 1.0 and m.values[1][1] == 1.0
+    assert m.values[0][1] == 0.0 and m.values[1][0] == 0.0
     single = jaccard_matrix([p1])
     assert single.values == ((1.0,),)
 
@@ -94,8 +93,8 @@ def test_matrix_matches_pairwise_recomputation():
     for i in range(5):
         for j in range(5):
             want = 1.0 if i == j else brute_force_jaccard(profiles[i].domains, profiles[j].domains)
-            assert m.value(i, j) == pytest.approx(want, abs=1e-12)
-            assert m.value(i, j) == m.value(j, i)
+            assert m.values[i][j] == pytest.approx(want, abs=1e-12)
+            assert m.values[i][j] == m.values[j][i]
 
 
 def test_matrix_error_cases():
@@ -113,7 +112,7 @@ def test_matrix_csv_layout():
     assert lines[2] == "y,-,1.00"
 
 
-def _rec(url, ip, ts=DAY0 + 1000, machine="m1", proc="botproc.exe", ua="UA-1"):
+def _rec(url, ip, ts=DAY0 + 1000, machine="m1", proc="botproc.exe"):
     return HttpRecord(
         timestamp=ts,
         machine_id=machine,
@@ -122,7 +121,6 @@ def _rec(url, ip, ts=DAY0 + 1000, machine="m1", proc="botproc.exe", ua="UA-1"):
         domain=record_domain(url, SUFFIX),
         referrer=None,
         server_ip=ip,
-        user_agent=ua,
     )
 
 
@@ -171,8 +169,8 @@ def test_extract_features_repeat_cycle_and_counts():
     ]
     prof = extract_features(det, records, SUFFIX)
     assert FLAG_REPEAT_CYCLE in prof.signature_flags
-    assert prof.ip_count == 1 and prof.isp_count == 1
-    assert prof.days_seen == 1
+    assert len(prof.ips) == 1 and len(prof.isps) == 1
+    assert len(prof.days) == 1
     assert prof.request_count == det.request_count
 
 
@@ -182,7 +180,7 @@ def test_group_merges_same_isp_same_flags():
     merged = group_detections([a, b])
     assert len(merged) == 1
     assert merged[0].domains == {"d1.com", "d2.com"}
-    assert merged[0].ip_count == 2
+    assert len(merged[0].ips) == 2
 
 
 def test_group_keeps_different_isps_apart():
@@ -279,6 +277,6 @@ def test_profiles_from_corpus_group_to_scheme_count(small_corpus, small_malware)
     assert isp_sets.count("vds-park") == 1
     m = jaccard_matrix(grouped)
     for i in range(len(grouped)):
-        assert m.value(i, i) == 1.0
+        assert m.values[i][i] == 1.0
         for j in range(len(grouped)):
-            assert m.value(i, j) == m.value(j, i)
+            assert m.values[i][j] == m.values[j][i]

@@ -78,7 +78,7 @@ def _answers(url: str, host: str):
     referrer = sibling_referrer_consistency(
         [f"http://ads.net/call?referrer={quote(url, safe='')}"], "referrer", SUFFIX
     )
-    return set(index.by_domain), FLAG_MALFORMED in profile.signature_flags, verified, referrer.values
+    return set().union(*index.by_ip.values()), FLAG_MALFORMED in profile.signature_flags, verified, referrer.values
 
 
 @given(host=hosts, tail=st.sampled_from(TAILS), user=st.sampled_from(("", "user@")))

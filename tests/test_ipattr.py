@@ -63,7 +63,8 @@ def test_zero_mask_matches_everything():
 
 def test_parse_cidr_errors():
     for bad in ("10.0.0.0", "10.0.0.0/8/2", "10.0.0.0/ab", "10.0.0/8", "1.2.3.4/33",
-                "\u0661\u0660.0.0.0/8", "10.0.0.0/\u0668"):  # Arabic-Indic digits
+                "\u0661\u0660.0.0.0/8", "10.0.0.0/\u0668",  # Arabic-Indic digits
+                "001.2.3.0/24"):  # a leading zero: inet_aton reads the octet as octal
         with pytest.raises(ValueError):
             parse_cidr(bad)
 

@@ -54,7 +54,7 @@ def test_suffix_match_respects_label_boundaries():
 
 
 def test_suffix_file_parsing():
-    text = "# comment\ncom\n\n  CO.UK  \n.net # inline\n"
+    text = "# comment\ncom\n\n  CO.UK  \n.net # inline\n.\n"  # "." names no suffix
     ps = PublicSuffixSet.from_lines(text.splitlines(keepends=True))
     assert ps.suffixes == frozenset({"com", "co.uk", "net"})
 

@@ -39,8 +39,8 @@ def test_spoof_query_malformed_land_ip():
     with pytest.raises(MalformedSignalError):
         check_spoof_query("http://x.tld/ad?spoof_domain=&land_ip=10.1.2.3", SUFFIX)
     # octets whose digits are not ASCII: a superscript two (raw and
-    # percent-encoded) and an Arabic-Indic one
-    for land_ip in ("1.1.1.%C2%B2", "1.1.1.\u00b2", "%D9%A1.1.1.1"):
+    # percent-encoded) and an Arabic-Indic one; an octet with a leading zero
+    for land_ip in ("1.1.1.%C2%B2", "1.1.1.\u00b2", "%D9%A1.1.1.1", "1.2.3.04"):
         with pytest.raises(MalformedSignalError):
             check_spoof_query(f"http://x.tld/ad?spoof_domain=example.com&land_ip={land_ip}", SUFFIX)
 
@@ -86,7 +86,6 @@ def _rec(ts, url, ip, machine="m1"):
         domain=record_domain(url, SUFFIX),
         referrer=None,
         server_ip=ip,
-        user_agent=None,
     )
 
 
