@@ -70,6 +70,19 @@ def url_host(url: str) -> str:
     return rest.split("/", 1)[0].split("?", 1)[0].split("#", 1)[0].rpartition("@")[2]
 
 
+# urllib.parse.urlsplit drops these before it splits a URL
+_URL_DROPS = str.maketrans("", "", "\t\r\n")
+
+
+def url_query(url: str) -> str:
+    """The text after the first '?' up to the first '#', without tab, CR or
+    LF; "" when there is none.  The toolkit's only URL→query split: it equals
+    ``urlsplit(url).query`` wherever urlsplit accepts the URL, and never raises."""
+    if not url.isprintable():
+        url = url.translate(_URL_DROPS)
+    return url.partition("#")[0].partition("?")[2]
+
+
 def normalize_domain(host: str, suffix_list: PublicSuffixSet) -> NormalizedDomain:
     """Lowercase ``host``, strip port/userinfo/trailing dot, derive registrable.
 

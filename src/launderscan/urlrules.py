@@ -1,6 +1,9 @@
 """Per-record signature rules: hosts-hijack spoof query extraction and
 follow-through verification, sibling ad-call referrer consistency, and
 tampered-environment classification from URL-encoding function fingerprints.
+
+Both URL rules read the query through ``model.url_query`` and resolve a
+parameter value alike: a value holding ``://`` names its host's domain.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional, Sequence
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import parse_qsl
 
 from .model import (
     HttpRecord,
@@ -20,13 +23,11 @@ from .model import (
     is_valid_ipv4,
     normalize_domain,
     url_host,
+    url_query,
 )
 
 SPOOF_DOMAIN_KEY = "spoof_domain"
 LAND_IP_KEY = "land_ip"
-
-# urlsplit drops these before it splits a URL
-_URLSPLIT_DROPS = str.maketrans("", "", "\t\r\n")
 
 EXPECTED_FUNCTIONS = frozenset({"escape", "encodeURI", "encodeURIComponent"})
 
@@ -47,6 +48,27 @@ class SpoofSignal:
     land_ip: str
 
 
+def _query_values(url: str, keys: tuple[str, ...]) -> dict[str, list[str]]:
+    """Every value of each of ``keys`` in the URL's query, in order and
+    percent-decoded once; a key that is absent has no entry.  parse_qsl can
+    only yield a key the query does not spell by decoding a '%' or a '+', so
+    an empty query, or one with neither and with none of ``keys``, is not
+    parsed."""
+    query = url_query(url)
+    found: dict[str, list[str]] = {}
+    if query and ("%" in query or "+" in query or any(key in query for key in keys)):
+        for key, val in parse_qsl(query, keep_blank_values=True):
+            if key in keys:
+                found.setdefault(key, []).append(val)
+    return found
+
+
+def _value_domain(val: str, suffix: PublicSuffixSet) -> NormalizedDomain:
+    """The domain a query value names: its host's when it is a URL, else the
+    value itself.  Raises InvalidDomainError when that does not normalize."""
+    return normalize_domain(url_host(val) if "://" in val else val, suffix)
+
+
 def check_spoof_query(url: str, suffix: PublicSuffixSet) -> Optional[SpoofSignal]:
     """Extract a spoof signal when the URL query carries both hijack keys.
 
@@ -55,31 +77,14 @@ def check_spoof_query(url: str, suffix: PublicSuffixSet) -> Optional[SpoofSignal
     be parsed.  Percent-decoding is applied once; parameter order and
     unrelated parameters do not matter.
     """
-    # Skip the parse where no signal can exist: there is no query, or there
-    # is no escape and the URL does not spell both keys (parse_qsl then only
-    # turns '+' into a space).
-    if "?" not in url:
+    values = _query_values(url, (SPOOF_DOMAIN_KEY, LAND_IP_KEY))
+    if SPOOF_DOMAIN_KEY not in values or LAND_IP_KEY not in values:
         return None
-    if "%" not in url:
-        spelled = url if url.isprintable() else url.translate(_URLSPLIT_DROPS)
-        if SPOOF_DOMAIN_KEY not in spelled or LAND_IP_KEY not in spelled:
-            return None
-    query = urlsplit(url).query
-    if not query:
-        return None
-    spoof_val = None
-    land_val = None
-    for key, val in parse_qsl(query, keep_blank_values=True):
-        if key == SPOOF_DOMAIN_KEY and spoof_val is None:
-            spoof_val = val
-        elif key == LAND_IP_KEY and land_val is None:
-            land_val = val
-    if spoof_val is None or land_val is None:
-        return None
+    spoof_val, land_val = values[SPOOF_DOMAIN_KEY][0], values[LAND_IP_KEY][0]
     if not is_valid_ipv4(land_val):
         raise MalformedSignalError(f"unparseable {LAND_IP_KEY} value {land_val!r}")
     try:
-        dom = normalize_domain(spoof_val, suffix)
+        dom = _value_domain(spoof_val, suffix)
     except InvalidDomainError as err:
         raise MalformedSignalError(f"unparseable {SPOOF_DOMAIN_KEY} value {spoof_val!r}") from err
     return SpoofSignal(spoof_domain=dom, land_ip=land_val)
@@ -120,12 +125,9 @@ def sibling_referrer_consistency(
     referrer domains; more than one distinct registrable value is flagged."""
     seen: set[str] = set()
     for url in ad_call_urls:
-        for key, val in parse_qsl(urlsplit(url).query, keep_blank_values=True):
-            if key != param_name or not val:
-                continue
-            host = url_host(val) if "://" in val else val
+        for val in _query_values(url, (param_name,)).get(param_name, ()):
             try:
-                seen.add(normalize_domain(host, suffix).registrable)
+                seen.add(_value_domain(val, suffix).registrable)
             except InvalidDomainError:
                 continue
     return ReferrerCheck(consistent=len(seen) <= 1, values=frozenset(seen))

@@ -341,6 +341,33 @@ def test_non_ascii_digit_land_ip_is_a_malformed_signal(tmp_path):
     assert "SpoofQueryFields" in profile[7].split(";")
 
 
+@pytest.mark.parametrize(
+    "url, findings",
+    [
+        ("http://[bad/p?x=1", []),  # an unbalanced bracket
+        ("http://[a]/?referrer=b.com", []),  # a bracketed host that is not an IP
+        # a host that NFKC turns into one holding '#'
+        ("http://a\uff03b/?spoof_domain=a.com&land_ip=1.1.1.1", ["spoof_signal"]),
+    ],
+)
+def test_urls_urlsplit_rejects_run_through_rules_and_fingerprint(tmp_path, url, findings):
+    """urllib's urlsplit raises ValueError on each of these URLs; the URL
+    rules read the query without it, so neither command has a traceback."""
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"ts": DAY0 + 5, "machine": "m1", "url": url,
+                                 "ref": "http://a.com/", "ip": "1.2.3.4"}) + "\n")
+    for strict in ([], ["--strict"]):
+        out = tmp_path / "findings.jsonl"
+        assert main(["rules", *strict, "--trace", str(trace), "--out", str(out)]) == 0
+        assert [json.loads(line)["type"] for line in out.read_text().splitlines()] == findings
+    report = tmp_path / "report.json"
+    report.write_bytes(_report_bytes(window=[DAY0, DAY0 + DAY_MS]))
+    assert main(["fingerprint", "--report", str(report), "--trace", str(trace),
+                 "--out", str(tmp_path / "fp")]) == 0
+    profile = list(csv.reader((tmp_path / "fp" / "profiles.csv").open()))[1]
+    assert ("SpoofQueryFields" in profile[7].split(";")) == bool(findings)
+
+
 def test_framedepth_cli(tmp_path, capsys):
     tainted = tmp_path / "tainted.csv"
     general = tmp_path / "general.csv"

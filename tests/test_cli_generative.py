@@ -34,6 +34,7 @@ ODD_VALUES = (
     "impression", "pageview", "1.2.3.04", "1.1.1.²", "١.1.1.1", "a.com", "a..com",
     "http://a..com/", "http://user@[::1]:80/", "http://x.tld/ad?spoof_domain=a.com&land_ip=1.2.3.04",
     "http://x.tld/ad?spoof_domain=&land_ip=1.1.1.1", "http://x.tld/?referrer=http%3A%2F%2Fb.com",
+    "http://[bad/p?x=1", "http://a\uff03b/?spoof_domain=a.com&land_ip=1.1.1.1",
 )
 # "\udcff" is written as the byte 0xff, which is not UTF-8
 ODD_LINES = ("", "{", "[]", "null", '{"ts": 1, "machine": "m", "kind": "x"}', "\udcff",

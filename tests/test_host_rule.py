@@ -13,7 +13,12 @@ from launderscan.fingerprint import FLAG_MALFORMED, extract_features
 from launderscan.ingest import load_trace
 from launderscan.ipattr import IpAttributionTable
 from launderscan.model import PublicSuffixSet, normalize_domain, url_host
-from launderscan.urlrules import SpoofSignal, sibling_referrer_consistency, verify_spoof_followthrough
+from launderscan.urlrules import (
+    SpoofSignal,
+    check_spoof_query,
+    sibling_referrer_consistency,
+    verify_spoof_followthrough,
+)
 
 SUFFIX = PublicSuffixSet.builtin()
 IP = "10.1.2.3"
@@ -89,3 +94,13 @@ def test_every_module_resolves_a_url_like_its_bare_host(host, tail, user):
     bare = _answers(f"http://{host}/", host)
     assert bare[2], "a follow-through to the spoofed host itself must verify"
     assert _answers(url, host) == bare
+
+
+def test_a_url_valued_parameter_counts_as_its_hosts_domain():
+    """The spoof and referrer rules resolve the same value to the same domain."""
+    value = "http://www.target.com/a"
+    signal = check_spoof_query(f"http://ads.net/imp?spoof_domain={value}&land_ip={IP}", SUFFIX)
+    assert signal.spoof_domain.registrable == "target.com"
+    assert verify_spoof_followthrough(signal, 1_000, [_rec("http://target.com/")], 60_000)
+    referrer = sibling_referrer_consistency([f"http://ads.net/call?referrer={value}"], "referrer", SUFFIX)
+    assert referrer.values == {"target.com"}

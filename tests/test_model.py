@@ -1,11 +1,14 @@
+from urllib.parse import urlsplit
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from launderscan.model import (
     InvalidDomainError,
     PublicSuffixSet,
     is_malformed_domain,
     normalize_domain,
+    url_query,
 )
 
 BUILTIN = PublicSuffixSet.builtin()
@@ -77,3 +80,24 @@ def test_malformed_check_deterministic(labels):
     host = ".".join(labels)
     d = normalize_domain(host, BUILTIN)
     assert is_malformed_domain(d, BUILTIN) == is_malformed_domain(d, BUILTIN)
+
+
+# the characters that end or open a URL part, the ones urlsplit drops or
+# rejects (tab, CR, LF, unbalanced brackets, a fullwidth '#' that NFKC turns
+# into '#'), and the ones parse_qsl decodes
+_URL_TEXT = st.text(alphabet="ab1.:/[]#?%+@=& \t\r\n\uff03", max_size=24)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(("", "http://", "//", "a:", " http://")), _URL_TEXT)
+@example("http://", "[bad/p?x=1")
+@example("http://", "a\uff03b/?spoof_domain=a.com")
+@example("http://", "x.tld/ad?spoof_do\tmain=a.com#f?g")
+def test_url_query_matches_urlsplit_and_never_raises(prefix, rest):
+    url = prefix + rest
+    query = url_query(url)
+    try:
+        expected = urlsplit(url).query
+    except ValueError:
+        return
+    assert query == expected
