@@ -247,7 +247,7 @@ def cmd_detect(args) -> int:
 
     loaded = _load_trace(args, suffix)
     with _parsing(ipmap_path):
-        ipmap = load_ip_map(_read_table(ipmap_path), strict=args.strict)
+        table, ipmap_skipped = load_ip_map(_read_table(ipmap_path), strict=args.strict)
     with _parsing(ranking_path):
         ranking, _ = load_ranked_domains(_read_table(ranking_path), suffix, strict=args.strict)
     with _parsing(malware_path):
@@ -257,7 +257,7 @@ def cmd_detect(args) -> int:
     windows = _windows(window, records)
 
     reports = [
-        detect(records, ipmap.table, ranking, malware, cfg, w) for w in windows
+        detect(records, table, ranking, malware, cfg, w) for w in windows
     ]
     elapsed = time.monotonic() - t0
 
@@ -271,7 +271,7 @@ def cmd_detect(args) -> int:
         "inputs": {
             "trace_lines": loaded.total_lines,
             "trace_skipped": len(loaded.skipped),
-            "ipmap_skipped": len(ipmap.skipped),
+            "ipmap_skipped": len(ipmap_skipped),
         },
         "reports": [r.to_json_dict() for r in reports],
         "summary": {
@@ -523,7 +523,7 @@ def cmd_rules(args) -> int:
                     "machine": machine,
                     "ts": rec.timestamp,
                     "url": rec.url,
-                    "spoof_domain": signal.spoof_domain.registrable,
+                    "spoof_domain": signal.spoof_domain,
                     "land_ip": signal.land_ip,
                     "verified": followed,
                 }

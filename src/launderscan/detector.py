@@ -72,7 +72,7 @@ def build_resolution_index(
             continue
         idx.records_seen += 1
         idx.ip_record_count[rec.server_ip] += 1
-        idx.by_ip.setdefault(rec.server_ip, set()).add(rec.domain.registrable)
+        idx.by_ip.setdefault(rec.server_ip, set()).add(rec.domain)
     # one batch ISP resolution over the distinct IPs
     ips = list(idx.by_ip)
     idx.ip_isp = dict(zip(ips, table.lookup_batch(ips)))
@@ -156,7 +156,7 @@ def label_detections(
         if not (window[0] <= rec.timestamp < window[1]):
             continue
         key, doms = hit
-        if rec.domain is None or rec.domain.registrable not in doms:
+        if rec.domain not in doms:
             continue
         procs[key][rec.process_name] += 1
         machines[key].add(rec.machine_id)

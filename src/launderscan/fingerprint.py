@@ -8,7 +8,7 @@ analyst, and reports say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -110,13 +110,13 @@ def extract_features(
                 spoof = check_spoof_query(rec.url, suffix) is not None
             except MalformedSignalError:
                 spoof = True
-        nd = rec.domain
-        if nd is None:
+        dom = rec.domain
+        if dom is None:
             malformed += 1
             continue
-        if is_malformed_domain(nd, suffix):
+        if is_malformed_domain(dom, suffix):
             malformed += 1
-        per_machine.setdefault(rec.machine_id, []).append((rec.timestamp, nd.registrable))
+        per_machine.setdefault(rec.machine_id, []).append((rec.timestamp, dom))
     flags = set()
     if spoof:
         flags.add(FLAG_SPOOF_QUERY)

@@ -9,9 +9,9 @@ dominance for the analyst.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .ingest import Skip
+from .ingest import Skips
 
 # The deepest iframe nesting a row may state.  A depth needs that many nested
 # frames, and Chromium lets one page hold at most 1,000 frames, so a deeper
@@ -26,18 +26,18 @@ class DepthSample:
     label: str
 
 
-def load_depth_csv(lines: Iterable[str], label: str) -> tuple[DepthSample, list[Skip]]:
+def load_depth_csv(lines: Iterable[str], label: str) -> tuple[DepthSample, Skips]:
     """CSV of url,max_depth; a header row is tolerated.  Only the depths are
     kept.  A depth above MAX_DEPTH is a "bad depth" skip."""
     depths: list[int] = []
-    skipped: list[Skip] = []
+    skip = Skips()
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.rsplit(",", 1)
         if len(parts) != 2:
-            skipped.append(Skip(line_no, "bad row"))
+            skip(line_no, "bad row")
             continue
         depth_s = parts[1].strip()
         digits = depth_s.removeprefix("-")
@@ -45,21 +45,21 @@ def load_depth_csv(lines: Iterable[str], label: str) -> tuple[DepthSample, list[
         if not (digits.isascii() and digits.isdigit()):
             if line_no == 1 and depth_s.lower() in ("max_depth", "depth"):
                 continue  # header
-            skipped.append(Skip(line_no, "bad depth"))
+            skip(line_no, "bad depth")
             continue
         try:
             depth = int(depth_s)
         except ValueError:  # more digits than int() converts
-            skipped.append(Skip(line_no, "bad depth"))
+            skip(line_no, "bad depth")
             continue
         if depth < 0:
-            skipped.append(Skip(line_no, "negative depth"))
+            skip(line_no, "negative depth")
             continue
         if depth > MAX_DEPTH:
-            skipped.append(Skip(line_no, "bad depth"))
+            skip(line_no, "bad depth")
             continue
         depths.append(depth)
-    return DepthSample(depths=tuple(depths), label=label), skipped
+    return DepthSample(depths=tuple(depths), label=label), skip
 
 
 def depth_histogram(sample: DepthSample) -> dict[int, float]:

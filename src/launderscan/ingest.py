@@ -3,8 +3,8 @@ interleave http, impression, and pageview records via a "kind" field),
 CIDR→ISP maps, ranked domain lists, malware process lists, and alias groups.
 
 All loaders are single-pass and lenient by default: bad lines are skipped and
-recorded with their line number and a reason.  In strict mode the first bad
-line raises ParseAbortError.  For every loader, skipped + parsed = total.
+counted by reason (``Skips``).  In strict mode the first bad line raises
+ParseAbortError.  For every loader, skipped + parsed = total.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .model import (
     DomainEvent,
     HttpRecord,
     InvalidDomainError,
-    NormalizedDomain,
     PublicSuffixSet,
     canonical_isp,
     content_lines,
@@ -33,12 +32,6 @@ from .model import (
 MAX_TS_MS = 253_402_300_799_999
 
 
-@dataclass(frozen=True, slots=True)
-class Skip:
-    line_no: int
-    reason: str
-
-
 class ParseAbortError(ValueError):
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
@@ -46,16 +39,28 @@ class ParseAbortError(ValueError):
         self.reason = reason
 
 
-def _skipper(skipped: list[Skip], strict: bool):
-    """A loader's ``skip(line_no, reason)``: record the bad line in
-    ``skipped``, or in strict mode raise ParseAbortError for it."""
+class Skips:
+    """The lines a loader skipped, as a count per reason and the first
+    ``(line_no, reason)``; ``len()`` is their total.  Reasons are fixed
+    strings, so the tally does not grow with the input.  Calling it skips a
+    line, or in strict mode raises ParseAbortError for it."""
 
-    def skip(line_no: int, reason: str):
-        if strict:
+    __slots__ = ("strict", "counts", "first")
+
+    def __init__(self, strict: bool = False):
+        self.strict = strict
+        self.counts: dict[str, int] = {}
+        self.first: Optional[tuple[int, str]] = None
+
+    def __call__(self, line_no: int, reason: str):
+        if self.strict:
             raise ParseAbortError(line_no, reason)
-        skipped.append(Skip(line_no, reason))
+        if self.first is None:
+            self.first = (line_no, reason)
+        self.counts[reason] = self.counts.get(reason, 0) + 1
 
-    return skip
+    def __len__(self) -> int:
+        return sum(self.counts.values())
 
 
 def is_utf8(line: str) -> bool:
@@ -68,7 +73,7 @@ def is_utf8(line: str) -> bool:
     return True
 
 
-def record_domain(url: str, suffix: PublicSuffixSet) -> Optional[NormalizedDomain]:
+def record_domain(url: str, suffix: PublicSuffixSet) -> Optional[str]:
     """The domain an http record's URL resolves to (``HttpRecord.domain``);
     None when its host does not normalize."""
     try:
@@ -82,7 +87,7 @@ class LoadResult:
     http: list[HttpRecord] = field(default_factory=list)
     impressions: list[DomainEvent] = field(default_factory=list)
     pageviews: list[DomainEvent] = field(default_factory=list)
-    skipped: list[Skip] = field(default_factory=list)
+    skipped: Skips = field(default_factory=Skips)
     total_lines: int = 0
 
 
@@ -101,15 +106,15 @@ def load_trace(
     gets the first ``str`` object seen for its machine, process, IP and
     referrer.
     """
-    out = LoadResult()
+    out = LoadResult(skipped=Skips(strict))
     # name -> normalize_domain(name), None when it does not normalize; a URL
     # host maps to what ``record_domain`` gives for its URL
-    domains: dict[str, Optional[NormalizedDomain]] = {}
+    domains: dict[str, Optional[str]] = {}
     valid_ip: dict[str, bool] = {}  # ip -> is_valid_ipv4(ip)
     shared = {}.setdefault  # str value -> the first equal object seen
-    skip = _skipper(out.skipped, strict)
+    skip = out.skipped
 
-    def domain_of(name) -> Optional[NormalizedDomain]:
+    def domain_of(name) -> Optional[str]:
         if not isinstance(name, str):  # a JSON null, bool, number, list or object
             return None
         if name not in domains:
@@ -200,22 +205,17 @@ def load_trace(
                 continue
             out.pageviews.append(DomainEvent(timestamp=ts, machine_id=machine, domain=dom))
         else:
-            skip(line_no, f"bad kind {kind!r}")
+            skip(line_no, "bad kind")
     return out
 
 
-@dataclass(slots=True)
-class IpMapLoad:
-    table: IpAttributionTable
-    skipped: list[Skip]
-
-
-def load_ip_map(lines: Iterable[str], strict: bool = False) -> IpMapLoad:
+def load_ip_map(
+    lines: Iterable[str], strict: bool = False
+) -> tuple[IpAttributionTable, Skips]:
     """Parse "CIDR,ISP" CSV lines ('#' comments).  Duplicate prefixes are
-    last-wins; the table's replace counter records how many."""
+    last-wins."""
     table = IpAttributionTable()
-    skipped: list[Skip] = []
-    skip = _skipper(skipped, strict)
+    skip = Skips(strict)
     for line_no, line in content_lines(lines):
         parts = line.split(",", 1)
         if len(parts) != 2 or not parts[1].strip():
@@ -231,40 +231,32 @@ def load_ip_map(lines: Iterable[str], strict: bool = False) -> IpMapLoad:
             table.insert(cidr, isp)
         except ValueError as err:
             skip(line_no, str(err))
-            continue
-    return IpMapLoad(table=table, skipped=skipped)
+    return table, skip
 
 
 @dataclass(frozen=True, slots=True)
 class RankedDomainList:
     """Reputation list: rank 1 is the most reputable."""
 
-    entries: tuple[NormalizedDomain, ...]
+    entries: tuple[str, ...]
 
     def high_value_at(self, cutoff: int) -> frozenset[str]:
-        """The registrable domains of the first ``cutoff`` entries."""
-        return frozenset(d.registrable for d in self.entries[: min(cutoff, len(self.entries))])
+        """The domains of the first ``cutoff`` entries."""
+        return frozenset(self.entries[:cutoff])
 
 
 def load_ranked_domains(
     lines: Iterable[str], suffix: PublicSuffixSet, strict: bool = False
-) -> tuple[RankedDomainList, list[Skip]]:
+) -> tuple[RankedDomainList, Skips]:
     """One domain per line, rank = line order; duplicates keep the first rank."""
-    entries: list[NormalizedDomain] = []
-    seen: set[str] = set()
-    skipped: list[Skip] = []
-    skip = _skipper(skipped, strict)
+    entries: dict[str, None] = {}  # insertion-ordered set
+    skip = Skips(strict)
     for line_no, line in content_lines(lines):
         try:
-            dom = normalize_domain(line, suffix)
+            entries.setdefault(normalize_domain(line, suffix))
         except InvalidDomainError:
             skip(line_no, "bad domain")
-            continue
-        if dom.registrable in seen:
-            continue
-        seen.add(dom.registrable)
-        entries.append(dom)
-    return RankedDomainList(entries=tuple(entries)), skipped
+    return RankedDomainList(entries=tuple(entries)), skip
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,10 +299,9 @@ def load_alias_groups(lines: Iterable[str], suffix: PublicSuffixSet) -> AliasGro
             if not item:
                 continue
             try:
-                dom = normalize_domain(item, suffix)
+                members.add(normalize_domain(item, suffix))
             except InvalidDomainError as err:
                 raise ParseAbortError(line_no, f"bad domain {item!r}") from err
-            members.add(dom.registrable)
         if not members:
             continue
         gid = len(groups)

@@ -3,7 +3,7 @@ match: one dict probe per mask length in use, longest first."""
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import is_valid_ipv4
 
@@ -14,20 +14,21 @@ def ip_to_u32(ip: str) -> int:
 
 
 def parse_cidr(cidr: str) -> tuple[int, int]:
-    """Parse canonical "a.b.c.d/len"; host bits below the mask are an error."""
+    """Parse canonical "a.b.c.d/len"; host bits below the mask are an error.
+    The error's message is a fixed reason that does not echo ``cidr``."""
     parts = cidr.strip().split("/")
     if len(parts) != 2:
-        raise ValueError(f"bad cidr {cidr!r}")
+        raise ValueError("bad cidr")
     addr, mask_s = parts
     if not is_valid_ipv4(addr):
-        raise ValueError(f"bad octets in {cidr!r}")
+        raise ValueError("bad octets")
     if not (mask_s.isascii() and mask_s.isdigit()) or not (0 <= int(mask_s) <= 32):
-        raise ValueError(f"bad mask in {cidr!r}")
+        raise ValueError("bad mask")
     mask_len = int(mask_s)
     net = ip_to_u32(addr)
     mask = _mask_of(mask_len)
     if net & ~mask & 0xFFFFFFFF:
-        raise ValueError(f"host bits set in {cidr!r}")
+        raise ValueError("host bits set")
     return net, mask_len
 
 
@@ -39,27 +40,16 @@ class IpAttributionTable:
     """Longest-prefix CIDR → ISP map.
 
     Reinserting an identical (network, mask) prefix overwrites the previous
-    ISP and bumps ``replace_count``.
+    ISP.
     """
 
     def __init__(self):
         self._entries: dict[tuple[int, int], str] = {}
         self._mask_lens: list[int] = []  # descending
-        self.replace_count = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> Iterable[tuple[int, int, str]]:
-        for (net, mask_len), isp in self._entries.items():
-            yield net, mask_len, isp
 
     def insert(self, cidr: str, isp: str) -> None:
         net, mask_len = parse_cidr(cidr)
-        key = (net, mask_len)
-        if key in self._entries:
-            self.replace_count += 1
-        self._entries[key] = isp
+        self._entries[(net, mask_len)] = isp
         if mask_len not in self._mask_lens:
             self._mask_lens.append(mask_len)
             self._mask_lens.sort(reverse=True)

@@ -1,9 +1,8 @@
 """Shared record types, domain normalization, and small validation helpers.
 
 Every value type here is immutable after construction and safe to share
-between workers.  Domain identity throughout the toolkit is the registrable
-domain (public suffix plus one label); the full hostname is kept alongside so
-host-level analyses stay possible.
+between workers.  A domain throughout the toolkit is a plain ``str``: the
+registrable domain (public suffix plus one label) that normalize_domain gives.
 """
 
 from __future__ import annotations
@@ -54,12 +53,6 @@ class PublicSuffixSet:
         return None
 
 
-@dataclass(frozen=True, slots=True)
-class NormalizedDomain:
-    registrable: str
-    full_host: str
-
-
 def url_host(url: str) -> str:
     """The text after a non-empty ``scheme://`` up to the first '/', '?' or
     '#', without userinfo; "" when there is none.  The toolkit's only
@@ -83,12 +76,11 @@ def url_query(url: str) -> str:
     return url.partition("#")[0].partition("?")[2]
 
 
-def normalize_domain(host: str, suffix_list: PublicSuffixSet) -> NormalizedDomain:
-    """Lowercase ``host``, strip port/userinfo/trailing dot, derive registrable.
-
-    The registrable domain is the longest matching public suffix plus one
-    preceding label.  When no suffix matches, the registrable equals the full
-    host; such domains are the ones is_malformed_domain() flags.
+def normalize_domain(host: str, suffix_list: PublicSuffixSet) -> str:
+    """Lowercase ``host``, strip port/userinfo/trailing dot, and return its
+    registrable domain: the longest matching public suffix plus one preceding
+    label.  When no suffix matches, that is the whole host; such domains are
+    the ones is_malformed_domain() flags.  Idempotent on what it returns.
     """
     if not host:
         raise InvalidDomainError("empty host")
@@ -106,17 +98,18 @@ def normalize_domain(host: str, suffix_list: PublicSuffixSet) -> NormalizedDomai
         raise InvalidDomainError(f"empty label in host: {host!r}")
     suffix = suffix_list.match(h)
     if suffix is None or suffix == h:
-        registrable = h
-    else:
-        # one label in front of the suffix
-        head = h[: -(len(suffix) + 1)]
-        registrable = head.rsplit(".", 1)[-1] + "." + suffix
-    return NormalizedDomain(registrable=registrable, full_host=h)
+        return h
+    # one label in front of the suffix
+    head = h[: -(len(suffix) + 1)]
+    return head.rsplit(".", 1)[-1] + "." + suffix
 
 
-def is_malformed_domain(d: NormalizedDomain, suffix_list: PublicSuffixSet) -> bool:
-    """True when the host's trailing labels match no known public suffix."""
-    return suffix_list.match(d.full_host) is None
+def is_malformed_domain(domain: str, suffix_list: PublicSuffixSet) -> bool:
+    """True when the host's trailing labels match no known public suffix.
+    ``domain`` is the host's registrable domain: a host that matches none is
+    its own registrable, and any other registrable ends in the suffix that
+    matched, so the answer is the host's."""
+    return suffix_list.match(domain) is None
 
 
 def canonical_isp(name: str) -> str:
@@ -159,7 +152,7 @@ class HttpRecord:
     machine_id: str
     process_name: str
     url: str
-    domain: Optional[NormalizedDomain]
+    domain: Optional[str]
     referrer: Optional[str]
     server_ip: str
 
@@ -172,4 +165,4 @@ class DomainEvent:
 
     timestamp: int
     machine_id: str
-    domain: NormalizedDomain
+    domain: str

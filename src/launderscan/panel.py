@@ -32,9 +32,7 @@ def attributed_ads(
     out: dict[str, list[tuple[int, str]]] = {}
     for imp in impressions:
         if start <= imp.timestamp < end:
-            out.setdefault(imp.machine_id, []).append(
-                (imp.timestamp, imp.domain.registrable)
-            )
+            out.setdefault(imp.machine_id, []).append((imp.timestamp, imp.domain))
     for ads in out.values():
         ads.sort()
     return out
@@ -69,7 +67,7 @@ def publisher_visits(pageviews: Sequence[DomainEvent], policy: SessionPolicy) ->
     """Index every page view by machine and alias group."""
     index = VisitIndex(policy=policy)
     for pv in pageviews:
-        index.add(pv.machine_id, pv.domain.registrable, pv.timestamp)
+        index.add(pv.machine_id, pv.domain, pv.timestamp)
     index.seal()
     return index
 

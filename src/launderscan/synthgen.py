@@ -27,16 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .ingest import (
-    AliasGroups,
-    LoadResult,
-    RankedDomainList,
-    load_alias_groups,
-    load_ip_map,
-    load_ranked_domains,
-    load_trace,
-)
-from .ipattr import IpAttributionTable
+from .ingest import AliasGroups, load_alias_groups
 from .model import DAY_MS, PublicSuffixSet
 
 KIND_HOSTS_HIJACK = "HostsHijack"
@@ -196,21 +187,6 @@ def five_scheme_plants() -> tuple[SchemeTemplate, ...]:
     )
 
 
-def five_scheme_scenario(
-    seed: int = 7,
-    divisor: int = 100,
-    background_machines: int = 10_000,
-    day_count: int = 1,
-) -> Scenario:
-    return Scenario(
-        seed=seed,
-        day_count=day_count,
-        divisor=divisor,
-        background=BackgroundSpec(machine_count=background_machines),
-        plants=five_scheme_plants(),
-    )
-
-
 @dataclass(frozen=True)
 class GroundTruth:
     record_labels: dict[int, str]  # trace.jsonl line index -> scheme label; absent = clean
@@ -255,16 +231,6 @@ class _World:
     plant_ip_isp: dict[str, str]
     plant_targets: dict[str, list[str]]
     alias: AliasGroups
-    suffix: PublicSuffixSet
-
-    def table_lines(self) -> dict[str, Sequence[str]]:
-        """The reference tables emit_scenario_files writes, by file name."""
-        return {
-            "ipmap.csv": self.ipmap_lines,
-            "ranking.txt": self.domains,
-            "malware.txt": self.malware_names,
-            "aliases.csv": ALIAS_GROUP_LINES,
-        }
 
 
 def _pool_domains(n: int) -> list[str]:
@@ -277,7 +243,6 @@ def _pool_domains(n: int) -> list[str]:
 
 def _build_world(scenario: Scenario) -> _World:
     bg = scenario.background
-    suffix = PublicSuffixSet.builtin()
     domains = _pool_domains(bg.domain_count)
     high_value = domains[: bg.high_value_cutoff]
 
@@ -325,7 +290,6 @@ def _build_world(scenario: Scenario) -> _World:
         if tpl.extras.get("malware_listed"):
             malware_names.append(tpl.process_name.casefold())
 
-    alias = load_alias_groups(ALIAS_GROUP_LINES, suffix)
     return _World(
         domains=domains,
         home_ips=home_ips,
@@ -334,8 +298,7 @@ def _build_world(scenario: Scenario) -> _World:
         plant_ips=plant_ips,
         plant_ip_isp=plant_ip_isp,
         plant_targets=plant_targets,
-        alias=alias,
-        suffix=suffix,
+        alias=load_alias_groups(ALIAS_GROUP_LINES, PublicSuffixSet.builtin()),
     )
 
 
@@ -540,38 +503,6 @@ def _truth_from(
     )
 
 
-@dataclass
-class GeneratedCorpus:
-    lines: list[str]  # trace.jsonl's lines, which truth.record_labels indexes
-    trace: LoadResult
-    truth: GroundTruth
-    table: IpAttributionTable
-    ranking: RankedDomainList
-    alias: AliasGroups
-    malware_names: list[str]
-
-
-def generate(scenario: Scenario) -> GeneratedCorpus:
-    """Materialize a scenario in memory: the lines emit_scenario_files writes,
-    parsed by the loaders the CLI uses (in strict mode, so a line the CLI
-    would skip raises).  For large scenarios prefer emit_scenario_files,
-    which streams machine by machine."""
-    world = _build_world(scenario)
-    labels: dict[int, str] = {}
-    lines = [line for block in _trace_blocks(scenario, world, labels) for line in block]
-    tables = world.table_lines()
-    ranking, _ = load_ranked_domains(tables["ranking.txt"], world.suffix, strict=True)
-    return GeneratedCorpus(
-        lines=lines,
-        trace=load_trace(lines, world.suffix, strict=True),
-        truth=_truth_from(scenario, world, labels),
-        table=load_ip_map(tables["ipmap.csv"], strict=True).table,
-        ranking=ranking,
-        alias=world.alias,
-        malware_names=world.malware_names,
-    )
-
-
 def _write_blocks(path: Path, blocks: Iterable[Sequence[str]]) -> dict:
     """Write the blocks of lines in order, each line ending in a newline;
     returns the file's sha256, line count and byte count."""
@@ -603,7 +534,10 @@ def emit_scenario_files(scenario: Scenario, output_dir) -> dict:
     files = {"trace.jsonl": _write_blocks(outdir / "trace.jsonl", _trace_blocks(scenario, world, labels))}
     truth = _truth_from(scenario, world, labels)
     tables = {
-        **world.table_lines(),
+        "ipmap.csv": world.ipmap_lines,
+        "ranking.txt": world.domains,
+        "malware.txt": world.malware_names,
+        "aliases.csv": ALIAS_GROUP_LINES,
         "truth.json": [json.dumps(truth.to_json_dict(), sort_keys=True)],
     }
     for name, lines in tables.items():

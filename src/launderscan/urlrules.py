@@ -18,7 +18,6 @@ from urllib.parse import parse_qsl
 from .model import (
     HttpRecord,
     InvalidDomainError,
-    NormalizedDomain,
     PublicSuffixSet,
     is_valid_ipv4,
     normalize_domain,
@@ -44,7 +43,7 @@ class EmptyFingerprintError(ValueError):
 class SpoofSignal:
     """What a hijack query says: the spoofed domain resolves to ``land_ip``."""
 
-    spoof_domain: NormalizedDomain
+    spoof_domain: str
     land_ip: str
 
 
@@ -63,7 +62,7 @@ def _query_values(url: str, keys: tuple[str, ...]) -> dict[str, list[str]]:
     return found
 
 
-def _value_domain(val: str, suffix: PublicSuffixSet) -> NormalizedDomain:
+def _value_domain(val: str, suffix: PublicSuffixSet) -> str:
     """The domain a query value names: its host's when it is a URL, else the
     value itself.  Raises InvalidDomainError when that does not normalize."""
     return normalize_domain(url_host(val) if "://" in val else val, suffix)
@@ -100,14 +99,14 @@ def verify_spoof_followthrough(
     ``horizon_ms`` later, the same machine's trace (sorted by timestamp)
     requests the spoofed domain from the landing IP."""
     lo, hi = ts, ts + horizon_ms
-    want = signal.spoof_domain.registrable
+    want = signal.spoof_domain
     for k in range(bisect_right(trace, lo, key=attrgetter("timestamp")), len(trace)):
         rec = trace[k]
         if rec.timestamp > hi:
             break
         if rec.server_ip != signal.land_ip:
             continue
-        if rec.domain is not None and rec.domain.registrable == want:
+        if rec.domain == want:
             return True
     return False
 
@@ -127,7 +126,7 @@ def sibling_referrer_consistency(
     for url in ad_call_urls:
         for val in _query_values(url, (param_name,)).get(param_name, ()):
             try:
-                seen.add(_value_domain(val, suffix).registrable)
+                seen.add(_value_domain(val, suffix))
             except InvalidDomainError:
                 continue
     return ReferrerCheck(consistent=len(seen) <= 1, values=frozenset(seen))

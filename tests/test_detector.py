@@ -54,21 +54,21 @@ def test_config_validation():
 
 
 def test_index_single_record():
-    table = load_ip_map(["1.2.3.0/24,A"]).table
+    table, _ = load_ip_map(["1.2.3.0/24,A"])
     idx = build_resolution_index([_rec("http://example.com/x", "1.2.3.4")], table, WINDOW)
     assert idx.by_ip == {"1.2.3.4": {"example.com"}}
     assert idx.ip_isp == {"1.2.3.4": "a"}
 
 
 def test_index_unknown_isp_still_indexed():
-    table = load_ip_map(["1.2.3.0/24,A"]).table
+    table, _ = load_ip_map(["1.2.3.0/24,A"])
     idx = build_resolution_index([_rec("http://example.com/x", "9.9.9.9")], table, WINDOW)
     assert idx.by_ip == {"9.9.9.9": {"example.com"}}
     assert idx.ip_isp == {"9.9.9.9": None}
 
 
 def test_index_window_filter_and_counts():
-    table = load_ip_map(["1.2.3.0/24,A"]).table
+    table, _ = load_ip_map(["1.2.3.0/24,A"])
     records = [
         _rec("http://a.com/", "1.2.3.4", ts=WINDOW[0]),
         _rec("http://a.com/", "1.2.3.4", ts=WINDOW[1]),  # end exclusive
@@ -151,13 +151,13 @@ def test_candidate_domains_match_bruteforce_oracle():
     """Candidates and the unknown-ISP diagnostics, from the records alone."""
     rng = random.Random(21)
     # 10.0.10.1 and 10.0.11.1 have no ISP
-    table = load_ip_map([f"10.0.{i}.0/24,isp{i % 4}" for i in range(10)]).table
+    table, _ = load_ip_map([f"10.0.{i}.0/24,isp{i % 4}" for i in range(10)])
     records = _random_records(rng, n=80)  # 2 of the top 5 domains qualify, 9 of all 20
     ranking = _ranking([f"d{i:02d}.com" for i in range(20)])
     idx = build_resolution_index(records, table, WINDOW)
     ips_of: dict[str, set] = {}
     for r in records:
-        ips_of.setdefault(r.domain.registrable, set()).add(r.server_ip)
+        ips_of.setdefault(r.domain, set()).add(r.server_ip)
     for cutoff in (5, 20):
         cfg = DetectorConfig(high_value_cutoff=cutoff, min_ips_per_domain=3,
                              min_isps_per_domain=3, flag_threshold=3)
@@ -231,12 +231,12 @@ def test_labeling_counts_only_matching_domains():
     assert det.machine_ids == {"m1"}
 
 
-def test_detection_invariants_on_corpus(small_corpus, small_malware):
+def test_detection_invariants_on_corpus(small_corpus):
     rep = detect(
         small_corpus.trace.http,
         small_corpus.table,
         small_corpus.ranking,
-        small_malware,
+        small_corpus.malware,
         DetectorConfig(),
         WINDOW,
     )
@@ -248,12 +248,12 @@ def test_detection_invariants_on_corpus(small_corpus, small_malware):
     assert counts == sorted(counts, reverse=True)
 
 
-def test_detect_flags_exactly_the_plants(small_corpus, small_malware):
+def test_detect_flags_exactly_the_plants(small_corpus):
     rep = detect(
         small_corpus.trace.http,
         small_corpus.table,
         small_corpus.ranking,
-        small_malware,
+        small_corpus.malware,
         DetectorConfig(),
         WINDOW,
     )
@@ -266,7 +266,7 @@ def test_detect_clean_scenario_is_silent(clean_corpus):
         clean_corpus.trace.http,
         clean_corpus.table,
         clean_corpus.ranking,
-        MalwareProcessList(frozenset(clean_corpus.malware_names)),
+        clean_corpus.malware,
         DetectorConfig(),
         WINDOW,
     )
@@ -277,7 +277,7 @@ def test_detect_clean_scenario_is_silent(clean_corpus):
 def test_detect_single_plant_at_exact_threshold():
     # 20 domains, each at the plant ip and at its own home ip/isp
     rows = ["185.0.0.0/24,plantisp"] + [f"10.{i}.0.0/16,home{i}" for i in range(20)]
-    table = load_ip_map(rows).table
+    table, _ = load_ip_map(rows)
     domains = [f"d{i:02d}.com" for i in range(20)]
     records = []
     for i, dom in enumerate(domains):
@@ -293,7 +293,7 @@ def test_detect_single_plant_at_exact_threshold():
 
 def test_permutation_invariance():
     rng = random.Random(13)
-    table = load_ip_map([f"10.0.{i}.0/24,isp{i % 3}" for i in range(10)]).table
+    table, _ = load_ip_map([f"10.0.{i}.0/24,isp{i % 3}" for i in range(10)])
     records = _random_records(rng, n_ips=10, n=400)
     ranking = _ranking([f"d{i:02d}.com" for i in range(20)])
     malware = MalwareProcessList(frozenset())
@@ -328,7 +328,7 @@ def test_monotonicity_properties():
 
 
 def test_detect_empty_inputs_yield_empty_report():
-    table = load_ip_map([]).table
+    table, _ = load_ip_map([])
     ranking = _ranking(["a.com"])
     rep = detect([], table, ranking, MalwareProcessList(frozenset()), DetectorConfig(), WINDOW)
     assert rep.detections == ()

@@ -253,12 +253,12 @@ def test_cycle_validation():
         detect_repeat_cycle([(5, "a"), (1, "b")] * 4, tolerance_ms=10, min_len=3)
 
 
-def test_profiles_from_corpus_group_to_scheme_count(small_corpus, small_malware):
+def test_profiles_from_corpus_group_to_scheme_count(small_corpus):
     rep = detect(
         small_corpus.trace.http,
         small_corpus.table,
         small_corpus.ranking,
-        small_malware,
+        small_corpus.malware,
         DetectorConfig(),
         WINDOW,
     )

@@ -90,8 +90,10 @@ def test_load_depth_csv():
     ]
     sample, skipped = load_depth_csv(lines, label="t")
     assert sample.depths == (3, 0, MAX_DEPTH)
-    assert [s.reason for s in skipped] == ["bad row", "negative depth"] + ["bad depth"] * 7
-    assert [s.line_no for s in skipped[-2:]] == [12, 13]
+    assert skipped.counts == {"bad row": 1, "negative depth": 1, "bad depth": 7}
+    assert skipped.first == (4, "bad row")
+    # the rows past MAX_DEPTH are the ones skipped after it
+    assert load_depth_csv(lines[11:], label="t")[1].first == (1, "bad depth")
 
 
 def test_plot_lines_cover_range():

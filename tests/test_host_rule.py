@@ -100,7 +100,7 @@ def test_a_url_valued_parameter_counts_as_its_hosts_domain():
     """The spoof and referrer rules resolve the same value to the same domain."""
     value = "http://www.target.com/a"
     signal = check_spoof_query(f"http://ads.net/imp?spoof_domain={value}&land_ip={IP}", SUFFIX)
-    assert signal.spoof_domain.registrable == "target.com"
+    assert signal.spoof_domain == "target.com"
     assert verify_spoof_followthrough(signal, 1_000, [_rec("http://target.com/")], 60_000)
     referrer = sibling_referrer_consistency([f"http://ads.net/call?referrer={value}"], "referrer", SUFFIX)
     assert referrer.values == {"target.com"}

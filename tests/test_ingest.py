@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -50,8 +51,8 @@ def test_well_formed_trace_roundtrip():
 def test_bad_ip_skipped_with_reason():
     result = load_trace([_http_line(ip="999.1.1.1")], SUFFIX)
     assert not result.http
-    assert result.skipped[0].reason == "bad ip"
-    assert result.skipped[0].line_no == 1
+    assert result.skipped.counts == {"bad ip": 1}
+    assert result.skipped.first == (1, "bad ip")
 
 
 def test_empty_file():
@@ -72,9 +73,10 @@ def test_mixed_kinds_and_default_kind():
     assert len(result.http) == 2
     assert len(result.impressions) == 1
     assert len(result.pageviews) == 1
-    assert result.pageviews[0].domain.registrable == "example.com"
+    assert result.pageviews[0].domain == "example.com"
     assert result.http[1].process_name == ""
-    assert [s.reason for s in result.skipped] == ["bad kind 'mystery'"]
+    assert result.skipped.counts == {"bad kind": 1}
+    assert result.skipped.first == (5, "bad kind")
 
 
 def test_whitespace_process_name_preserved():
@@ -111,7 +113,7 @@ def test_wrongly_typed_http_fields_are_skipped(field, value):
     lines = [_http_line(), _http_line(**{field: value})]
     result = load_trace(lines, SUFFIX)
     assert len(result.http) == 1
-    assert [(s.line_no, s.reason) for s in result.skipped] == [(2, f"bad {field}")]
+    assert result.skipped.counts == {f"bad {field}": 1}
     assert parsed_count(result) + len(result.skipped) == result.total_lines
     with pytest.raises(ParseAbortError) as err:
         load_trace(lines, SUFFIX, strict=True)
@@ -134,7 +136,7 @@ def test_non_string_domain_fields_are_skipped(kind, key, value):
     lines = [json.dumps({"ts": 5, "machine": "m1", "kind": kind, key: v}) for v in ("a.com", value)]
     result = load_trace(lines, SUFFIX)
     assert parsed_count(result) == 1
-    assert [(s.line_no, s.reason) for s in result.skipped] == [(2, f"bad {key}")]
+    assert result.skipped.counts == {f"bad {key}": 1}
     with pytest.raises(ParseAbortError) as err:
         load_trace(lines, SUFFIX, strict=True)
     assert (err.value.line_no, err.value.reason) == (2, f"bad {key}")
@@ -189,9 +191,9 @@ def test_repeated_values_are_checked_once_and_shared(lines):
     # the memos change no record and no skip
     for kind in ("http", "impressions", "pageviews"):
         assert getattr(whole, kind) == [r for one in alone for r in getattr(one, kind)]
-    assert [(s.line_no, s.reason) for s in whole.skipped] == [
-        (i + 1, s.reason) for i, one in enumerate(alone) for s in one.skipped
-    ]
+    alone_skips = [(i + 1, one.skipped.first[1]) for i, one in enumerate(alone) if one.skipped]
+    assert whole.skipped.first == (alone_skips[0] if alone_skips else None)
+    assert whole.skipped.counts == Counter(reason for _, reason in alone_skips)
     # one normalize_domain call per distinct name, host and domain names alike
     assert sorted(whole_calls) == sorted(set(calls))
     assert set(url_host(r.url) for r in whole.http) <= set(whole_calls)
@@ -212,7 +214,7 @@ def test_bool_ts_skipped_for_every_kind():
     ]
     result = load_trace(lines, SUFFIX)
     assert parsed_count(result) == 0
-    assert [s.reason for s in result.skipped] == ["bad ts", "bad ts"]
+    assert result.skipped.counts == {"bad ts": 2}
 
 
 def test_ts_loads_up_to_the_last_millisecond_of_year_9999():
@@ -246,26 +248,28 @@ def test_skips_plus_parsed_equals_total():
 
 
 def test_load_ip_map_basics():
-    load = load_ip_map(["10.0.0.0/8,CloudCo", "# comment", "10.1.0.0/16,Other"])
-    assert load.table.lookup("10.200.1.1") == "cloudco"
-    assert load.table.lookup("10.1.2.3") == "other"
-    assert not load.skipped
+    table, skipped = load_ip_map(["10.0.0.0/8,CloudCo", "# comment", "10.1.0.0/16,Other"])
+    assert table.lookup("10.200.1.1") == "cloudco"
+    assert table.lookup("10.1.2.3") == "other"
+    assert not skipped
 
 
 def test_load_ip_map_bad_rows():
-    load = load_ip_map(["10.0.0.0/33,X", "10.0.0.1/8,Y", "300.0.0.0/8,Z", "10.0.0.0/8"])
-    assert len(load.table) == 0
-    reasons = [s.reason for s in load.skipped]
-    assert "bad mask" in reasons[0]
-    assert "host bits" in reasons[1]
-    assert "bad octets" in reasons[2]
-    assert reasons[3] == "bad row"
+    lines = ["10.0.0.0/33,X", "10.0.0.1/8,Y", "300.0.0.0/8,Z", "10.0.0.0/8"]
+    table, skipped = load_ip_map(lines)
+    assert table.lookup("10.0.0.1") is None
+    # fixed reasons: the row's CIDR is not echoed
+    assert skipped.counts == {"bad mask": 1, "host bits set": 1, "bad octets": 1, "bad row": 1}
+    assert skipped.first == (1, "bad mask")
+    for i, reason in enumerate(["bad mask", "host bits set", "bad octets", "bad row"]):
+        with pytest.raises(ParseAbortError) as err:
+            load_ip_map(lines[i:], strict=True)
+        assert (err.value.line_no, err.value.reason) == (1, reason)
 
 
 def test_load_ip_map_duplicate_prefix_last_wins():
-    load = load_ip_map(["10.0.0.0/8,A", "10.0.0.0/8,B"])
-    assert load.table.lookup("10.1.1.1") == "b"
-    assert load.table.replace_count == 1
+    table, _ = load_ip_map(["10.0.0.0/8,A", "10.0.0.0/8,B"])
+    assert table.lookup("10.1.1.1") == "b"
 
 
 def test_ranked_domains_cutoff_and_dedupe():
@@ -276,9 +280,9 @@ def test_ranked_domains_cutoff_and_dedupe():
     assert len(ranking.entries) == 2499
     hv = ranking.high_value_at(2000)
     assert len(hv) == 2000
-    assert ranking.entries[4].registrable == "site0004.com"
+    assert ranking.entries[4] == "site0004.com"
     # rank 50 duplicate did not displace anything
-    assert ranking.entries[49].registrable == "site0050.com"
+    assert ranking.entries[49] == "site0050.com"
     empty, _ = load_ranked_domains([], suffix=SUFFIX)
     assert empty.entries == () and empty.high_value_at(2000) == frozenset()
 
@@ -286,7 +290,7 @@ def test_ranked_domains_cutoff_and_dedupe():
 def test_ranked_domains_skip_reason():
     ranking, skipped = load_ranked_domains(["good.com", "bad domain"], suffix=SUFFIX)
     assert len(ranking.entries) == 1
-    assert skipped[0].reason == "bad domain" and skipped[0].line_no == 2
+    assert skipped.counts == {"bad domain": 1} and skipped.first == (2, "bad domain")
 
 
 def test_ranked_roundtrip_random_lists():
@@ -295,7 +299,7 @@ def test_ranked_roundtrip_random_lists():
         n = rng.randrange(1, 60)
         lines = [f"d{rng.randrange(1000):03d}.net" for _ in range(n)]
         ranking, _ = load_ranked_domains(lines, suffix=SUFFIX)
-        again, _ = load_ranked_domains([d.registrable for d in ranking.entries], suffix=SUFFIX)
+        again, _ = load_ranked_domains(ranking.entries, suffix=SUFFIX)
         assert again == ranking
 
 

@@ -41,10 +41,7 @@ def test_arbitrary_bytes_never_raise_and_strict_stops_at_first_skip(lines):
     if lenient.skipped:
         with pytest.raises(ParseAbortError) as err:
             _load(data, strict=True)
-        assert (err.value.line_no, err.value.reason) == (
-            lenient.skipped[0].line_no,
-            lenient.skipped[0].reason,
-        )
+        assert (err.value.line_no, err.value.reason) == lenient.skipped.first
     else:
         assert parsed_count(_load(data, strict=True)) == parsed_count(lenient)
 
@@ -62,4 +59,5 @@ def test_arbitrary_bytes_never_raise_and_strict_stops_at_first_skip(lines):
 def test_undecodable_line_is_skipped_with_reason(line, reason):
     result = _load(GOOD_HTTP + b"\n" + line + b"\n", strict=False)
     assert len(result.http) == 1
-    assert [(s.line_no, s.reason) for s in result.skipped] == [(2, reason)]
+    assert result.skipped.counts == {reason: 1}
+    assert result.skipped.first == (2, reason)

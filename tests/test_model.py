@@ -15,27 +15,30 @@ BUILTIN = PublicSuffixSet.builtin()
 TINY = PublicSuffixSet(frozenset({"com", "co.uk", "net"}))
 
 
+def malformed_oracle(host: str, suffix_list: PublicSuffixSet) -> bool:
+    """The malformed rule on the full host: the host, normalized but not cut
+    to its registrable domain, ends in no known public suffix."""
+    h = host.lower().rsplit("@", 1)[-1].split(":", 1)[0].rstrip(".")
+    return suffix_list.match(h) is None
+
+
 def test_normalize_strips_case_and_port():
-    d = normalize_domain("WWW.Example.COM:8080", BUILTIN)
-    assert d.registrable == "example.com"
-    assert d.full_host == "www.example.com"
+    assert normalize_domain("WWW.Example.COM:8080", BUILTIN) == "example.com"
 
 
 def test_normalize_two_label_suffix():
-    d = normalize_domain("a.co.uk", TINY)
-    assert d.registrable == "a.co.uk"
-    assert d.full_host == "a.co.uk"
-    assert normalize_domain("shop.example.co.uk", TINY).registrable == "example.co.uk"
+    assert normalize_domain("a.co.uk", TINY) == "a.co.uk"
+    assert normalize_domain("shop.example.co.uk", TINY) == "example.co.uk"
 
 
 def test_normalize_unknown_suffix_keeps_full_host():
     d = normalize_domain("li.zulilycom", BUILTIN)
-    assert d.registrable == "li.zulilycom"
+    assert d == "li.zulilycom"
     assert is_malformed_domain(d, BUILTIN)
 
 
 def test_normalize_trailing_dot_and_userinfo():
-    assert normalize_domain("user@News.BBC.co.uk.", BUILTIN).registrable == "bbc.co.uk"
+    assert normalize_domain("user@News.BBC.co.uk.", BUILTIN) == "bbc.co.uk"
 
 
 @pytest.mark.parametrize("bad", ["", "  ", "a b.com", "a\t.com", "a..com", ":8080"])
@@ -71,8 +74,31 @@ _LABEL = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, m
 def test_normalize_idempotent(labels):
     host = ".".join(labels)
     once = normalize_domain(host, BUILTIN)
-    twice = normalize_domain(once.full_host, BUILTIN)
+    twice = normalize_domain(once, BUILTIN)
     assert once == twice
+
+
+# few labels, so hosts and suffixes share their tails often
+_SMALL_LABEL = st.sampled_from(["a", "b", "co", "uk", "com", "x-1"])
+_SUFFIX_SETS = st.builds(
+    PublicSuffixSet,
+    st.frozensets(st.lists(_SMALL_LABEL, min_size=1, max_size=3).map(".".join), max_size=6),
+)
+
+
+@settings(max_examples=500)
+@given(
+    st.lists(_SMALL_LABEL, min_size=1, max_size=5).map(".".join),
+    st.sampled_from(["", ".", ":8080", ".:8080"]),
+    st.sampled_from(["", "user@"]),
+    st.booleans(),
+    _SUFFIX_SETS,
+)
+def test_malformed_on_the_registrable_matches_the_full_host_rule(host, tail, userinfo, upper, suffixes):
+    raw = userinfo + (host.upper() if upper else host) + tail
+    registrable = normalize_domain(raw, suffixes)
+    assert is_malformed_domain(registrable, suffixes) == malformed_oracle(raw, suffixes)
+    assert normalize_domain(registrable, suffixes) == registrable
 
 
 @given(st.lists(_LABEL, min_size=1, max_size=5))

@@ -10,12 +10,11 @@ from launderscan import cli
 from launderscan import synthgen as sg
 from launderscan.detector import DetectorConfig, build_resolution_index, candidate_domains, detect
 from launderscan.fingerprint import FLAG_REPEAT_CYCLE, extract_features
-from launderscan.ingest import MalwareProcessList
 from launderscan.ingest import load_alias_groups
 from launderscan.model import DAY_MS, PublicSuffixSet, is_valid_ipv4
 from launderscan.panel import SessionPolicy, attributed_ads, misattribution_table, publisher_visits
 
-from conftest import DAY0, SMALL_SCENARIO, WINDOW, parsed_count, truth_from_json
+from conftest import DAY0, SMALL_SCENARIO, WINDOW, emitted_corpus, truth_from_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from chainbench.run import PINS, synth_argv  # noqa: E402
@@ -53,17 +52,17 @@ def _tiny_scenario(seed=3, plants=True, machines=60):
     )
 
 
-def test_same_seed_identical_output():
-    a = sg.generate(_tiny_scenario())
-    b = sg.generate(_tiny_scenario())
+def test_same_seed_identical_output(tmp_path):
+    a = emitted_corpus(_tiny_scenario(), tmp_path / "a")
+    b = emitted_corpus(_tiny_scenario(), tmp_path / "b")
     assert a.lines == b.lines
     assert a.truth.planted_pairs == b.truth.planted_pairs
     assert a.truth.record_labels == b.truth.record_labels
 
 
-def test_different_seed_differs():
-    a = sg.generate(_tiny_scenario(seed=3))
-    b = sg.generate(_tiny_scenario(seed=4))
+def test_different_seed_differs(tmp_path):
+    a = emitted_corpus(_tiny_scenario(seed=3), tmp_path / "a")
+    b = emitted_corpus(_tiny_scenario(seed=4), tmp_path / "b")
     assert a.lines != b.lines
 
 
@@ -90,31 +89,17 @@ def test_emit_files_and_manifest(tmp_path):
     )
 
 
-def test_generate_parses_the_emitted_trace_and_truth(small_corpus, tmp_path):
-    """generate() holds exactly the trace.jsonl lines emit writes, every one
-    parsed into a record, and the same ground truth."""
-    sg.emit_scenario_files(SMALL_SCENARIO, tmp_path)
-    text = "".join(line + "\n" for line in small_corpus.lines)
-    assert hashlib.sha256(text.encode()).digest() == hashlib.sha256(
-        (tmp_path / "trace.jsonl").read_bytes()
-    ).digest()
-    assert parsed_count(small_corpus.trace) == len(small_corpus.lines)
-    assert small_corpus.truth.to_json_dict() == json.loads((tmp_path / "truth.json").read_text())
-
-
 def test_emit_unwritable_dir_errors():
     with pytest.raises(OSError, match="/proc"):
         sg.emit_scenario_files(_tiny_scenario(), "/proc/launderscan-denied")
 
 
 def test_truth_roundtrip(tmp_path):
-    scenario = _tiny_scenario()
-    corpus = sg.generate(scenario)
-    sg.emit_scenario_files(scenario, tmp_path)
-    loaded = truth_from_json(json.loads((tmp_path / "truth.json").read_text()))
-    assert loaded.planted_pairs == corpus.truth.planted_pairs
-    assert loaded.record_labels == corpus.truth.record_labels
-    assert loaded.scheme_machines == corpus.truth.scheme_machines
+    sg.emit_scenario_files(_tiny_scenario(), tmp_path)
+    text = (tmp_path / "truth.json").read_text()
+    loaded = truth_from_json(json.loads(text))
+    assert loaded.planted_pairs and loaded.record_labels
+    assert json.dumps(loaded.to_json_dict(), sort_keys=True) + "\n" == text
 
 
 def test_generated_records_satisfy_invariants(small_corpus):
@@ -170,7 +155,7 @@ def test_plant_machines_have_no_pageviews(small_corpus):
         assert pv.machine_id not in planted
 
 
-def test_rotator_changes_active_domains_by_day():
+def test_rotator_changes_active_domains_by_day(tmp_path):
     tpl = sg.SchemeTemplate(
         label="rot",
         kind=sg.KIND_EPHEMERAL_ROTATOR,
@@ -192,7 +177,7 @@ def test_rotator_changes_active_domains_by_day():
         ),
         plants=(tpl,),
     )
-    corpus = sg.generate(scenario)
+    corpus = emitted_corpus(scenario, tmp_path)
     plant_ip = next(iter(corpus.truth.planted_pairs))[0]
     by_day = {0: set(), 1: set()}
     for rec in corpus.trace.http:
@@ -219,7 +204,7 @@ def test_template_validation():
         )
 
 
-def test_plant_wanting_too_many_targets_errors():
+def test_plant_wanting_too_many_targets_errors(tmp_path):
     tpl = sg.SchemeTemplate(
         label="greedy", kind=sg.KIND_MALFORMED_BOT, isp_pool=("a",), ip_count=1,
         machine_count=1, target_domains=500, daily_requests=10, daily_impressions=0,
@@ -231,7 +216,7 @@ def test_plant_wanting_too_many_targets_errors():
         plants=(tpl,),
     )
     with pytest.raises(ValueError, match="target domains"):
-        sg.generate(scenario)
+        sg.emit_scenario_files(scenario, tmp_path)
 
 
 def test_alias_lines_load():
@@ -240,14 +225,14 @@ def test_alias_lines_load():
 
 
 @pytest.fixture(scope="module")
-def replay_corpus():
+def replay_corpus(tmp_path_factory):
     """SMALL_SCENARIO with a 22 h ``replay_period_ms`` on scheme-gamma."""
     period = 22 * 3_600_000
     plants = tuple(
         replace(t, extras={**t.extras, "replay_period_ms": period}) if t.label == "scheme-gamma" else t
         for t in sg.five_scheme_plants()
     )
-    return sg.generate(replace(SMALL_SCENARIO, plants=plants))
+    return emitted_corpus(replace(SMALL_SCENARIO, plants=plants), tmp_path_factory.mktemp("replay"))
 
 
 def test_replay_period_plants_a_repeat_cycle_on_that_scheme_alone(replay_corpus):
@@ -256,8 +241,7 @@ def test_replay_period_plants_a_repeat_cycle_on_that_scheme_alone(replay_corpus)
     profiles and no other scheme's."""
     corpus = replay_corpus
     records = corpus.trace.http
-    report = detect(records, corpus.table, corpus.ranking,
-                    MalwareProcessList(frozenset(corpus.malware_names)), DetectorConfig(), WINDOW)
+    report = detect(records, corpus.table, corpus.ranking, corpus.malware, DetectorConfig(), WINDOW)
     by_ip: dict[str, list] = {}
     for rec in records:
         by_ip.setdefault(rec.server_ip, []).append(rec)
@@ -282,10 +266,12 @@ def test_synth_trace_matches_the_benchmark_pin(workload, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def dense_two_day_corpus():
+def dense_two_day_corpus(tmp_path_factory):
     """Five schemes at divisor 25 over two days: the plants outweigh the
     background, and each rotator machine changes targets between days."""
-    return sg.generate(sg.five_scheme_scenario(seed=3, divisor=25, background_machines=100, day_count=2))
+    scenario = sg.Scenario(seed=3, day_count=2, divisor=25, background=sg.BackgroundSpec(machine_count=100),
+                           plants=sg.five_scheme_plants())
+    return emitted_corpus(scenario, tmp_path_factory.mktemp("dense"))
 
 
 # for scenarios no benchmark pin covers: the sha256 of the trace lines (each

@@ -23,7 +23,7 @@ TAMPERED_ESCAPE = "function(n) { return privateEncode(n, wrapper['escape']);}"
 def test_spoof_query_extraction():
     sig = check_spoof_query("http://x.tld/ad?spoof_domain=example.com&land_ip=10.1.2.3", SUFFIX)
     assert sig is not None
-    assert sig.spoof_domain.registrable == "example.com"
+    assert sig.spoof_domain == "example.com"
     assert sig.land_ip == "10.1.2.3"
 
 
@@ -47,7 +47,7 @@ def test_spoof_query_malformed_land_ip():
 
 def test_spoof_query_percent_decoded_once():
     sig = check_spoof_query("http://x.tld/ad?spoof_domain=example%2Ecom&land_ip=10.1.2.3", SUFFIX)
-    assert sig.spoof_domain.registrable == "example.com"
+    assert sig.spoof_domain == "example.com"
 
 
 @pytest.mark.parametrize(
@@ -61,7 +61,7 @@ def test_spoof_query_percent_decoded_once():
 def test_spoof_query_keys_spelled_another_way_still_signal(query):
     sig = check_spoof_query("http://x.tld/ad?" + query, SUFFIX)
     assert sig is not None
-    assert sig.spoof_domain.registrable == "example.com"
+    assert sig.spoof_domain == "example.com"
     assert sig.land_ip == "10.1.2.3"
 
 
@@ -73,7 +73,7 @@ def test_spoof_query_order_and_noise_invariant():
         rng.shuffle(params)
         url = "http://x.tld/ad?" + "&".join(f"{k}={v}" for k, v in params)
         sig = check_spoof_query(url, SUFFIX)
-        assert sig.spoof_domain.registrable == "example.com"
+        assert sig.spoof_domain == "example.com"
         assert sig.land_ip == "10.1.2.3"
 
 
