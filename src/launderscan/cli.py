@@ -24,10 +24,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
-from . import fingerprint as fp
 from . import framedepth as fd
 from . import panel as pn
-from . import synthgen as sg
 from . import urlrules as ur
 from .detector import Detection, DetectorConfig, detect
 from .ingest import (
@@ -337,10 +335,13 @@ def _detections_from_report(obj: dict) -> list[tuple[tuple[int, int], Detection]
 
 
 def cmd_fingerprint(args) -> int:
+    from . import fingerprint as fp  # here, so that other subcommands skip it
+
     _check_flag(0.0 <= args.feature_agreement <= 1.0, "--feature-agreement", "in [0, 1]")
     suffix = _suffix_set(args)
     report_path = _require(args.report, "detection report")
-    records = _load_trace(args, suffix).http
+    loaded = _load_trace(args, suffix)
+    records = loaded.http
     # a report not written by detect fails in any of these ways
     with _parsing(report_path, ValueError, KeyError, TypeError, AttributeError):
         with open(report_path, "r", encoding="utf-8") as fh:
@@ -381,7 +382,7 @@ def cmd_fingerprint(args) -> int:
         _write_text(outdir / "jaccard.csv", ["\n".join(matrix.to_csv_lines()) + "\n"])
     else:
         _write_text(outdir / "jaccard.csv", ["\n"])
-    print(f"detections={len(pairs)} profiles={len(named)}")
+    print(f"detections={len(pairs)} profiles={len(named)} trace_skipped={len(loaded.skipped)}")
     return EXIT_OK
 
 
@@ -438,7 +439,8 @@ def cmd_panelscan(args) -> int:
     _write_text(outdir / "evidence.txt", (e + "\n" for e in evidence))
     print(
         f"days={len(_day_cuts(span)) + 1 if span else 0} machines_ranked={len(ranked)} "
-        f"below_min_ads={below_min_ads} impressions={len(loaded.impressions)}"
+        f"below_min_ads={below_min_ads} impressions={len(loaded.impressions)} "
+        f"trace_skipped={len(loaded.skipped)}"
     )
     return EXIT_OK
 
@@ -476,6 +478,8 @@ def cmd_framedepth(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synthgen as sg  # here: synthgen imports numpy
+
     _check_flag(args.seed >= 0, "--seed", ">= 0")
     _check_flag(args.machines >= 0, "--machines", ">= 0")
     with _flag_values(divisor="--scale-divisor", day_count="--days"):
@@ -559,7 +563,8 @@ def cmd_rules(args) -> int:
     if args.out:
         _write_text(Path(args.out), (json.dumps(f, sort_keys=True) + "\n" for f in findings))
     spoof_total = sum(1 for f in findings if f["type"] == "spoof_signal")
-    print(f"findings={len(findings)} spoof_signals={spoof_total} verified={verified}")
+    print(f"findings={len(findings)} spoof_signals={spoof_total} verified={verified} "
+          f"trace_skipped={len(loaded.skipped)}")
     return EXIT_OK
 
 

@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import kernels
 from .detector import Detection
 from .model import DAY_MS, HttpRecord, PublicSuffixSet, is_malformed_domain
 # Not called here: records carry their domain from ingest.  chainbench/tracer.py
@@ -76,6 +73,12 @@ def detect_repeat_cycle(
     n = len(events)
     if n < 2 * min_len:
         return None
+    # numpy loads on the first sequence long enough to search, not with
+    # this module
+    import numpy as np
+
+    from . import kernels
+
     ts = np.fromiter((e[0] for e in events), dtype=np.int64, count=n)
     if np.any(ts[1:] < ts[:-1]):
         raise ValueError("events must be sorted by timestamp")

@@ -31,6 +31,8 @@ from .model import (
 # and sums of two such timestamps would no longer fit in an int64.
 MAX_TS_MS = 253_402_300_799_999
 
+_raw_decode = json.JSONDecoder().raw_decode
+
 
 class ParseAbortError(ValueError):
     def __init__(self, line_no: int, reason: str):
@@ -71,6 +73,18 @@ def is_utf8(line: str) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+def decode_line(line: str):
+    """The JSON value of a stripped trace line.  It raises ValueError (or
+    RecursionError, on deep nesting) exactly when ``json.loads(line)`` raises,
+    and gives an equal value otherwise: with no JSON whitespace at either end,
+    one ``raw_decode`` that ends at ``len(line)`` is all ``json.loads`` checks,
+    without its per-call wrapper.  A leading BOM fails to decode here too."""
+    obj, end = _raw_decode(line)
+    if end != len(line):
+        raise ValueError("extra data after the JSON value")
+    return obj
 
 
 def record_domain(url: str, suffix: PublicSuffixSet) -> Optional[str]:
@@ -134,7 +148,7 @@ def load_trace(
             skip(line_no, "bad encoding")
             continue
         try:
-            obj = json.loads(line)
+            obj = decode_line(line)
         except (ValueError, RecursionError):  # deep nesting, oversized ints
             skip(line_no, "bad json")
             continue
@@ -181,29 +195,22 @@ def load_trace(
             if bad:
                 skip(line_no, f"bad {bad}")
                 continue
-            out.http.append(
-                HttpRecord(
-                    timestamp=ts,
-                    machine_id=machine,
-                    process_name=shared(proc, proc),
-                    url=url,
-                    domain=domain_of(host),
-                    referrer=None if ref is None else shared(ref, ref),
-                    server_ip=shared(ip, ip),
-                )
-            )
+            out.http.append(HttpRecord(
+                ts, machine, shared(proc, proc), url, domain_of(host),
+                None if ref is None else shared(ref, ref), shared(ip, ip),
+            ))
         elif kind == "impression":
             dom = domain_of(obj.get("attr_domain"))
             if dom is None:
                 skip(line_no, "bad attr_domain")
                 continue
-            out.impressions.append(DomainEvent(timestamp=ts, machine_id=machine, domain=dom))
+            out.impressions.append(DomainEvent(ts, machine, dom))
         elif kind == "pageview":
             dom = domain_of(obj.get("pub_domain"))
             if dom is None:
                 skip(line_no, "bad pub_domain")
                 continue
-            out.pageviews.append(DomainEvent(timestamp=ts, machine_id=machine, domain=dom))
+            out.pageviews.append(DomainEvent(ts, machine, dom))
         else:
             skip(line_no, "bad kind")
     return out

@@ -8,7 +8,7 @@ registrable domain (public suffix plus one label) that normalize_domain gives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 DAY_MS = 86_400_000
 
@@ -135,8 +135,7 @@ def is_valid_ipv4(s: str) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class HttpRecord:
+class HttpRecord(NamedTuple):
     """One client-side HTTP(S) event from a panel trace.
 
     ``process_name`` is kept verbatim: empty and whitespace-only names are
@@ -146,6 +145,12 @@ class HttpRecord:
     result, and records it loads share one ``str`` object per distinct
     machine, process, server IP and referrer value.  The trace line's user
     agent is checked but not stored: no output reads it.
+
+    A NamedTuple, not a frozen dataclass: a trace builds one per line, and a
+    tuple is built in one call where a frozen dataclass pays an
+    ``object.__setattr__`` per field.  Tuples also compare field by field:
+    a sort without a ``key`` would order records by every field and raise
+    on a None domain beside a str, so never sort records without one.
     """
 
     timestamp: int
@@ -157,11 +162,14 @@ class HttpRecord:
     server_ip: str
 
 
-@dataclass(frozen=True, slots=True)
-class DomainEvent:
+class DomainEvent(NamedTuple):
     """A machine met a domain at a time: an ad impression attributed to the
     domain (``LoadResult.impressions``) or a page view of it
-    (``LoadResult.pageviews``).  Panel reconciliation compares the two."""
+    (``LoadResult.pageviews``).  Panel reconciliation compares the two.
+
+    A NamedTuple for the reason HttpRecord is one; never sort events
+    without a ``key``.
+    """
 
     timestamp: int
     machine_id: str

@@ -9,7 +9,6 @@ import json
 import random
 import re
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -357,7 +356,7 @@ def test_criterion_9_spoof_rule(big_run):
     mutated_verified = 0
     for machine in sorted(by_machine):
         recs = [
-            replace(rec, url=re.sub(r"land_ip=[0-9.]+", "land_ip=203.0.113.254", rec.url))
+            rec._replace(url=re.sub(r"land_ip=[0-9.]+", "land_ip=203.0.113.254", rec.url))
             if "land_ip=" in rec.url
             else rec
             for rec in sorted(by_machine[machine], key=lambda r: r.timestamp)

@@ -1,12 +1,16 @@
 import csv
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import launderscan
 from launderscan.cli import (
     MAX_WINDOW_DAYS, CmdError, _day_cuts, _window, _windows, main,
 )
@@ -708,3 +712,76 @@ def test_detect_without_window_bounds_the_record_span(tiny_inputs, capsys):
     assert capsys.readouterr().out.startswith("windows=1 ")
     assert main(["panelscan", "--trace", str(trace), "--out", str(d / "panel"), "--min-ads", "1"]) == 0
     assert capsys.readouterr().out.startswith("days=3661 machines_ranked=1 ")
+
+
+# Run in a fresh interpreter: each step is a cli.main call, then a check of
+# whether numpy has been imported by then.
+_NUMPY_PROBE = """
+import json, sys
+from launderscan.cli import main
+steps = json.loads(sys.argv[1])
+seen = []
+for argv in steps:
+    assert main(argv) == 0, argv
+    seen.append("numpy" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_loads_only_for_a_repeat_cycle_search(tiny_inputs):
+    """detect, rules, panelscan, and fingerprint on a report with no
+    detections never import numpy; fingerprint imports it once a detection's
+    machine has enough events for the repeat-cycle search."""
+    d = tiny_inputs
+    trace = d / "long.jsonl"
+    trace.write_text("".join(
+        json.dumps({"ts": 5 + i, "machine": "m1", "url": "http://a.com/", "ip": "1.2.3.4"}) + "\n"
+        for i in range(10)  # 2 * fingerprint.CYCLE_MIN_LEN events
+    ))
+    (d / "one.json").write_bytes(_report_bytes())
+    t = str(trace)
+    steps = [
+        ["detect", "--trace", t, "--ipmap", str(d / "ipmap.csv"), "--ranking", str(d / "ranking.txt"),
+         "--malware", str(d / "malware.txt"), "--out", str(d / "detect.json")],
+        ["rules", "--trace", t, "--out", str(d / "findings.jsonl")],
+        ["panelscan", "--trace", t, "--out", str(d / "panel")],
+        ["fingerprint", "--report", str(d / "report.json"), "--trace", t, "--out", str(d / "fp0")],
+        ["fingerprint", "--report", str(d / "one.json"), "--trace", t, "--out", str(d / "fp1")],
+    ]
+    src = str(Path(launderscan.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(steps)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
+
+
+def test_summary_lines_end_with_the_trace_skip_count(tiny_inputs, capsys):
+    """rules, fingerprint and panelscan end their stdout line with
+    trace_skipped; skipped lines change no output file."""
+    d = tiny_inputs
+    good = (d / "trace.jsonl").read_text()
+    bad_ip = json.dumps({"ts": 6, "machine": "m1", "url": "http://a.com/", "ip": "1.2.3.256"}) + "\n"
+    (d / "skips.jsonl").write_text(bad_ip + good + bad_ip * 2)
+    (d / "one.json").write_bytes(_report_bytes())
+
+    def run(trace: str, out: Path) -> dict:
+        lines = {}
+        for argv in (
+            ["rules", "--trace", trace, "--out", str(out / "findings.jsonl")],
+            ["fingerprint", "--report", str(d / "one.json"), "--trace", trace, "--out", str(out / "fp")],
+            ["panelscan", "--trace", trace, "--out", str(out / "panel")],
+        ):
+            assert main(argv) == 0
+            lines[argv[0]] = capsys.readouterr().out
+        return lines
+
+    clean = run(str(d / "trace.jsonl"), d / "clean")
+    skips = run(str(d / "skips.jsonl"), d / "skips")
+    for name, line in skips.items():
+        assert line.endswith(" trace_skipped=3\n"), name
+        assert line.replace(" trace_skipped=3\n", " trace_skipped=0\n") == clean[name]
+    files = sorted(p.relative_to(d / "clean") for p in (d / "clean").rglob("*") if p.is_file())
+    assert len(files) == 7
+    for f in files:
+        assert (d / "skips" / f).read_bytes() == (d / "clean" / f).read_bytes(), f
