@@ -20,6 +20,7 @@ import dataclasses
 import json
 import sys
 import time
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
@@ -27,7 +28,7 @@ from typing import Iterable
 from . import framedepth as fd
 from . import panel as pn
 from . import urlrules as ur
-from .detector import Detection, DetectorConfig, detect
+from .detector import CSV_HEADER, Detection, DetectorConfig, detect
 from .ingest import (
     ParseAbortError,
     is_utf8,
@@ -259,11 +260,10 @@ def cmd_detect(args) -> int:
     ]
     elapsed = time.monotonic() - t0
 
-    pairs = sum(len(r.detections) for r in reports)
-    labels: dict[str, int] = {}
+    pairs = sum(r.diagnostics["pairs_flagged"] for r in reports)
+    labels = Counter()
     for r in reports:
-        for d in r.detections:
-            labels[d.label] = labels.get(d.label, 0) + 1
+        labels.update(r.diagnostics["labels"])
     out = {
         "tool": "launderscan detect",
         "inputs": {
@@ -282,7 +282,7 @@ def cmd_detect(args) -> int:
         out["generated_at"] = datetime.now(timezone.utc).isoformat()
     if args.out:
         if args.format == "csv":
-            rows = [["window_start", "window_end", "ip", "isp", "domain_count", "request_count", "label"]]
+            rows = [CSV_HEADER]
             for r in reports:
                 rows.extend(r.csv_rows())
             _write_csv(Path(args.out), rows)
@@ -290,7 +290,7 @@ def cmd_detect(args) -> int:
             _write_json(Path(args.out), out)
     print(
         f"windows={len(windows)} pairs_flagged={pairs} "
-        f"labels={json.dumps(dict(sorted(labels.items())), sort_keys=True)} "
+        f"labels={json.dumps(labels, sort_keys=True)} "
         f"elapsed_s={elapsed:.1f}"
     )
     return EXIT_OK

@@ -4,7 +4,8 @@ Pipeline: index every (domain, server IP) observation in a time window,
 select candidate domains (high-reputation domains resolving to several IPs
 across at least two ISPs), flag (IP, ISP) pairs serving at least
 ``flag_threshold`` candidate domains, then label each flagged pair from the
-process names seen on its traffic.
+process names seen on its traffic.  Labels read each flagged IP's in-window
+records from the index, so each window's records are scanned once.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ class DetectorConfig:
 
 @dataclass(slots=True)
 class DomainResolutionIndex:
-    """The domains each server IP resolved inside a window, and each IP's ISP
-    (None when the ip map has none)."""
+    """The domains each server IP resolved inside a window, each IP's ISP
+    (None when the ip map has none), and each IP's in-window records that
+    have a domain, in trace order: the evidence its labels are read from."""
 
     by_ip: dict[str, set[str]] = field(default_factory=dict)
     ip_isp: dict[str, Optional[str]] = field(default_factory=dict)
-    ip_record_count: Counter = field(default_factory=Counter)
+    ip_records: dict[str, list[HttpRecord]] = field(default_factory=dict)
     records_seen: int = 0
     skipped_out_of_window: int = 0
     bad_domain_records: int = 0
@@ -71,7 +73,7 @@ def build_resolution_index(
             idx.bad_domain_records += 1
             continue
         idx.records_seen += 1
-        idx.ip_record_count[rec.server_ip] += 1
+        idx.ip_records.setdefault(rec.server_ip, []).append(rec)
         idx.by_ip.setdefault(rec.server_ip, set()).add(rec.domain)
     # one batch ISP resolution over the distinct IPs
     ips = list(idx.by_ip)
@@ -133,37 +135,20 @@ class Detection:
 
 def label_detections(
     flagged: dict[tuple[str, str], frozenset[str]],
-    records: Sequence[HttpRecord],
+    index: DomainResolutionIndex,
     malware: MalwareProcessList,
-    window: tuple[int, int],
 ) -> list[Detection]:
-    """Attach traffic evidence and a label to each flagged pair.
+    """Attach traffic evidence and a label to each flagged pair, from its IP's
+    in-window records in ``index`` whose domain is in the pair's set.
 
     A pair is TruePositiveCandidate when any process name on its matching
     traffic is on the malware list, Suspicious when any process name is empty
     or whitespace-only, else Unlabeled.
     """
-    by_ip: dict[str, tuple[tuple[str, str], frozenset[str]]] = {
-        key[0]: (key, doms) for key, doms in flagged.items()
-    }
-    procs: dict[tuple[str, str], Counter] = {k: Counter() for k in flagged}
-    machines: dict[tuple[str, str], set[str]] = {k: set() for k in flagged}
-    counts: dict[tuple[str, str], int] = {k: 0 for k in flagged}
-    for rec in records:
-        hit = by_ip.get(rec.server_ip)
-        if hit is None:
-            continue
-        if not (window[0] <= rec.timestamp < window[1]):
-            continue
-        key, doms = hit
-        if rec.domain not in doms:
-            continue
-        procs[key][rec.process_name] += 1
-        machines[key].add(rec.machine_id)
-        counts[key] += 1
     out = []
-    for key, doms in flagged.items():
-        names = procs[key]
+    for (ip, isp), doms in flagged.items():
+        matching = [rec for rec in index.ip_records[ip] if rec.domain in doms]
+        names = Counter(rec.process_name for rec in matching)
         if any(malware.matches(n) for n in names):
             label = LABEL_TRUE_POSITIVE
         elif any(n.strip() == "" for n in names):
@@ -172,17 +157,20 @@ def label_detections(
             label = LABEL_UNLABELED
         out.append(
             Detection(
-                ip=key[0],
-                isp=key[1],
+                ip=ip,
+                isp=isp,
                 domains=doms,
                 process_names=tuple(sorted(names.items())),
-                machine_ids=frozenset(machines[key]),
-                request_count=counts[key],
+                machine_ids=frozenset(rec.machine_id for rec in matching),
+                request_count=len(matching),
                 label=label,
             )
         )
     out.sort(key=lambda d: (-d.request_count, d.ip, d.isp))
     return out
+
+
+CSV_HEADER = ("window_start", "window_end", "ip", "isp", "domain_count", "request_count", "label")
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,6 +202,7 @@ class DetectionReport:
         }
 
     def csv_rows(self) -> list[list]:
+        """One row per detection, in the order of ``CSV_HEADER``."""
         return [
             [self.window[0], self.window[1], d.ip, d.isp, len(d.domains), d.request_count, d.label]
             for d in self.detections
@@ -232,7 +221,7 @@ def detect(
     index = build_resolution_index(records, table, window)
     cands = candidate_domains(index, ranking, cfg)
     flagged = flag_pairs(index, cands, cfg)
-    detections = label_detections(flagged, records, malware, window)
+    detections = label_detections(flagged, index, malware)
     unknown_isp_ips = [ip for ip, isp in index.ip_isp.items() if isp is None]
     affected = set()
     for d in detections:
@@ -244,7 +233,7 @@ def detect(
         "bad_domain_records": index.bad_domain_records,
         "distinct_ips": len(index.by_ip),
         "unknown_isp_ips": len(unknown_isp_ips),
-        "unknown_isp_records": sum(index.ip_record_count[ip] for ip in unknown_isp_ips),
+        "unknown_isp_records": sum(len(index.ip_records[ip]) for ip in unknown_isp_ips),
         "candidate_domains": len(cands),
         "pairs_flagged": len(flagged),
         "affected_domain_total": len(affected),

@@ -2,9 +2,15 @@
 interleave http, impression, and pageview records via a "kind" field),
 CIDR→ISP maps, ranked domain lists, malware process lists, and alias groups.
 
-All loaders are single-pass and lenient by default: bad lines are skipped and
-counted by reason (``Skips``).  In strict mode the first bad line raises
-ParseAbortError.  For every loader, skipped + parsed = total.
+All loaders are single-pass.  By default a loader skips bad lines and counts
+them by reason (``Skips``); in strict mode the first bad line raises
+ParseAbortError.  ``load_trace`` parses or skips every line, a blank one
+included, so skipped + parsed = ``total_lines``.  The table loaders drop '#'
+comments and blank lines uncounted (``model.content_lines``), and then
+``load_ip_map`` parses or skips each line left (a repeated prefix replaces
+the earlier one), ``load_ranked_domains`` also drops a repeated domain
+uncounted, ``load_malware_list`` skips nothing, and ``load_alias_groups``
+raises on a bad line in either mode and drops a line with no domain.
 """
 
 from __future__ import annotations

@@ -74,6 +74,41 @@ def test_detect_rerun_is_byte_identical(scenario_dir, tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_detect_summary_sums_the_window_diagnostics(tmp_path, capsys):
+    """Over a three-day trace, the summary and the stdout line hold each
+    window's ``pairs_flagged`` and ``labels`` summed, and those count the
+    window's detections."""
+    rng = random.Random(5)
+    # one IP per label: the others get only chrome.exe
+    procs = {0: ("evil.exe", "chrome.exe"), 1: ("", "chrome.exe")}
+    lines = [
+        json.dumps({"ts": DAY0 + rng.randrange(3 * DAY_MS), "machine": f"m{rng.randrange(4)}",
+                    "url": f"http://d{rng.randrange(6)}.com/", "ip": f"10.0.{ip}.1",
+                    "proc": rng.choice(procs.get(ip, ("chrome.exe",)))})
+        for ip in (rng.randrange(5) for _ in range(400))
+    ]
+    (tmp_path / "trace.jsonl").write_text("\n".join(lines) + "\n")
+    (tmp_path / "ipmap.csv").write_text("".join(f"10.0.{i}.0/24,isp{i % 2}\n" for i in range(5)))
+    (tmp_path / "ranking.txt").write_text("".join(f"d{i}.com\n" for i in range(6)))
+    (tmp_path / "malware.txt").write_text("evil.exe\n")
+    report = tmp_path / "report.json"
+    thresholds = ["--min-ips", "2", "--min-isps", "2", "--threshold", "2"]
+    assert main(_detect_args(tmp_path, ["--out", str(report), *thresholds])) == 0
+    obj = json.loads(report.read_text())
+    pairs, labels = 0, {}
+    for r in obj["reports"]:
+        diag = r["diagnostics"]
+        assert diag["pairs_flagged"] == len(r["detections"])
+        assert sum(diag["labels"].values()) == len(r["detections"])
+        pairs += diag["pairs_flagged"]
+        for label, n in diag["labels"].items():
+            labels[label] = labels.get(label, 0) + n
+    assert len(obj["reports"]) == 3 and len(labels) == 3
+    assert obj["summary"] == {"windows": 3, "pairs_flagged": pairs, "labels": labels}
+    assert capsys.readouterr().out.startswith(
+        f"windows=3 pairs_flagged={pairs} labels={json.dumps(labels, sort_keys=True)} ")
+
+
 def test_detect_missing_input_exit_2(scenario_dir, tmp_path):
     args = _detect_args(scenario_dir)
     args[args.index("--ipmap") + 1] = str(tmp_path / "absent.csv")

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from launderscan.detector import (
+    Detection,
     DetectorConfig,
     DomainResolutionIndex,
     LABEL_SUSPICIOUS,
@@ -21,6 +23,7 @@ from launderscan.ingest import (
     load_ranked_domains,
     record_domain,
 )
+from launderscan.ipattr import IpAttributionTable
 from launderscan.model import DAY_MS, HttpRecord, PublicSuffixSet
 
 from conftest import DAY0, WINDOW
@@ -210,7 +213,8 @@ def test_labeling_rules():
             _rec(f"http://{dom}/x", "5.5.5.5", proc=proc, machine=f"m{i}")
             for i, (dom, proc) in enumerate(proc_names)
         ]
-        dets = label_detections(flagged, records, malware, WINDOW)
+        index = build_resolution_index(records, IpAttributionTable(), WINDOW)
+        dets = label_detections(flagged, index, malware)
         assert len(dets) == 1
         return dets[0]
 
@@ -226,9 +230,79 @@ def test_labeling_counts_only_matching_domains():
         _rec("http://other.com/x", "5.5.5.5", machine="m2"),  # not in domain set
         _rec("http://a.com/x", "7.7.7.7", machine="m3"),  # wrong ip
     ]
-    det = label_detections(flagged, records, MalwareProcessList(frozenset()), WINDOW)[0]
+    index = build_resolution_index(records, IpAttributionTable(), WINDOW)
+    det = label_detections(flagged, index, MalwareProcessList(frozenset()))[0]
     assert det.request_count == 1
     assert det.machine_ids == {"m1"}
+
+
+def _label_oracle(flagged, records, malware, window):
+    """Detections from one full scan of ``records``, re-testing the window:
+    what ``label_detections`` computed before the index kept each IP's
+    records."""
+    by_ip = {key[0]: (key, doms) for key, doms in flagged.items()}
+    procs = {k: Counter() for k in flagged}
+    machines = {k: set() for k in flagged}
+    counts = {k: 0 for k in flagged}
+    for rec in records:
+        hit = by_ip.get(rec.server_ip)
+        if hit is None or not (window[0] <= rec.timestamp < window[1]):
+            continue
+        key, doms = hit
+        if rec.domain not in doms:
+            continue
+        procs[key][rec.process_name] += 1
+        machines[key].add(rec.machine_id)
+        counts[key] += 1
+    out = []
+    for key, doms in flagged.items():
+        names = procs[key]
+        if any(malware.matches(n) for n in names):
+            label = LABEL_TRUE_POSITIVE
+        elif any(n.strip() == "" for n in names):
+            label = LABEL_SUSPICIOUS
+        else:
+            label = LABEL_UNLABELED
+        out.append(Detection(key[0], key[1], doms, tuple(sorted(names.items())),
+                             frozenset(machines[key]), counts[key], label))
+    out.sort(key=lambda d: (-d.request_count, d.ip, d.isp))
+    return out
+
+
+def test_label_evidence_matches_full_scan_oracle():
+    """Over shuffled three-day traces with records outside every window,
+    records without a domain and IPs the ip map does not know, each day's
+    detections equal the full-scan oracle's."""
+    rng = random.Random(18)
+    # 10.0.6.1 and 10.0.7.1 have no ISP
+    table, _ = load_ip_map([f"10.0.{i}.0/24,isp{i % 3}" for i in range(6)])
+    ips = [f"10.0.{i}.1" for i in range(8)]
+    domains = [f"d{i}.com" for i in range(8)]
+    names = ("Adware_Helper.exe", "", "  ", "chrome.exe")
+    malware = MalwareProcessList(frozenset({"adware_helper.exe"}))
+    ranking = _ranking(domains)
+    cfg = DetectorConfig(min_ips_per_domain=2, min_isps_per_domain=2, flag_threshold=2)
+    windows = [(DAY0 + k * DAY_MS, DAY0 + (k + 1) * DAY_MS) for k in range(3)]
+    seen_labels, shared = set(), 0
+    for _ in range(40):
+        procs_of = {ip: rng.sample(names, rng.randrange(1, 3)) for ip in ips}
+        records = []
+        for _ in range(rng.randrange(50, 300)):
+            ip = rng.choice(ips)
+            rec = _rec(f"http://www.{rng.choice(domains)}/p", ip,
+                       ts=DAY0 + rng.randrange(-DAY_MS // 2, 3 * DAY_MS + DAY_MS // 2),
+                       machine=f"m{rng.randrange(6)}", proc=rng.choice(procs_of[ip]))
+            records.append(rec._replace(domain=None) if rng.random() < 0.1 else rec)
+        rng.shuffle(records)
+        for w in windows:
+            index = build_resolution_index(records, table, w)
+            flagged = flag_pairs(index, candidate_domains(index, ranking, cfg), cfg)
+            got = label_detections(flagged, index, malware)
+            assert got == _label_oracle(flagged, records, malware, w)
+            seen_labels.update(d.label for d in got)
+            shared += any(a & b for (ka, a) in flagged.items() for (kb, b) in flagged.items() if ka < kb)
+    assert seen_labels == {LABEL_TRUE_POSITIVE, LABEL_SUSPICIOUS, LABEL_UNLABELED}
+    assert shared > 0
 
 
 def test_detection_invariants_on_corpus(small_corpus):
