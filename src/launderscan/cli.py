@@ -342,8 +342,8 @@ def cmd_fingerprint(args) -> int:
     report_path = _require(args.report, "detection report")
     loaded = _load_trace(args, suffix)
     records = loaded.http
-    # a report not written by detect fails in any of these ways
-    with _parsing(report_path, ValueError, KeyError, TypeError, AttributeError):
+    # a report not written by detect, or nested too deep to decode, fails in one of these ways
+    with _parsing(report_path, ValueError, KeyError, TypeError, AttributeError, RecursionError):
         with open(report_path, "r", encoding="utf-8") as fh:
             pairs = _detections_from_report(json.load(fh))
     if pairs:
@@ -358,31 +358,22 @@ def cmd_fingerprint(args) -> int:
                     f"report window {window} does not overlap trace span [{lo}, {hi}]",
                 )
 
-    by_ip: dict[str, list] = {}
-    flagged_ips = {d.ip for _, d in pairs}
+    detections: dict[str, list[Detection]] = {}
+    for _, d in pairs:
+        detections.setdefault(d.ip, []).append(d)
+    by_ip: dict[str, list] = {ip: [] for ip in detections}
     for rec in records:
-        if rec.server_ip in flagged_ips:
-            by_ip.setdefault(rec.server_ip, []).append(rec)
-    profiles = [fp.extract_features(d, by_ip.get(d.ip, []), suffix) for _, d in pairs]
+        if rec.server_ip in by_ip:
+            by_ip[rec.server_ip].append(rec)
+    profiles = [p for ip, ds in detections.items() for p in fp.extract_features(ds, by_ip[ip], suffix)]
     grouped = fp.group_detections(profiles, feature_agreement=args.feature_agreement)
-    named = []
-    for i, prof in enumerate(grouped):
-        members = prof.label
-        prof.label = f"scheme-{i + 1:02d}"
-        named.append((prof, members))
+    schemes = [dataclasses.replace(p, label=f"scheme-{i:02d}") for i, p in enumerate(grouped, 1)]
 
     outdir = Path(args.out)
-    rows = fp.profile_csv_rows([p for p, _ in named])
-    rows[0].append("first_member")
-    for row, (_, members) in zip(rows[1:], named):
-        row.append(members)
-    _write_csv(outdir / "profiles.csv", rows)
-    if named:
-        matrix = fp.jaccard_matrix([p for p, _ in named])
-        _write_text(outdir / "jaccard.csv", ["\n".join(matrix.to_csv_lines()) + "\n"])
-    else:
-        _write_text(outdir / "jaccard.csv", ["\n"])
-    print(f"detections={len(pairs)} profiles={len(named)} trace_skipped={len(loaded.skipped)}")
+    _write_csv(outdir / "profiles.csv", fp.profile_csv_rows(schemes, [p.label for p in grouped]))
+    lines = fp.jaccard_matrix(schemes).to_csv_lines() if schemes else []
+    _write_text(outdir / "jaccard.csv", ["\n".join(lines) + "\n"])
+    print(f"detections={len(pairs)} profiles={len(schemes)} trace_skipped={len(loaded.skipped)}")
     return EXIT_OK
 
 
@@ -549,8 +540,8 @@ def cmd_rules(args) -> int:
                 )
     if args.envfp:
         envfp_path = _require(args.envfp, "environment fingerprint")
-        # bad JSON or encoding, not an object of strings, or no functions
-        with _parsing(envfp_path, ValueError):
+        # bad JSON or encoding, nested too deep, not an object of strings, or no functions
+        with _parsing(envfp_path, ValueError, RecursionError):
             with open(envfp_path, "r", encoding="utf-8") as fh:
                 result = ur.classify_env(ur.EnvFingerprint(functions=json.load(fh)))
         findings.append(

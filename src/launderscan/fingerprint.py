@@ -39,13 +39,13 @@ def jaccard(a: set | frozenset, b: set | frozenset) -> float:
     return len(a & b) / len(a | b)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class SchemeProfile:
     """One scheme's footprint: domain set plus distinguishing features.
 
-    Sets are kept (not just counts) so profiles can be merged; their sizes
-    are the summary-table columns.  User agents are not kept: no output
-    reads them.
+    Frozen, like every value type in the toolkit: merging and naming build
+    new profiles.  Sets are kept (not just counts) so profiles can be
+    merged; their sizes are the summary-table columns.
     """
 
     label: str
@@ -89,12 +89,12 @@ def detect_repeat_cycle(
 
 
 def extract_features(
-    detection: Detection,
+    detections: Sequence[Detection],
     records: Sequence[HttpRecord],
     suffix: PublicSuffixSet,
-) -> SchemeProfile:
-    """Profile one detection from ``records``, which are all the trace
-    records that hit its IP and no others.
+) -> list[SchemeProfile]:
+    """Profile each of ``detections``, all of one IP, in order, from
+    ``records``: all the trace records that hit that IP, read once for all.
 
     Feature extraction deliberately looks at the IP's full traffic (not just
     the flagged domains): malformed-domain requests and ad-call URLs land on
@@ -132,17 +132,20 @@ def extract_features(
         if detect_repeat_cycle(events, CYCLE_TOLERANCE_MS, CYCLE_MIN_LEN) is not None:
             flags.add(FLAG_REPEAT_CYCLE)
             break
-    return SchemeProfile(
-        label=f"{detection.ip}|{detection.isp}",
-        domains=detection.domains,
-        process_names=frozenset(procs),
-        isps=frozenset({detection.isp}),
-        ips=frozenset({detection.ip}),
-        machines=detection.machine_ids,
-        days=frozenset(days),
-        request_count=detection.request_count,
-        signature_flags=frozenset(flags),
-    )
+    return [
+        SchemeProfile(
+            label=f"{d.ip}|{d.isp}",
+            domains=d.domains,
+            process_names=frozenset(procs),
+            isps=frozenset({d.isp}),
+            ips=frozenset({d.ip}),
+            machines=d.machine_ids,
+            days=frozenset(days),
+            request_count=d.request_count,
+            signature_flags=frozenset(flags),
+        )
+        for d in detections
+    ]
 
 
 def _mergeable(a: SchemeProfile, b: SchemeProfile, feature_agreement: float) -> bool:
@@ -236,9 +239,11 @@ def jaccard_matrix(profiles: Sequence[SchemeProfile]) -> JaccardMatrix:
     return JaccardMatrix(labels=labels, values=tuple(tuple(row) for row in vals))
 
 
-def profile_csv_rows(profiles: Sequence[SchemeProfile]) -> list[list]:
-    rows = [["label", "isps", "ips", "days_seen", "top2k_domains", "machines", "avg_daily_requests", "flags"]]
-    for p in profiles:
+def profile_csv_rows(profiles: Sequence[SchemeProfile], first_members: Sequence[str]) -> list[list]:
+    """A header, then one row per profile, ending in its entry of ``first_members``."""
+    rows = [["label", "isps", "ips", "days_seen", "top2k_domains", "machines", "avg_daily_requests",
+             "flags", "first_member"]]
+    for p, first in zip(profiles, first_members, strict=True):
         rows.append(
             [
                 p.label,
@@ -249,6 +254,7 @@ def profile_csv_rows(profiles: Sequence[SchemeProfile]) -> list[list]:
                 len(p.machines),
                 f"{p.request_count / len(p.days) if p.days else 0.0:.2f}",
                 ";".join(sorted(p.signature_flags)),
+                first,
             ]
         )
     return rows

@@ -7,7 +7,7 @@ registrable domain (public suffix plus one label) that normalize_domain gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 DAY_MS = 86_400_000
@@ -33,6 +33,10 @@ def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 @dataclass(frozen=True, slots=True)
 class PublicSuffixSet:
     suffixes: frozenset[str]
+    max_labels: int = field(init=False, compare=False)  # most labels in a suffix: no longer tail matches
+
+    def __post_init__(self):
+        object.__setattr__(self, "max_labels", max((s.count(".") + 1 for s in self.suffixes), default=0))
 
     @classmethod
     def builtin(cls) -> "PublicSuffixSet":
@@ -44,9 +48,9 @@ class PublicSuffixSet:
         return cls(frozenset({text.lower().lstrip(".") for _, text in content_lines(lines)} - {""}))
 
     def match(self, host: str) -> Optional[str]:
-        """Longest suffix whose label sequence ends ``host``, or None."""
+        """Longest suffix whose label sequence ends ``host``, or None; linear in its length."""
         labels = host.split(".")
-        for start in range(len(labels)):
+        for start in range(max(0, len(labels) - self.max_labels), len(labels)):
             cand = ".".join(labels[start:])
             if cand in self.suffixes:
                 return cand

@@ -195,7 +195,7 @@ def test_criterion_4_jaccard_oracle(big_run):
         if r.server_ip in flagged_ips:
             by_ip.setdefault(r.server_ip, []).append(r)
     profiles = group_detections(
-        [extract_features(d, by_ip[d.ip], SUFFIX) for d in detections]
+        [extract_features([d], by_ip[d.ip], SUFFIX)[0] for d in detections]
     )
     m = jaccard_matrix(profiles)
     n = len(m.labels)

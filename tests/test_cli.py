@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import launderscan
+from launderscan import fingerprint
 from launderscan.cli import (
     MAX_WINDOW_DAYS, CmdError, _day_cuts, _window, _windows, main,
 )
@@ -550,6 +551,10 @@ def _report_bytes(window=(0, DAY_MS), **over):
     return json.dumps({"reports": [{"window": list(window), "detections": [det]}]}).encode()
 
 
+# nested past the JSON decoder's recursion limit
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
+
+
 @pytest.mark.parametrize(
     "command, flag, data",
     [
@@ -571,6 +576,8 @@ def _report_bytes(window=(0, DAY_MS), **over):
         ("fingerprint", "--report", b"[]"),
         ("fingerprint", "--report", _report_bytes(domains=[])),
         ("fingerprint", "--report", _report_bytes(request_count="7")),
+        pytest.param("fingerprint", "--report", DEEP_JSON, id="fingerprint---report-deep-nesting"),
+        pytest.param("rules", "--envfp", DEEP_JSON, id="rules---envfp-deep-nesting"),
         ("framedepth", "--tainted", b"http://a/,1\n\xff,2\n"),
         ("framedepth", "--general", b"http://\xff/,1\n"),
         ("framedepth", "--tainted", b"url,max_depth\n"),
@@ -699,6 +706,79 @@ def test_fingerprint_profiles_keep_domains_of_no_ranking(tiny_inputs):
         rows = list(csv.DictReader(fh))
     got = {tuple(r["first_member"].split("|")): int(r["top2k_domains"]) for r in rows}
     assert got == counts
+
+
+def _two_window_inputs(d):
+    """A trace of four machines on three IPs over two days, and a report
+    that flags 1.2.3.4 in both days' windows."""
+    trace = d / "two-day.jsonl"
+    lines = [(5, "m1", "1.2.3.4", "a.com", "bot.exe"), (DAY_MS + 5, "m2", "1.2.3.4", "a.com", "bot.exe"),
+             (10, "m3", "5.6.7.8", "b.com", "bot.exe"), (20, "m4", "9.9.9.9", "c.com", "other.exe")]
+    trace.write_text("".join(
+        json.dumps({"ts": ts, "machine": m, "ip": ip, "url": f"http://{dom}/", "proc": proc}) + "\n"
+        for ts, m, ip, dom, proc in lines
+    ))
+
+    def det(ip, isp, domains, machine, count):
+        return {"ip": ip, "isp": isp, "domains": domains, "process_names": {}, "machine_ids": [machine],
+                "request_count": count, "label": "Unlabeled"}
+
+    report = d / "two-window.json"
+    report.write_text(json.dumps({"reports": [
+        {"window": [0, DAY_MS], "detections": [
+            det("5.6.7.8", "isp-a", ["b.com"], "m3", 4),
+            det("1.2.3.4", "isp-a", ["a.com", "b.com"], "m1", 2),
+            det("9.9.9.9", "isp-b", ["b.com", "c.com"], "m4", 5),
+        ]},
+        {"window": [DAY_MS, 2 * DAY_MS], "detections": [det("1.2.3.4", "isp-a", ["a.com"], "m2", 3)]},
+    ]}))
+    return trace, report
+
+
+def test_fingerprint_reads_each_flagged_ip_once(tiny_inputs, monkeypatch):
+    """1.2.3.4 is flagged in two windows; each of its machines is searched
+    for a repeat cycle once."""
+    calls = []
+
+    def counted(events, tolerance_ms, min_len):
+        calls.append(tuple(events))
+        return real(events, tolerance_ms, min_len)
+
+    real = fingerprint.detect_repeat_cycle
+    monkeypatch.setattr(fingerprint, "detect_repeat_cycle", counted)
+    trace, report = _two_window_inputs(tiny_inputs)
+    assert main(["fingerprint", "--report", str(report), "--trace", str(trace),
+                 "--out", str(tiny_inputs / "fp")]) == 0
+    # one call per machine of each flagged IP: m1 and m2 of 1.2.3.4, m3, m4
+    assert len(calls) == 4 and len(set(calls)) == 4
+
+
+def test_fingerprint_names_schemes_by_their_first_member(tiny_inputs):
+    """Schemes are named scheme-01, scheme-02, ... in order of their first
+    member, the smallest ip|isp of the group, and the Jaccard table uses the
+    names.  An empty report writes the two headers alone."""
+    trace, report = _two_window_inputs(tiny_inputs)
+    out = tiny_inputs / "fp"
+    assert main(["fingerprint", "--report", str(report), "--trace", str(trace), "--out", str(out)]) == 0
+    with open(out / "profiles.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [
+        ["label", "isps", "ips", "days_seen", "top2k_domains", "machines", "avg_daily_requests", "flags",
+         "first_member"],
+        ["scheme-01", "1", "2", "2", "2", "3", "4.50", "", "1.2.3.4|isp-a"],
+        ["scheme-02", "1", "1", "1", "2", "1", "5.00", "", "9.9.9.9|isp-b"],
+    ]
+    assert (out / "jaccard.csv").read_text() == (
+        ",scheme-01,scheme-02\nscheme-01,1.00,0.33\nscheme-02,-,1.00\n"
+    )
+
+    empty = tiny_inputs / "empty"
+    assert main(["fingerprint", "--report", str(tiny_inputs / "report.json"), "--trace", str(trace),
+                 "--out", str(empty)]) == 0
+    assert (empty / "profiles.csv").read_text() == (
+        "label,isps,ips,days_seen,top2k_domains,machines,avg_daily_requests,flags,first_member\n"
+    )
+    assert (empty / "jaccard.csv").read_text() == "\n"
 
 
 def test_window_day_count_is_arithmetic_and_bounded():

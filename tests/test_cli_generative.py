@@ -1,7 +1,8 @@
 """Generative no-traceback test of the CLI.
 
 Hypothesis mutates trace fields, reference-table lines and flag values of a
-small ``synth`` scenario and runs every subcommand through ``cli.main`` in
+small ``synth`` scenario, swaps detect's report or rules' ``--envfp`` file
+for an odd JSON document, and runs every subcommand through ``cli.main`` in
 the test process.  Every run must end in one of the documented exit codes;
 any other exception fails the test with its traceback.
 """
@@ -44,6 +45,15 @@ TABLE_JUNK = ("", "#", ",", "a.com", "a.com,", ".", "1.2.3.0/24", "001.2.3.0/24,
               "١.com", "x" * 300, "\udcff", "u,-1", "u,1001", "u," + "9" * 5000, "u,²")
 
 DAY = EPOCH_MS // DAY_MS * DAY_MS
+# documents that stand in for detect's report or serve as rules' --envfp
+# file; None keeps the report detect wrote and passes no --envfp
+ODD_DOCUMENTS = (
+    None,
+    "[" * 200_000 + "]" * 200_000,  # nested past the JSON decoder's recursion limit
+    "[]",
+    json.dumps({"reports": [{"window": [DAY, DAY + DAY_MS], "detections": [{"ip": "1.2.3.4"}]}]}),
+    json.dumps({"escape": "function escape() { [native code] }"}),
+)
 WINDOWS = ("garbage", "2018-13-45", f"{DAY}..{DAY + DAY_MS}",
            f"{DAY - DAY_MS // 2}..{DAY + 2 * DAY_MS}", "0..1", "0..316310400000")
 FLAGS = {
@@ -117,7 +127,8 @@ def _chain(inputs: Path, out: Path, flags: dict, strict: bool) -> dict:
                    "--out", out / "detect" / "report.json"],
         "fingerprint": ["fingerprint", "--report", inputs / "report.json", "--trace", trace,
                         "--out", out / "fingerprint"],
-        "rules": ["rules", "--trace", trace, "--out", out / "rules" / "findings.jsonl"],
+        "rules": ["rules", "--trace", trace, "--out", out / "rules" / "findings.jsonl",
+                  *(["--envfp", inputs / "envfp.json"] if (inputs / "envfp.json").exists() else [])],
         "panelscan": ["panelscan", "--trace", trace, "--alias", inputs / "aliases.csv",
                       "--out", out / "panelscan"],
     }
@@ -144,6 +155,8 @@ def test_mutated_inputs_exit_with_a_documented_code(base, data):
         st.sampled_from(TABLES), st.integers(0, 100), st.sampled_from(TABLE_JUNK)),
         max_size=4), label="table_edits")
     flags = {command: _flags(data, command) for command in FLAGS}
+    report = data.draw(st.sampled_from(ODD_DOCUMENTS), label="report")
+    envfp = data.draw(st.sampled_from(ODD_DOCUMENTS), label="envfp")
 
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp) / "in"
@@ -155,7 +168,12 @@ def test_mutated_inputs_exit_with_a_documented_code(base, data):
             tables[name].insert(at % (len(tables[name]) + 1), junk)
         for name, lines in tables.items():
             _write(inputs / name, lines)
-        (inputs / "report.json").write_bytes(base["report"].read_bytes())
+        if report is None:
+            (inputs / "report.json").write_bytes(base["report"].read_bytes())
+        else:
+            (inputs / "report.json").write_text(report, encoding="utf-8")
+        if envfp is not None:
+            (inputs / "envfp.json").write_text(envfp, encoding="utf-8")
 
         lenient = _chain(inputs, Path(tmp) / "lenient", flags, strict=False)
         strict = _chain(inputs, Path(tmp) / "strict", flags, strict=True)

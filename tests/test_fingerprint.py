@@ -5,10 +5,13 @@ from hypothesis import given, strategies as st
 
 from launderscan.detector import Detection, DetectorConfig, detect
 from launderscan.fingerprint import (
+    CYCLE_MIN_LEN,
+    CYCLE_TOLERANCE_MS,
     FLAG_EMPTY_PROC,
     FLAG_MALFORMED,
     FLAG_REPEAT_CYCLE,
     FLAG_SPOOF_QUERY,
+    MALFORMED_SHARE_THRESHOLD,
     SchemeProfile,
     detect_repeat_cycle,
     extract_features,
@@ -17,7 +20,8 @@ from launderscan.fingerprint import (
     jaccard_matrix,
 )
 from launderscan.ingest import record_domain
-from launderscan.model import DAY_MS, HttpRecord, PublicSuffixSet
+from launderscan.model import DAY_MS, HttpRecord, PublicSuffixSet, is_malformed_domain
+from launderscan.urlrules import MalformedSignalError, check_spoof_query
 
 from conftest import DAY0, WINDOW
 
@@ -139,23 +143,23 @@ def _detection(ip="5.5.5.5", isp="cloud", domains=("a.com", "b.com")):
 def test_extract_features_flags():
     det = _detection()
     # empty process name
-    prof = extract_features(det, [_rec("http://a.com/x", "5.5.5.5", proc="")], SUFFIX)
+    prof = extract_features([det], [_rec("http://a.com/x", "5.5.5.5", proc="")], SUFFIX)[0]
     assert FLAG_EMPTY_PROC in prof.signature_flags
     # spoof query keys
     prof = extract_features(
-        det,
+        [det],
         [_rec("http://x.tld/ad?spoof_domain=a.com&land_ip=1.2.3.4", "5.5.5.5")],
         SUFFIX,
-    )
+    )[0]
     assert FLAG_SPOOF_QUERY in prof.signature_flags
     # 6% of hosts malformed -> flag; 4% -> no flag
     records = [_rec(f"http://a.com/{i}", "5.5.5.5") for i in range(94)]
     records += [_rec(f"http://li.zulilycom/{i}", "5.5.5.5") for i in range(6)]
-    prof = extract_features(det, records, SUFFIX)
+    prof = extract_features([det], records, SUFFIX)[0]
     assert FLAG_MALFORMED in prof.signature_flags
     records = [_rec(f"http://a.com/{i}", "5.5.5.5") for i in range(96)]
     records += [_rec(f"http://li.zulilycom/{i}", "5.5.5.5") for i in range(4)]
-    prof = extract_features(det, records, SUFFIX)
+    prof = extract_features([det], records, SUFFIX)[0]
     assert FLAG_MALFORMED not in prof.signature_flags
 
 
@@ -167,11 +171,112 @@ def test_extract_features_repeat_cycle_and_counts():
         _rec(f"http://{dom}/x", "5.5.5.5", ts=ts, machine="bot")
         for ts, dom in base + [(ts + period, d) for ts, d in base]
     ]
-    prof = extract_features(det, records, SUFFIX)
+    prof = extract_features([det], records, SUFFIX)[0]
     assert FLAG_REPEAT_CYCLE in prof.signature_flags
     assert len(prof.ips) == 1 and len(prof.isps) == 1
     assert len(prof.days) == 1
     assert prof.request_count == det.request_count
+
+
+def _features_oracle(detection, records, suffix):
+    """One detection's profile, reading all of its IP's ``records`` for it
+    alone."""
+    procs: set[str] = set()
+    days: set[int] = set()
+    malformed = 0
+    spoof = False
+    per_machine: dict[str, list[tuple[int, str]]] = {}
+    for rec in records:
+        procs.add(rec.process_name)
+        days.add(rec.timestamp // DAY_MS)
+        if not spoof:
+            try:
+                spoof = check_spoof_query(rec.url, suffix) is not None
+            except MalformedSignalError:
+                spoof = True
+        dom = rec.domain
+        if dom is None:
+            malformed += 1
+            continue
+        if is_malformed_domain(dom, suffix):
+            malformed += 1
+        per_machine.setdefault(rec.machine_id, []).append((rec.timestamp, dom))
+    flags = set()
+    if spoof:
+        flags.add(FLAG_SPOOF_QUERY)
+    if records and malformed / len(records) >= MALFORMED_SHARE_THRESHOLD:
+        flags.add(FLAG_MALFORMED)
+    if any(p.strip() == "" for p in procs):
+        flags.add(FLAG_EMPTY_PROC)
+    for events in per_machine.values():
+        events.sort()
+        if detect_repeat_cycle(events, CYCLE_TOLERANCE_MS, CYCLE_MIN_LEN) is not None:
+            flags.add(FLAG_REPEAT_CYCLE)
+            break
+    return SchemeProfile(
+        label=f"{detection.ip}|{detection.isp}",
+        domains=detection.domains,
+        process_names=frozenset(procs),
+        isps=frozenset({detection.isp}),
+        ips=frozenset({detection.ip}),
+        machines=detection.machine_ids,
+        days=frozenset(days),
+        request_count=detection.request_count,
+        signature_flags=frozenset(flags),
+    )
+
+
+# the last two give no domain; the spoof URLs carry a signal and a malformed one
+_URLS = ("http://a.com/x", "http://b.net/y", "http://shop.c.org/z", "http://li.zulilycom/w",
+         "http://x.tld/ad?spoof_domain=a.com&land_ip=1.2.3.4",
+         "http://x.tld/ad?spoof_domain=a.com&land_ip=1.2.3.04", "http://a..com/", "http://")
+_PROCS = ("bot.exe", "chrome.exe", "", "  ")
+
+
+def _random_ip(rng, ip, replay):
+    """One IP's records, over three days and 1-3 machines, and its 1-4
+    detections; with ``replay``, one machine's block recurs 22 h later."""
+    machines = [f"{ip}-m{i}" for i in range(rng.randrange(1, 4))]
+    urls = rng.sample(_URLS, rng.randrange(1, 4))
+    procs = rng.sample(_PROCS, rng.randrange(1, 3))
+    records = [
+        HttpRecord(DAY0 + rng.randrange(3 * DAY_MS), rng.choice(machines), rng.choice(procs), url,
+                   record_domain(url, SUFFIX), None, ip)
+        for url in rng.choices(urls, k=rng.randrange(0, 40))
+    ]
+    if replay:
+        block = [(DAY0 + i * 60_000, rng.choice(("a.com", "b.net", "c.org"))) for i in range(8)]
+        for ts, dom in block + [(ts + 22 * 3_600_000, dom) for ts, dom in block]:
+            records.append(HttpRecord(ts, machines[0], "bot.exe", f"http://{dom}/", dom, None, ip))
+    rng.shuffle(records)
+    detections = [
+        Detection(
+            ip=ip,
+            isp=rng.choice(("isp-a", "isp-b")),
+            domains=frozenset(rng.sample(("a.com", "b.net", "c.org", "d.com"), rng.randrange(1, 4))),
+            process_names=(),
+            machine_ids=frozenset(rng.sample(machines, rng.randrange(1, len(machines) + 1))),
+            request_count=rng.randrange(1, 500),
+            label="Unlabeled",
+        )
+        for _ in range(rng.randrange(1, 5))
+    ]
+    return detections, records
+
+
+def test_extract_features_per_ip_matches_per_detection_oracle():
+    """Each IP's detections profiled together equal each detection profiled
+    alone from the same records."""
+    seen: dict[str, set[bool]] = {}
+    for seed in range(30):
+        rng = random.Random(seed)
+        for n in range(rng.randrange(2, 6)):
+            detections, records = _random_ip(rng, f"10.0.{seed}.{n}", replay=n == 0)
+            profiles = extract_features(detections, records, SUFFIX)
+            assert profiles == [_features_oracle(d, records, SUFFIX) for d in detections]
+            for flag in (FLAG_SPOOF_QUERY, FLAG_MALFORMED, FLAG_EMPTY_PROC, FLAG_REPEAT_CYCLE):
+                seen.setdefault(flag, set()).add(flag in profiles[0].signature_flags)
+    assert all(both == {True, False} for both in seen.values()), seen
 
 
 def test_group_merges_same_isp_same_flags():
@@ -268,7 +373,7 @@ def test_profiles_from_corpus_group_to_scheme_count(small_corpus):
     for r in records:
         if r.server_ip in flagged_ips:
             by_ip.setdefault(r.server_ip, []).append(r)
-    profiles = [extract_features(d, by_ip[d.ip], SUFFIX) for d in rep.detections]
+    profiles = [extract_features([d], by_ip[d.ip], SUFFIX)[0] for d in rep.detections]
     grouped = group_detections(profiles)
     # hyphbot spans 4 ISPs (grouping is ISP-scoped), the other four schemes
     # collapse to one profile each

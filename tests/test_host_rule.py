@@ -77,7 +77,7 @@ def _answers(url: str, host: str):
         request_count=1,
         label="Unlabeled",
     )
-    profile = extract_features(detection, [_rec(url)], SUFFIX)
+    profile = extract_features([detection], [_rec(url)], SUFFIX)[0]
     signal = SpoofSignal(spoof_domain=normalize_domain(host, SUFFIX), land_ip=IP)
     verified = verify_spoof_followthrough(signal, 1_000, [_rec(url)], 60_000)
     referrer = sibling_referrer_consistency(

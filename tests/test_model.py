@@ -15,6 +15,17 @@ BUILTIN = PublicSuffixSet.builtin()
 TINY = PublicSuffixSet(frozenset({"com", "co.uk", "net"}))
 
 
+def match_oracle(host: str, suffixes) -> str | None:
+    """The longest suffix that ends ``host``, trying every tail of its
+    labels, longest first."""
+    labels = host.split(".")
+    for start in range(len(labels)):
+        cand = ".".join(labels[start:])
+        if cand in suffixes:
+            return cand
+    return None
+
+
 def malformed_oracle(host: str, suffix_list: PublicSuffixSet) -> bool:
     """The malformed rule on the full host: the host, normalized but not cut
     to its registrable domain, ends in no known public suffix."""
@@ -99,6 +110,29 @@ def test_malformed_on_the_registrable_matches_the_full_host_rule(host, tail, use
     registrable = normalize_domain(raw, suffixes)
     assert is_malformed_domain(registrable, suffixes) == malformed_oracle(raw, suffixes)
     assert normalize_domain(registrable, suffixes) == registrable
+
+
+@settings(max_examples=500)
+@given(st.lists(_SMALL_LABEL, min_size=1, max_size=12).map(".".join), _SUFFIX_SETS)
+def test_suffix_match_equals_the_every_tail_oracle(host, suffixes):
+    assert suffixes.match(host) == match_oracle(host, suffixes.suffixes)
+
+
+class _CountingSet(frozenset):
+    lookups = 0
+
+    def __contains__(self, item):
+        _CountingSet.lookups += 1
+        return super().__contains__(item)
+
+
+def test_suffix_match_tries_no_tail_longer_than_a_suffix():
+    suffixes = PublicSuffixSet(_CountingSet({"com", "co.uk", "net"}))
+    assert suffixes.max_labels == 2
+    host = "a." * 10_000 + "com"  # 10,001 labels
+    _CountingSet.lookups = 0
+    assert suffixes.match(host) == "com"
+    assert _CountingSet.lookups <= suffixes.max_labels
 
 
 @given(st.lists(_LABEL, min_size=1, max_size=5))

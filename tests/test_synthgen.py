@@ -248,7 +248,7 @@ def test_replay_period_plants_a_repeat_cycle_on_that_scheme_alone(replay_corpus)
     cycled = {
         d.ip
         for d in report.detections
-        if FLAG_REPEAT_CYCLE in extract_features(d, by_ip[d.ip], SUFFIX).signature_flags
+        if FLAG_REPEAT_CYCLE in extract_features([d], by_ip[d.ip], SUFFIX)[0].signature_flags
     }
     gamma = {ip for ip, _ in corpus.truth.scheme_pairs["scheme-gamma"]}
     assert len(gamma) == 4 and {d.ip for d in report.detections} >= gamma
