@@ -499,6 +499,7 @@ def cmd_rules(args) -> int:
     verified = 0
     for machine in sorted(by_machine):
         recs = sorted(by_machine[machine], key=lambda r: r.timestamp)
+        index = None  # built at the machine's first spoof signal
         for rec in recs:
             try:
                 signal = ur.check_spoof_query(rec.url, suffix)
@@ -510,7 +511,9 @@ def cmd_rules(args) -> int:
                 continue
             if signal is None:
                 continue
-            followed = ur.verify_spoof_followthrough(signal, rec.timestamp, recs, args.horizon)
+            if index is None:
+                index = ur.followthrough_index(recs)
+            followed = ur.verify_spoof_followthrough(signal, rec.timestamp, index, args.horizon)
             verified += followed
             findings.append(
                 {

@@ -9,6 +9,9 @@ and time-ordered within each machine.  A block's scheme label marks every
 line of it in the ground truth: a plant machine's lines carry its template's
 label, and a background machine's lines carry none.
 
+A row is ``(ts, tail)``: ``tail`` is the line's JSON text after ``"ts":N``, made
+from a per-kind template with json's own ASCII escaping.  Sorts on ``ts`` are stable.
+
 Volume scaling: a scheme's daily request volume is divided by the scenario
 divisor, but every plant IP still serves its full per-day target-domain set
 at least once (a coverage pass runs before random fill).  The per-IP domain
@@ -22,6 +25,8 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _js
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -307,13 +312,22 @@ def _build_world(scenario: Scenario) -> _World:
 # ---------------------------------------------------------------------------
 
 
-def _http(ts: int, machine: str, proc: str, url: str, ref: str | None, ip: str, ua: str) -> dict:
-    """One http line's payload, its keys in the order trace.jsonl writes them."""
-    return {"ts": ts, "machine": machine, "proc": proc, "method": "GET", "url": url,
-            "ref": ref, "ip": ip, "status": 200, "ua": ua, "kind": "http"}
+def _http(ts: int, machine: str, proc: str, url: str, ref: str | None, ip: str, ua: str) -> tuple[int, str]:
+    ref_js = "null" if ref is None else _js(ref)
+    return ts, (f',"machine":{_js(machine)},"proc":{_js(proc)},"method":"GET","url":{_js(url)},"ref":{ref_js},'
+                f'"ip":{_js(ip)},"status":200,"ua":{_js(ua)},"kind":"http"}}')
 
 
-def _background_block(scenario: Scenario, world: _World, i: int) -> list[dict]:
+def _pageview(ts: int, machine: str, domain: str) -> tuple[int, str]:
+    return ts, f',"machine":{_js(machine)},"kind":"pageview","pub_domain":{_js(domain)}}}'
+
+
+def _impression(ts: int, machine: str, domain: str, account: str | None) -> tuple[int, str]:
+    account_js = "" if account is None else f',"account":{_js(account)}'
+    return ts, f',"machine":{_js(machine)},"kind":"impression","attr_domain":{_js(domain)}{account_js}}}'
+
+
+def _background_block(scenario: Scenario, world: _World, i: int) -> list[tuple[int, str]]:
     bg = scenario.background
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(scenario.seed, 1, i)))
     machine = f"bg-{i:05d}"
@@ -322,52 +336,46 @@ def _background_block(scenario: Scenario, world: _World, i: int) -> list[dict]:
     # machine_count * visits_per_machine >= domain_count
     v = bg.visits_per_machine
     visit_doms = list(dict.fromkeys(world.domains[(i * v + k) % len(world.domains)] for k in range(v)))
-    rows: list[dict] = []
+    rows: list[tuple[int, str]] = []
     for d in range(scenario.day_count):
         day = EPOCH_MS + d * DAY_MS
-        vts = np.sort(rng.integers(day, day + DAY_MS - 3_600_000, size=len(visit_doms)))
-        order = rng.permutation(len(visit_doms))
-        visit_ts = {}
-        for slot, j in enumerate(order):
-            dom = visit_doms[int(j)]
-            visit_ts[dom] = ts = int(vts[slot])
-            rows.append({"ts": ts, "machine": machine, "kind": "pageview", "pub_domain": dom})
+        vts = np.sort(rng.integers(day, day + DAY_MS - 3_600_000, size=len(visit_doms))).tolist()
+        visit_ts = {visit_doms[j]: ts for j, ts in zip(rng.permutation(len(visit_doms)).tolist(), vts)}
+        rows += [_pageview(ts, machine, dom) for dom, ts in visit_ts.items()]
         n_http = DAILY_REQUESTS_PER_MACHINE
-        hts = rng.integers(day, day + DAY_MS, size=n_http)
-        hdx = rng.integers(0, len(visit_doms), size=n_http)
-        ip_pick = rng.integers(0, 2, size=n_http)
-        paths = rng.integers(0, 100_000, size=n_http)
-        proc_i = rng.integers(0, len(BACKGROUND_PROCS), size=n_http)
-        ua_i = rng.integers(0, len(BACKGROUND_UAS), size=n_http)
-        ref_coin = rng.random(n_http)
+        hts = rng.integers(day, day + DAY_MS, size=n_http).tolist()
+        hdx = rng.integers(0, len(visit_doms), size=n_http).tolist()
+        ip_pick = rng.integers(0, 2, size=n_http).tolist()
+        paths = rng.integers(0, 100_000, size=n_http).tolist()
+        proc_i = rng.integers(0, len(BACKGROUND_PROCS), size=n_http).tolist()
+        ua_i = rng.integers(0, len(BACKGROUND_UAS), size=n_http).tolist()
+        ref_coin = rng.random(n_http).tolist()
         for k in range(n_http):
-            dom = visit_doms[int(hdx[k])]
+            dom = visit_doms[hdx[k]]
             ips = world.home_ips[dom]
             rows.append(_http(
-                int(hts[k]), machine, BACKGROUND_PROCS[int(proc_i[k])],
-                f"http://www.{dom}/p/{int(paths[k])}",
+                hts[k], machine, BACKGROUND_PROCS[proc_i[k]],
+                f"http://www.{dom}/p/{paths[k]}",
                 f"http://www.{dom}/" if ref_coin[k] < 0.5 else None,
-                ips[int(ip_pick[k]) % len(ips)], BACKGROUND_UAS[int(ua_i[k])],
+                ips[ip_pick[k] % len(ips)], BACKGROUND_UAS[ua_i[k]],
             ))
         n_imp = IMPRESSIONS_PER_MACHINE
-        imp_dx = rng.integers(0, len(visit_doms), size=n_imp)
-        deltas = rng.integers(60_000, 3_600_000, size=n_imp)
-        sib_coin = rng.random(n_imp)
-        acct_coin = rng.random(n_imp)
-        acct_val = rng.integers(0, 50, size=n_imp)
+        imp_dx = rng.integers(0, len(visit_doms), size=n_imp).tolist()
+        deltas = rng.integers(60_000, 3_600_000, size=n_imp).tolist()
+        sib_coin = rng.random(n_imp).tolist()
+        acct_coin = rng.random(n_imp).tolist()
+        acct_val = rng.integers(0, 50, size=n_imp).tolist()
         for k in range(n_imp):
-            dom = visit_doms[int(imp_dx[k])]
-            ts = min(visit_ts[dom] + int(deltas[k]), day + DAY_MS - 1)
+            dom = visit_doms[imp_dx[k]]
+            ts = min(visit_ts[dom] + deltas[k], day + DAY_MS - 1)
             attr = dom
             gid = world.alias.index.get(dom)
             if gid is not None and sib_coin[k] < ALIAS_SIBLING_RATE:
                 siblings = sorted(world.alias.groups[gid] - {dom})
                 attr = siblings[int(rng.integers(0, len(siblings)))]
-            row = {"ts": ts, "machine": machine, "kind": "impression", "attr_domain": attr}
-            if acct_coin[k] < 0.3:
-                row["account"] = f"acct-{int(acct_val[k]):02d}"
-            rows.append(row)
-    rows.sort(key=lambda r: r["ts"])
+            account = f"acct-{acct_val[k]:02d}" if acct_coin[k] < 0.3 else None
+            rows.append(_impression(ts, machine, attr, account))
+    rows.sort(key=itemgetter(0))
     return rows
 
 
@@ -387,7 +395,7 @@ def _malformed_variant(dom: str, tag: str) -> str:
 
 def _plant_machine_block(
     scenario: Scenario, world: _World, p_idx: int, tpl: SchemeTemplate, k: int
-) -> list[dict]:
+) -> list[tuple[int, str]]:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(scenario.seed, 2, p_idx, k)))
     machine = f"{tpl.label}-m{k:03d}"
     targets = world.plant_targets[tpl.label]
@@ -404,10 +412,10 @@ def _plant_machine_block(
         replay_ms = 0
     uas = itertools.cycle(tpl.user_agents)
 
-    def http(ts: int, url: str, ref: str | None = None) -> dict:
+    def http(ts: int, url: str, ref: str | None = None) -> tuple[int, str]:
         return _http(ts, machine, tpl.process_name, url, ref, ip, next(uas))
 
-    rows: list[dict] = []
+    rows: list[tuple[int, str]] = []
     for d in range(scenario.day_count):
         day = EPOCH_MS + d * DAY_MS
         today = _active_targets(tpl, targets, d)
@@ -417,13 +425,13 @@ def _plant_machine_block(
         coverage_total = len(today) * tpl.ip_count
         fill_total = max(0, scaled_fill - coverage_total)
         my_fill = fill_total // tpl.machine_count + (1 if k < fill_total % tpl.machine_count else 0)
-        units = my_doms + [today[int(j)] for j in rng.integers(0, len(today), size=my_fill)]
+        units = my_doms + [today[j] for j in rng.integers(0, len(today), size=my_fill).tolist()]
         if replay_ms:
             base_span = min(DAY_MS - replay_ms, replay_ms) - 1
             uts = np.sort(rng.integers(day, day + base_span, size=len(units)))
         else:
             uts = np.sort(rng.integers(day, day + DAY_MS - 60_000, size=len(units)))
-        day_rows: list[dict] = []
+        day_rows: list[tuple[int, str]] = []
         for dom, ts in zip(units, uts.tolist()):
             if tpl.kind == KIND_HOSTS_HIJACK:
                 cb = int(rng.integers(0, 10_000_000))
@@ -445,24 +453,22 @@ def _plant_machine_block(
                 day_rows.append(http(ts, f"http://{dom}/c/{int(rng.integers(0, 100_000))}"))
         if malformed_fraction > 0.0:
             n_bad = round(malformed_fraction * len(units))
-            bad_dx = rng.integers(0, len(today), size=n_bad)
-            bad_ts = rng.integers(day, day + DAY_MS - 60_000, size=n_bad)
+            bad_dx = rng.integers(0, len(today), size=n_bad).tolist()
+            bad_ts = rng.integers(day, day + DAY_MS - 60_000, size=n_bad).tolist()
             tags = ("li", "ad", "img", "cdn")
-            tag_dx = rng.integers(0, len(tags), size=n_bad)
+            tag_dx = rng.integers(0, len(tags), size=n_bad).tolist()
             for b in range(n_bad):
-                host = _malformed_variant(today[int(bad_dx[b])], tags[int(tag_dx[b])])
-                day_rows.append(http(int(bad_ts[b]), f"http://{host}/t/{b}"))
+                host = _malformed_variant(today[bad_dx[b]], tags[tag_dx[b]])
+                day_rows.append(http(bad_ts[b], f"http://{host}/t/{b}"))
         if replay_ms:
-            day_rows += [{**row, "ts": row["ts"] + replay_ms}
-                         for row in day_rows if row["ts"] + replay_ms < day + DAY_MS]
+            day_rows += [(ts + replay_ms, tail) for ts, tail in day_rows if ts + replay_ms < day + DAY_MS]
         my_imps = imp_total // tpl.machine_count + (1 if k < imp_total % tpl.machine_count else 0)
-        imp_dx = rng.integers(0, len(today), size=my_imps)
-        imp_ts = rng.integers(day, day + DAY_MS, size=my_imps)
-        for b in range(my_imps):
-            day_rows.append({"ts": int(imp_ts[b]), "machine": machine, "kind": "impression",
-                             "attr_domain": today[int(imp_dx[b])], "account": f"acct-x{p_idx:02d}"})
+        imp_dx = rng.integers(0, len(today), size=my_imps).tolist()
+        imp_ts = rng.integers(day, day + DAY_MS, size=my_imps).tolist()
+        account = f"acct-x{p_idx:02d}"
+        day_rows += [_impression(ts, machine, today[j], account) for j, ts in zip(imp_dx, imp_ts)]
         rows.extend(day_rows)
-    rows.sort(key=lambda r: r["ts"])
+    rows.sort(key=itemgetter(0))
     return rows
 
 
@@ -470,7 +476,6 @@ def _trace_blocks(scenario: Scenario, world: _World, labels: dict[int, str]) -> 
     """The lines of trace.jsonl, one block per machine (background first, then
     plants in template order).  Maps the file index of every line of a plant
     machine's block to its template's label in ``labels``."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
     blocks = itertools.chain(
         ((None, _background_block(scenario, world, i)) for i in range(scenario.background.machine_count)),
         (
@@ -484,7 +489,7 @@ def _trace_blocks(scenario: Scenario, world: _World, labels: dict[int, str]) -> 
         if label is not None:
             labels.update(dict.fromkeys(range(start, start + len(rows)), label))
         start += len(rows)
-        yield [encode(row) for row in rows]
+        yield [f'{{"ts":{ts}{tail}' for ts, tail in rows]
 
 
 def _truth_from(

@@ -11,8 +11,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 from urllib.parse import parse_qsl
 
 from .model import (
@@ -89,26 +88,28 @@ def check_spoof_query(url: str, suffix: PublicSuffixSet) -> Optional[SpoofSignal
     return SpoofSignal(spoof_domain=dom, land_ip=land_val)
 
 
+def followthrough_index(trace: Iterable[HttpRecord]) -> dict[tuple[str, Optional[str]], list[int]]:
+    """One machine's request times per (server IP, domain), read from its
+    trace sorted by timestamp, so each list is sorted too."""
+    index: dict[tuple[str, Optional[str]], list[int]] = {}
+    for rec in trace:
+        index.setdefault((rec.server_ip, rec.domain), []).append(rec.timestamp)
+    return index
+
+
 def verify_spoof_followthrough(
     signal: SpoofSignal,
     ts: int,
-    trace: Sequence[HttpRecord],
+    index: dict[tuple[str, Optional[str]], list[int]],
     horizon_ms: int,
 ) -> bool:
     """True when, after the signal's request at ``ts`` and at most
-    ``horizon_ms`` later, the same machine's trace (sorted by timestamp)
-    requests the spoofed domain from the landing IP."""
-    lo, hi = ts, ts + horizon_ms
-    want = signal.spoof_domain
-    for k in range(bisect_right(trace, lo, key=attrgetter("timestamp")), len(trace)):
-        rec = trace[k]
-        if rec.timestamp > hi:
-            break
-        if rec.server_ip != signal.land_ip:
-            continue
-        if rec.domain == want:
-            return True
-    return False
+    ``horizon_ms`` later, the machine whose ``followthrough_index`` this is
+    requests the spoofed domain from the landing IP.  One lookup per signal:
+    the first of those request times after ``ts``."""
+    times = index.get((signal.land_ip, signal.spoof_domain), ())
+    k = bisect_right(times, ts)
+    return k < len(times) and times[k] <= ts + horizon_ms
 
 
 @dataclass(frozen=True, slots=True)

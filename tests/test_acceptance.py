@@ -50,6 +50,7 @@ from launderscan.urlrules import (
     EnvFingerprint,
     check_spoof_query,
     classify_env,
+    followthrough_index,
     verify_spoof_followthrough,
 )
 
@@ -338,12 +339,13 @@ def test_criterion_9_spoof_rule(big_run):
     total = verified = 0
     for machine in sorted(by_machine):
         recs = sorted(by_machine[machine], key=lambda r: r.timestamp)
+        index = followthrough_index(recs)
         for rec in recs:
             signal = check_spoof_query(rec.url, SUFFIX)
             if signal is None:
                 continue
             total += 1
-            verified += verify_spoof_followthrough(signal, rec.timestamp, recs, 60_000)
+            verified += verify_spoof_followthrough(signal, rec.timestamp, index, 60_000)
     ad_calls = sum(
         1
         for recs in by_machine.values()
@@ -361,11 +363,12 @@ def test_criterion_9_spoof_rule(big_run):
             else rec
             for rec in sorted(by_machine[machine], key=lambda r: r.timestamp)
         ]
+        index = followthrough_index(recs)
         for rec in recs:
             signal = check_spoof_query(rec.url, SUFFIX)
             if signal is None:
                 continue
-            mutated_verified += verify_spoof_followthrough(signal, rec.timestamp, recs, 60_000)
+            mutated_verified += verify_spoof_followthrough(signal, rec.timestamp, index, 60_000)
     check(9, "mutated land_ip leaves every signal unverified", mutated_verified == 0)
 
 

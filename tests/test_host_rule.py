@@ -16,6 +16,7 @@ from launderscan.model import PublicSuffixSet, normalize_domain, url_host
 from launderscan.urlrules import (
     SpoofSignal,
     check_spoof_query,
+    followthrough_index,
     sibling_referrer_consistency,
     verify_spoof_followthrough,
 )
@@ -79,7 +80,7 @@ def _answers(url: str, host: str):
     )
     profile = extract_features([detection], [_rec(url)], SUFFIX)[0]
     signal = SpoofSignal(spoof_domain=normalize_domain(host, SUFFIX), land_ip=IP)
-    verified = verify_spoof_followthrough(signal, 1_000, [_rec(url)], 60_000)
+    verified = verify_spoof_followthrough(signal, 1_000, followthrough_index([_rec(url)]), 60_000)
     referrer = sibling_referrer_consistency(
         [f"http://ads.net/call?referrer={quote(url, safe='')}"], "referrer", SUFFIX
     )
@@ -101,6 +102,7 @@ def test_a_url_valued_parameter_counts_as_its_hosts_domain():
     value = "http://www.target.com/a"
     signal = check_spoof_query(f"http://ads.net/imp?spoof_domain={value}&land_ip={IP}", SUFFIX)
     assert signal.spoof_domain == "target.com"
-    assert verify_spoof_followthrough(signal, 1_000, [_rec("http://target.com/")], 60_000)
+    index = followthrough_index([_rec("http://target.com/")])
+    assert verify_spoof_followthrough(signal, 1_000, index, 60_000)
     referrer = sibling_referrer_consistency([f"http://ads.net/call?referrer={value}"], "referrer", SUFFIX)
     assert referrer.values == {"target.com"}

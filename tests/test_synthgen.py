@@ -5,12 +5,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from launderscan import cli
 from launderscan import synthgen as sg
 from launderscan.detector import DetectorConfig, build_resolution_index, candidate_domains, detect
 from launderscan.fingerprint import FLAG_REPEAT_CYCLE, extract_features
-from launderscan.ingest import load_alias_groups
+from launderscan.ingest import MAX_TS_MS, load_alias_groups
 from launderscan.model import DAY_MS, PublicSuffixSet, is_valid_ipv4
 from launderscan.panel import SessionPolicy, attributed_ads, misattribution_table, publisher_visits
 
@@ -292,3 +293,50 @@ def test_generated_lines_match_recorded_digests(name, request):
     digests = (hashlib.sha256(text.encode()).hexdigest(), len(corpus.lines),
                hashlib.sha256(truth.encode()).hexdigest())
     assert digests == RECORDED_DIGESTS[name]
+
+
+def _reference_line(payload: dict) -> str:
+    """A trace line as a dict of its members through a compact JSONEncoder:
+    the encoding the per-kind templates must reproduce byte for byte."""
+    return json.JSONEncoder(separators=(",", ":")).encode(payload)
+
+
+def _line(row: tuple[int, str]) -> str:
+    ts, tail = row
+    return f'{{"ts":{ts}{tail}'
+
+
+# every code point, lone surrogates included: json escapes them as \udXXX
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+_TS = st.integers(0, MAX_TS_MS)
+_NASTY = 'q"\\\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'
+
+
+@given(ts=_TS, machine=_TEXT, proc=_TEXT, url=_TEXT, ref=st.none() | _TEXT, ip=_TEXT, ua=_TEXT,
+       replay_ms=st.integers(0, sg.DAY_MS))
+@example(ts=MAX_TS_MS, machine=_NASTY, proc=_NASTY, url=_NASTY, ref=_NASTY, ip=_NASTY, ua=_NASTY, replay_ms=1)
+@example(ts=1, machine="m", proc="", url="http://a.com/", ref=None, ip="1.2.3.4", ua="u", replay_ms=0)
+def test_http_template_matches_the_dict_encoding(ts, machine, proc, url, ref, ip, ua, replay_ms):
+    row = sg._http(ts, machine, proc, url, ref, ip, ua)
+    payload = {"ts": ts, "machine": machine, "proc": proc, "method": "GET", "url": url,
+               "ref": ref, "ip": ip, "status": 200, "ua": ua, "kind": "http"}
+    assert _line(row) == _reference_line(payload)
+    # a replayed row shifts only its timestamp
+    assert _line((row[0] + replay_ms, row[1])) == _reference_line({**payload, "ts": ts + replay_ms})
+
+
+@given(ts=_TS, machine=_TEXT, domain=_TEXT)
+@example(ts=MAX_TS_MS, machine=_NASTY, domain=_NASTY)
+def test_pageview_template_matches_the_dict_encoding(ts, machine, domain):
+    payload = {"ts": ts, "machine": machine, "kind": "pageview", "pub_domain": domain}
+    assert _line(sg._pageview(ts, machine, domain)) == _reference_line(payload)
+
+
+@given(ts=_TS, machine=_TEXT, domain=_TEXT, account=st.none() | _TEXT)
+@example(ts=MAX_TS_MS, machine=_NASTY, domain=_NASTY, account=_NASTY)
+@example(ts=0, machine="m", domain="a.com", account=None)
+def test_impression_template_matches_the_dict_encoding(ts, machine, domain, account):
+    payload = {"ts": ts, "machine": machine, "kind": "impression", "attr_domain": domain}
+    if account is not None:
+        payload["account"] = account
+    assert _line(sg._impression(ts, machine, domain, account)) == _reference_line(payload)

@@ -1,6 +1,9 @@
 import random
+from bisect import bisect_right
+from operator import attrgetter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from launderscan.ingest import record_domain
 from launderscan.model import HttpRecord, PublicSuffixSet
@@ -8,8 +11,10 @@ from launderscan.urlrules import (
     EmptyFingerprintError,
     EnvFingerprint,
     MalformedSignalError,
+    SpoofSignal,
     check_spoof_query,
     classify_env,
+    followthrough_index,
     sibling_referrer_consistency,
     verify_spoof_followthrough,
 )
@@ -99,12 +104,12 @@ def test_followthrough_verified():
         _rec(3000, "http://other.com/", "5.5.5.5"),
         _rec(6000, "http://www.example.com/page", "10.1.2.3"),
     ]
-    assert verify_spoof_followthrough(_signal(), 1000, trace, horizon_ms=60_000)
+    assert verify_spoof_followthrough(_signal(), 1000, followthrough_index(trace), horizon_ms=60_000)
 
 
 def test_followthrough_wrong_ip_not_verified():
     trace = [_rec(6000, "http://www.example.com/page", "10.9.9.9")]
-    assert not verify_spoof_followthrough(_signal(), 1000, trace, horizon_ms=60_000)
+    assert not verify_spoof_followthrough(_signal(), 1000, followthrough_index(trace), horizon_ms=60_000)
 
 
 def test_followthrough_at_the_signal_time_not_verified():
@@ -113,17 +118,79 @@ def test_followthrough_at_the_signal_time_not_verified():
         _rec(1000, "http://www.example.com/page", "10.1.2.3"),
         _rec(1000, "http://x.tld/ad?spoof_domain=example.com&land_ip=10.1.2.3", "4.4.4.4"),
     ]
-    assert not verify_spoof_followthrough(_signal(), 1000, trace, horizon_ms=60_000)
+    assert not verify_spoof_followthrough(_signal(), 1000, followthrough_index(trace), horizon_ms=60_000)
     trace.append(_rec(1001, "http://www.example.com/page", "10.1.2.3"))
-    assert verify_spoof_followthrough(_signal(), 1000, trace, horizon_ms=60_000)
+    assert verify_spoof_followthrough(_signal(), 1000, followthrough_index(trace), horizon_ms=60_000)
 
 
 def test_followthrough_outside_horizon_not_verified():
     trace = [_rec(70_000, "http://www.example.com/page", "10.1.2.3")]
-    assert not verify_spoof_followthrough(_signal(), 1000, trace, horizon_ms=60_000)
+    assert not verify_spoof_followthrough(_signal(), 1000, followthrough_index(trace), horizon_ms=60_000)
     # horizon is inclusive at the edge
     trace = [_rec(61_000, "http://www.example.com/page", "10.1.2.3")]
-    assert verify_spoof_followthrough(_signal(), 1000, trace, horizon_ms=60_000)
+    assert verify_spoof_followthrough(_signal(), 1000, followthrough_index(trace), horizon_ms=60_000)
+
+
+def _scan_followthrough(signal, ts, trace, horizon_ms):
+    """Reference: scan the machine's time-sorted records after ``ts`` up to
+    the horizon for the spoofed domain requested from the landing IP."""
+    for k in range(bisect_right(trace, ts, key=attrgetter("timestamp")), len(trace)):
+        rec = trace[k]
+        if rec.timestamp > ts + horizon_ms:
+            break
+        if rec.server_ip == signal.land_ip and rec.domain == signal.spoof_domain:
+            return True
+    return False
+
+
+_IPS = ("10.1.2.3", "10.9.9.9")
+_URLS = ("http://www.example.com/p", "http://example.com/", "http://other.com/", "http://zulilycom/")
+
+
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(_URLS), st.sampled_from(_IPS)), max_size=30),
+    land_ip=st.sampled_from(_IPS),
+    spoof_domain=st.sampled_from(("example.com", "other.com")),
+    ts=st.integers(-5, 45),
+    horizon_ms=st.integers(0, 20),
+)
+def test_followthrough_lookup_equals_the_record_scan(rows, land_ip, spoof_domain, ts, horizon_ms):
+    trace = sorted((_rec(t, url, ip) for t, url, ip in rows), key=attrgetter("timestamp"))
+    signal = SpoofSignal(spoof_domain=spoof_domain, land_ip=land_ip)
+    assert verify_spoof_followthrough(signal, ts, followthrough_index(trace), horizon_ms) == (
+        _scan_followthrough(signal, ts, trace, horizon_ms)
+    )
+
+
+class _CountingTrace(list):
+    """A record list that counts every record read from it."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
+
+    def __iter__(self):
+        for rec in super().__iter__():
+            self.reads += 1
+            yield rec
+
+
+def _followthrough_reads(n):
+    """Record reads to verify n spoof signals 1 ms apart, all inside one
+    horizon, whose landing IP the machine never contacts."""
+    url = "http://x.tld/ad?spoof_domain=example.com&land_ip=10.1.2.3"
+    trace = _CountingTrace(_rec(1_000 + i, url, "4.4.4.4") for i in range(n))
+    index = followthrough_index(trace)
+    for i in range(n):
+        assert not verify_spoof_followthrough(_signal(), 1_000 + i, index, horizon_ms=60_000)
+    return trace.reads
+
+
+def test_followthrough_reads_grow_linearly_with_the_signals():
+    n = 2_000
+    assert _followthrough_reads(2 * n) <= 2.1 * _followthrough_reads(n)
 
 
 def test_referrer_inconsistency_detected():
