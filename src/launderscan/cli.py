@@ -105,11 +105,12 @@ def _read_table(path: Path):
         yield line
 
 
-def _load_trace(args, suffix: PublicSuffixSet):
-    """Parse ``--trace`` (exit 2 when it is missing, 3 on a strict-mode abort)."""
+def _load_trace(args, suffix: PublicSuffixSet, kinds: tuple[str, ...]):
+    """Parse ``--trace``, keeping the records of ``kinds`` (exit 2 when it is
+    missing, 3 on a strict-mode abort)."""
     path = _require(args.trace, "trace")
     with _parsing(path):
-        return load_trace(_read_lines(path), suffix, strict=args.strict)
+        return load_trace(_read_lines(path), suffix, strict=args.strict, kinds=kinds)
 
 
 def _suffix_set(args) -> PublicSuffixSet:
@@ -244,7 +245,7 @@ def cmd_detect(args) -> int:
     ranking_path = _require(args.ranking, "ranking")
     malware_path = _require(args.malware, "malware list")
 
-    loaded = _load_trace(args, suffix)
+    loaded = _load_trace(args, suffix, ("http",))
     with _parsing(ipmap_path):
         table, ipmap_skipped = load_ip_map(_read_table(ipmap_path), strict=args.strict)
     with _parsing(ranking_path):
@@ -340,7 +341,7 @@ def cmd_fingerprint(args) -> int:
     _check_flag(0.0 <= args.feature_agreement <= 1.0, "--feature-agreement", "in [0, 1]")
     suffix = _suffix_set(args)
     report_path = _require(args.report, "detection report")
-    loaded = _load_trace(args, suffix)
+    loaded = _load_trace(args, suffix, ("http",))
     records = loaded.http
     # a report not written by detect, or nested too deep to decode, fails in one of these ways
     with _parsing(report_path, ValueError, KeyError, TypeError, AttributeError, RecursionError):
@@ -389,7 +390,7 @@ def cmd_panelscan(args) -> int:
         policy = pn.SessionPolicy(lookback_ms=args.lookback)
     window = _window(args.window)
     suffix = _suffix_set(args)
-    loaded = _load_trace(args, suffix)
+    loaded = _load_trace(args, suffix, ("impression", "pageview"))
     if args.alias:
         alias_path = _require(args.alias, "alias groups")
         with _parsing(alias_path):
@@ -490,7 +491,7 @@ def cmd_synth(args) -> int:
 def cmd_rules(args) -> int:
     _check_flag(args.horizon >= 1, "--horizon", ">= 1")
     suffix = _suffix_set(args)
-    loaded = _load_trace(args, suffix)
+    loaded = _load_trace(args, suffix, ("http",))
     findings: list[dict] = []
 
     by_machine: dict[str, list] = {}

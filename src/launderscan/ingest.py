@@ -15,9 +15,10 @@ raises on a bad line in either mode and drops a line with no domain.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .ipattr import IpAttributionTable
 from .model import (
@@ -111,8 +112,14 @@ class LoadResult:
     total_lines: int = 0
 
 
+RECORD_KINDS = ("http", "impression", "pageview")
+
+
 def load_trace(
-    lines: Iterable[str], suffix: PublicSuffixSet, strict: bool = False
+    lines: Iterable[str],
+    suffix: PublicSuffixSet,
+    strict: bool = False,
+    kinds: Collection[str] = RECORD_KINDS,
 ) -> LoadResult:
     """Parse a JSON-lines trace into typed records, in file order.
 
@@ -125,7 +132,18 @@ def load_trace(
     URL host, attr_domain or pub_domain is normalized once, and every record
     gets the first ``str`` object seen for its machine, process, IP and
     referrer.
+
+    Only records of ``kinds`` are kept.  A line of another kind is still
+    decoded, checked and counted, so the skips, ``total_lines`` and a strict
+    abort do not depend on ``kinds``; only its record, and an http line's
+    host normalization, are not made.
+
+    When orjson is installed it decodes a line whose value it must give as
+    ``json`` does (see the loop); every other line takes ``decode_line``.
+    The cyclic garbage collector is paused while the trace loads: the
+    records form no cycles, so its passes would only walk live objects.
     """
+    keep_http, keep_impression, keep_pageview = (kind in kinds for kind in RECORD_KINDS)
     out = LoadResult(skipped=Skips(strict))
     # name -> normalize_domain(name), None when it does not normalize; a URL
     # host maps to what ``record_domain`` gives for its URL
@@ -133,6 +151,12 @@ def load_trace(
     valid_ip: dict[str, bool] = {}  # ip -> is_valid_ipv4(ip)
     shared = {}.setdefault  # str value -> the first equal object seen
     skip = out.skipped
+    # imported here, not with this module: synthgen imports this module, and
+    # orjson adds about 1 MB to a process that never loads a trace
+    try:
+        from orjson import loads as fast_loads
+    except ImportError:
+        fast_loads = None
 
     def domain_of(name) -> Optional[str]:
         if not isinstance(name, str):  # a JSON null, bool, number, list or object
@@ -144,81 +168,102 @@ def load_trace(
                 domains[name] = None
         return domains[name]
 
-    for line_no, raw in enumerate(lines, start=1):
-        out.total_lines += 1
-        line = raw.strip()
-        if not line:
-            skip(line_no, "blank line")
-            continue
-        if not line.isascii() and not is_utf8(line):
-            skip(line_no, "bad encoding")
-            continue
-        try:
-            obj = decode_line(line)
-        except (ValueError, RecursionError):  # deep nesting, oversized ints
-            skip(line_no, "bad json")
-            continue
-        # a "\udcff" escape decodes to a lone surrogate no output can encode;
-        # a one-character search keeps lines without escapes cheap
-        if "\\" in line and not is_utf8(json.dumps(obj, ensure_ascii=False)):
-            skip(line_no, "bad encoding")
-            continue
-        if not isinstance(obj, dict):
-            skip(line_no, "not an object")
-            continue
-        kind = obj.get("kind", "http")
-        ts = obj.get("ts")
-        machine = obj.get("machine")
-        if type(ts) is not int or not 0 < ts <= MAX_TS_MS:  # bool is an int subclass
-            skip(line_no, "bad ts")
-            continue
-        if not isinstance(machine, str) or not machine:
-            skip(line_no, "bad machine")
-            continue
-        machine = shared(machine, machine)
-        if kind == "http":
-            url = obj.get("url")
-            ip = obj.get("ip")
-            host = url_host(url) if isinstance(url, str) else ""
-            if not host:
-                skip(line_no, "bad url")
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        line_no = 0
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            # orjson's value is json's when all three hold: orjson accepts the
+            # line (it rejects blank text, a BOM, NaN, 1e400 and lone
+            # surrogates, raw or escaped); the line nests under 512 deep, well
+            # inside json's recursion limit (n characters nest at most n/2
+            # deep, so only long lines are counted); and ``status`` is not a
+            # float (orjson gives one for an int past 64 bits, where ``ts`` is
+            # "bad ts" either way).  Any other line takes the json path.
+            obj = None
+            if fast_loads is not None and (len(line) <= 1_024
+                                           or line.count("[") + line.count("{") < 512):
+                try:
+                    obj = fast_loads(line)
+                except ValueError:
+                    pass
+            if type(obj) is not dict or type(obj.get("status")) is float:
+                if not line:
+                    skip(line_no, "blank line")
+                    continue
+                if not line.isascii() and not is_utf8(line):
+                    skip(line_no, "bad encoding")
+                    continue
+                try:
+                    obj = decode_line(line)
+                except (ValueError, RecursionError):  # deep nesting, oversized ints
+                    skip(line_no, "bad json")
+                    continue
+                # a "\udcff" escape decodes to a lone surrogate no output can
+                # encode; a one-character search keeps lines without escapes cheap
+                if "\\" in line and not is_utf8(json.dumps(obj, ensure_ascii=False)):
+                    skip(line_no, "bad encoding")
+                    continue
+                if not isinstance(obj, dict):
+                    skip(line_no, "not an object")
+                    continue
+            kind = obj.get("kind", "http")
+            ts = obj.get("ts")
+            machine = obj.get("machine")
+            if type(ts) is not int or not 0 < ts <= MAX_TS_MS:  # bool is an int subclass
+                skip(line_no, "bad ts")
                 continue
-            # the type test comes first: a JSON list or object is unhashable
-            ok = isinstance(ip, str) and valid_ip.get(ip)
-            if ok is None:
-                ok = valid_ip[ip] = is_valid_ipv4(ip)
-            if not ok:
-                skip(line_no, "bad ip")
+            if not isinstance(machine, str) or not machine:
+                skip(line_no, "bad machine")
                 continue
-            proc, status = obj.get("proc", ""), obj.get("status")
-            ua, ref = obj.get("ua"), obj.get("ref")
-            bad = ("status" if status is not None and type(status) is not int
-                   else "proc" if not isinstance(proc, str)
-                   else "method" if not isinstance(obj.get("method", ""), str)
-                   else "ua" if ua is not None and not isinstance(ua, str)
-                   else "ref" if ref is not None and not isinstance(ref, str)
-                   else None)
-            if bad:
-                skip(line_no, f"bad {bad}")
-                continue
-            out.http.append(HttpRecord(
-                ts, machine, shared(proc, proc), url, domain_of(host),
-                None if ref is None else shared(ref, ref), shared(ip, ip),
-            ))
-        elif kind == "impression":
-            dom = domain_of(obj.get("attr_domain"))
-            if dom is None:
-                skip(line_no, "bad attr_domain")
-                continue
-            out.impressions.append(DomainEvent(ts, machine, dom))
-        elif kind == "pageview":
-            dom = domain_of(obj.get("pub_domain"))
-            if dom is None:
-                skip(line_no, "bad pub_domain")
-                continue
-            out.pageviews.append(DomainEvent(ts, machine, dom))
-        else:
-            skip(line_no, "bad kind")
+            if kind == "http":
+                url = obj.get("url")
+                ip = obj.get("ip")
+                host = url_host(url) if isinstance(url, str) else ""
+                if not host:
+                    skip(line_no, "bad url")
+                    continue
+                # the type test comes first: a JSON list or object is unhashable
+                ok = isinstance(ip, str) and valid_ip.get(ip)
+                if ok is None:
+                    ok = valid_ip[ip] = is_valid_ipv4(ip)
+                if not ok:
+                    skip(line_no, "bad ip")
+                    continue
+                proc, status = obj.get("proc", ""), obj.get("status")
+                ua, ref = obj.get("ua"), obj.get("ref")
+                bad = ("status" if status is not None and type(status) is not int
+                       else "proc" if not isinstance(proc, str)
+                       else "method" if not isinstance(obj.get("method", ""), str)
+                       else "ua" if ua is not None and not isinstance(ua, str)
+                       else "ref" if ref is not None and not isinstance(ref, str)
+                       else None)
+                if bad:
+                    skip(line_no, f"bad {bad}")
+                elif keep_http:
+                    out.http.append(HttpRecord(
+                        ts, shared(machine, machine), shared(proc, proc), url, domain_of(host),
+                        None if ref is None else shared(ref, ref), shared(ip, ip),
+                    ))
+            elif kind == "impression":
+                dom = domain_of(obj.get("attr_domain"))
+                if dom is None:
+                    skip(line_no, "bad attr_domain")
+                elif keep_impression:
+                    out.impressions.append(DomainEvent(ts, shared(machine, machine), dom))
+            elif kind == "pageview":
+                dom = domain_of(obj.get("pub_domain"))
+                if dom is None:
+                    skip(line_no, "bad pub_domain")
+                elif keep_pageview:
+                    out.pageviews.append(DomainEvent(ts, shared(machine, machine), dom))
+            else:
+                skip(line_no, "bad kind")
+        out.total_lines = line_no
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 from urllib.parse import parse_qsl
 
@@ -61,10 +62,16 @@ def _query_values(url: str, keys: tuple[str, ...]) -> dict[str, list[str]]:
     return found
 
 
+# A trace names few distinct spoofed domains and landing IPs, so the rules
+# check each value once; bounded, since every value comes from the input.
+@lru_cache(maxsize=4096)
 def _value_domain(val: str, suffix: PublicSuffixSet) -> str:
     """The domain a query value names: its host's when it is a URL, else the
     value itself.  Raises InvalidDomainError when that does not normalize."""
     return normalize_domain(url_host(val) if "://" in val else val, suffix)
+
+
+_valid_land_ip = lru_cache(maxsize=4096)(is_valid_ipv4)
 
 
 def check_spoof_query(url: str, suffix: PublicSuffixSet) -> Optional[SpoofSignal]:
@@ -75,11 +82,16 @@ def check_spoof_query(url: str, suffix: PublicSuffixSet) -> Optional[SpoofSignal
     be parsed.  Percent-decoding is applied once; parameter order and
     unrelated parameters do not matter.
     """
+    # the query can only hold the spoof key if the URL spells it, or spells
+    # it split by a tab, CR or LF (which are not printable), or escaped
+    if (SPOOF_DOMAIN_KEY not in url and "%" not in url and "+" not in url
+            and url.isprintable()):
+        return None
     values = _query_values(url, (SPOOF_DOMAIN_KEY, LAND_IP_KEY))
     if SPOOF_DOMAIN_KEY not in values or LAND_IP_KEY not in values:
         return None
     spoof_val, land_val = values[SPOOF_DOMAIN_KEY][0], values[LAND_IP_KEY][0]
-    if not is_valid_ipv4(land_val):
+    if not _valid_land_ip(land_val):
         raise MalformedSignalError(f"unparseable {LAND_IP_KEY} value {land_val!r}")
     try:
         dom = _value_domain(spoof_val, suffix)

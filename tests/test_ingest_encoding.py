@@ -1,17 +1,20 @@
 """Trace ingest on bytes that are not a well-formed trace: arbitrary bytes read
 through the CLI's reader never raise in lenient mode, every line is counted
 once, strict mode aborts at the first line lenient mode skips, and a line
-decodes exactly when json.loads accepts it."""
+decodes exactly when json.loads accepts it.  The orjson decode and a narrowed
+``kinds`` change no record, skip or strict abort."""
 
 import json
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from launderscan.cli import _read_lines
-from launderscan.ingest import ParseAbortError, decode_line, load_trace
+from launderscan.ingest import RECORD_KINDS, ParseAbortError, decode_line, load_trace
 from launderscan.model import PublicSuffixSet
 
 from conftest import parsed_count
@@ -106,3 +109,134 @@ def test_decode_line_accepts_what_json_loads_accepts(text):
     if ok:
         assert type(got) is type(want)
         assert json.dumps(got) == json.dumps(want)
+
+
+# -- the orjson decode and ``kinds`` leave every record and skip as they were
+
+try:
+    import orjson
+except ImportError:
+    orjson = None
+
+needs_orjson = pytest.mark.skipif(orjson is None, reason="orjson is not installed")
+
+
+def _http_line(**fields) -> str:
+    obj = {"ts": 5, "machine": "m1", "url": "http://a.com/x", "ip": "1.2.3.4"}
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+def _sized(n: int) -> str:
+    """A good http line of exactly ``n`` characters."""
+    stub = _http_line(pad="")
+    return stub[:-2] + "x" * (n - len(stub)) + '"}'
+
+
+EQUIVALENCE_LINES = [
+    *(_http_line(status=v) for v in (2**64, -2**64, -2**63 - 1, 2**63, 200, 200.0, True)),
+    *(_http_line(ts=v) for v in (2**64, -2**64, -2**63 - 1)),
+    "[" * 200_000 + "]" * 200_000,
+    _http_line(x=json.loads("[" * 600 + "]" * 600)),
+    _http_line()[:-1] + ', "x": ' + "[" * 2_000 + "]" * 2_000 + "}",  # too deep for json
+    _http_line(x=json.loads("[" * 470 + "]" * 470)),  # short enough for orjson
+    "[" * 511 + "]" * 511,
+    _sized(1_024),
+    _sized(1_025),
+    '{"ts": 5, "machine": "m\\udcff", "url": "http://a.com/", "ip": "1.2.3.4"}',
+    '{"ts": 5, "machine": "\\ud83d\\ude00", "url": "http://a.com/", "ip": "1.2.3.4"}',
+    "\ufeff" + _http_line(),
+    "null",
+    "NaN",
+    '{"ts": NaN, "machine": "m1", "url": "http://a.com/", "ip": "1.2.3.4"}',
+    '{"ts": 5, "machine": "m1", "url": "http://a.com/", "ip": "1.2.3.4", "status": 1e400}',
+    '{"ts": 1, "machine": "m1", "ts": 6, "url": "http://a.com/", "ip": "1.2.3.4", "url": 7}',
+    '{"ts": 1, "machine": "m1", "ts": 6, "url": "http://b.com/", "ip": "1.2.3.4"}',
+    '{"ts": 5, "machine": "m1", "kind": "impression", "attr_domain": "a.com", "ts": 9}',
+    '{"ts": 5, "machine": "m1", "url": "http://a.com/", "ip": "1.2.3.4"} x',
+    '{"ts": 5, "machine": "m1", "url": "http://a\x01.com/", "ip": "1.2.3.4"}',
+    "",
+]
+EQUIVALENCE_BYTES = [
+    *(line.encode("utf-8", "surrogatepass") for line in EQUIVALENCE_LINES),
+    b'{"ts": 5, "machine": "m\xff", "url": "http://a.com/", "ip": "1.2.3.4"}',
+    *SAMPLE_LINES,
+]
+
+_FIELD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=6),
+    st.integers(), st.integers(min_value=2**63 - 2, max_value=2**64 + 2).map(lambda v: v * (-1) ** (v % 2)),
+    st.sampled_from(["a.com", "http://b.co.uk/", "1.2.3.4", "m1", "impression", "pageview", "http",
+                     "\udcff", "\ufeff", "é"]),
+    st.lists(st.integers(), max_size=2),
+)
+_FIELDS = st.dictionaries(
+    st.sampled_from(["ts", "machine", "url", "ip", "kind", "status", "proc", "method", "ua", "ref",
+                     "attr_domain", "pub_domain", "account"]),
+    _FIELD_VALUES, max_size=8,
+)
+_TRACE_LINES = st.one_of(
+    _FIELDS.map(lambda d: json.dumps({"ts": 5, "machine": "m1", **d}).encode("utf-8", "surrogatepass")),
+    _FIELDS.map(lambda d: _http_line(**d).encode("utf-8", "surrogatepass")),
+    st.binary(max_size=40),
+    st.sampled_from(EQUIVALENCE_BYTES),
+)
+
+
+def _outcome(data: bytes, strict: bool, with_orjson: bool, kinds=RECORD_KINDS):
+    """What ``load_trace`` gives with its orjson decode on or off: the strict
+    abort, or the records and skips."""
+    off = {} if with_orjson else {"orjson": None}  # a None entry fails the import
+    try:
+        with tempfile.TemporaryDirectory() as d, mock.patch.dict(sys.modules, off):
+            path = Path(d) / "trace.jsonl"
+            path.write_bytes(data)
+            got = load_trace(_read_lines(path), PublicSuffixSet.builtin(), strict=strict, kinds=kinds)
+    except ParseAbortError as err:
+        return ("abort", err.line_no, err.reason)
+    return (got.http, got.impressions, got.pageviews, got.skipped.counts, got.skipped.first,
+            got.total_lines)
+
+
+def _skips(outcome):
+    """An outcome without its records: the abort, or the skips and line count."""
+    return outcome if outcome[0] == "abort" else outcome[3:]
+
+
+@needs_orjson
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TRACE_LINES, max_size=8))
+def test_orjson_decode_loads_what_json_loads(lines):
+    data = b"\n".join(lines) + b"\n"
+    for strict in (False, True):
+        assert _outcome(data, strict, True) == _outcome(data, strict, False)
+
+
+@needs_orjson
+@pytest.mark.parametrize("line", EQUIVALENCE_BYTES, ids=range(len(EQUIVALENCE_BYTES)))
+def test_orjson_decode_loads_each_odd_line_as_json(line):
+    data = GOOD_HTTP + b"\n" + line + b"\n"
+    for strict in (False, True):
+        assert _outcome(data, strict, True) == _outcome(data, strict, False)
+
+
+@needs_orjson
+def test_orjson_decode_skips_200000_deep_nesting_as_bad_json():
+    # orjson 3.8.3 itself crashes the process on this line
+    _, _, _, counts, first, _ = _outcome(GOOD_HTTP + b"\n" + b"[" * 200_000 + b"]" * 200_000,
+                                         False, True)
+    assert (counts, first) == ({"bad json": 1}, (2, "bad json"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TRACE_LINES, max_size=8), st.booleans())
+def test_kinds_keep_only_their_records_and_every_skip(lines, with_orjson):
+    data = b"\n".join(lines) + b"\n"
+    full = _outcome(data, False, with_orjson)
+    for kinds in [(), ("http",), ("impression", "pageview"), ("impression",), ("pageview",)]:
+        http, impressions, pageviews, *rest = _outcome(data, False, with_orjson, kinds)
+        assert rest == list(full[3:])
+        assert http == (full[0] if "http" in kinds else [])
+        assert impressions == (full[1] if "impression" in kinds else [])
+        assert pageviews == (full[2] if "pageview" in kinds else [])
+        assert _skips(_outcome(data, True, with_orjson, kinds)) == _skips(_outcome(data, True, with_orjson))

@@ -1,12 +1,21 @@
 import random
 from bisect import bisect_right
 from operator import attrgetter
+from urllib.parse import parse_qsl
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from launderscan.ingest import record_domain
-from launderscan.model import HttpRecord, PublicSuffixSet
+from launderscan.model import (
+    HttpRecord,
+    InvalidDomainError,
+    PublicSuffixSet,
+    is_valid_ipv4,
+    normalize_domain,
+    url_host,
+    url_query,
+)
 from launderscan.urlrules import (
     EmptyFingerprintError,
     EnvFingerprint,
@@ -80,6 +89,54 @@ def test_spoof_query_order_and_noise_invariant():
         sig = check_spoof_query(url, SUFFIX)
         assert sig.spoof_domain == "example.com"
         assert sig.land_ip == "10.1.2.3"
+
+
+def _spoof_oracle(url: str, suffix: PublicSuffixSet):
+    """check_spoof_query without its shortcuts: every query parsed, every
+    value checked afresh.  The signal or None, or the error message."""
+    values: dict[str, list[str]] = {}
+    for key, val in parse_qsl(url_query(url), keep_blank_values=True):
+        values.setdefault(key, []).append(val)
+    if "spoof_domain" not in values or "land_ip" not in values:
+        return None
+    spoof_val, land_val = values["spoof_domain"][0], values["land_ip"][0]
+    if not is_valid_ipv4(land_val):
+        return f"unparseable land_ip value {land_val!r}"
+    try:
+        dom = normalize_domain(url_host(spoof_val) if "://" in spoof_val else spoof_val, suffix)
+    except InvalidDomainError:
+        return f"unparseable spoof_domain value {spoof_val!r}"
+    return SpoofSignal(spoof_domain=dom, land_ip=land_val)
+
+
+def _spoof_outcome(url: str, suffix: PublicSuffixSet):
+    try:
+        return check_spoof_query(url, suffix)
+    except MalformedSignalError as err:
+        return str(err)
+
+
+_URL_PIECES = st.sampled_from([
+    "spoof_domain", "land_ip", "spoof", "_domain", "land", "_ip", "%5F", "%73", "%2E", "%", "+",
+    "\t", "\r", "\n", "=", "&", "?", "#", "http://", "a.com", "www.b.co.uk", "1.2.3.4", "10.0.0.", "5",
+    " ", "\u00b2", "\x00",
+])
+ROOTLESS = PublicSuffixSet.from_lines(["com"])  # no co.uk: a second suffix set for the memo
+
+
+@settings(max_examples=1_000, deadline=None)
+@given(st.lists(_URL_PIECES | st.text(max_size=3), max_size=16).map("".join),
+       st.sampled_from([SUFFIX, ROOTLESS]))
+@example("http://x.tld/ad?spoof_do\tmain=a.com&land_ip=1.2.3.4", SUFFIX)
+@example("http://x.tld/ad?spoof_domain=a.com&land\r_ip=1.2.3.4", SUFFIX)
+@example("http://x.tld/ad?spoof\n_domain=a.com&land_ip=1.2.3.4", SUFFIX)
+@example("http://x.tld/ad?spoof%5Fdomain=a.com&land%5Fip=1.2.3.4", SUFFIX)
+@example("http://x.tld/ad?spoof_domain=x+y.com&land_ip=1.2.3.4", SUFFIX)
+@example("http://x.tld/ad?spoof_domain=http://www.b.co.uk/&land_ip=1.2.3.4", SUFFIX)
+@example("http://x.tld/ad?spoof_domain=http://www.b.co.uk/&land_ip=1.2.3.4", ROOTLESS)
+def test_spoof_query_matches_unshortcut_oracle(url, suffix):
+    """The URL pre-test and the memoised value checks change no outcome."""
+    assert _spoof_outcome(url, suffix) == _spoof_oracle(url, suffix)
 
 
 def _rec(ts, url, ip, machine="m1"):
