@@ -1,11 +1,15 @@
 """Golden output digests: each subcommand's output files and stdout, run in
 process through ``cli.main``, hash to the values in ``golden.json``.
 
-Two scenarios: the seed-7 ``day-mixed`` synth (``--machines 1000``, the
-benchmark's day) and a small hand-written trace whose odd lines (skipped,
+Three scenarios: the seed-7 ``day-mixed`` synth (``--machines 1000``, the
+benchmark's day), the 3-day seed-5 synth (``--machines 300``: several day
+windows per IP), and a small hand-written trace whose odd lines (skipped,
 oversized ints, deep nesting, long lines, escapes) reach every branch of the
-loader.  Each runs with the loader's orjson decode on and off, and both must
-give the recorded digests.  A change that alters an output on purpose
+loader.  The hand scenario also runs ``rules --envfp`` on a fingerprint with
+one tampered function and ``framedepth --plotdata`` on a fixed pair of CSVs.
+``day-mixed`` and ``hand`` run with the loader's orjson decode on and off,
+and both must give the recorded digests; ``seed5-3day`` runs with it on
+only, to keep the suite short.  A change that alters an output on purpose
 re-records them with ``PYTHONPATH=src python tests/test_golden.py`` and names
 each changed digest and the reason in CHANGES.md.
 """
@@ -18,6 +22,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -101,6 +106,16 @@ HAND_TABLES = {
     "ranking.txt": "a.com\nb.com\n",
     "malware.txt": "evil.exe\n",
     "aliases.csv": "outlook.com,live.com,hotmail.com\n",
+    # encodeURI is tampered; the other two are native, one spaced out
+    "envfp.json": json.dumps({
+        "escape": "function escape() { [native code] }",
+        "encodeURI": "function(n) { return privateEncode(n, wrapper['encodeURI']); }",
+        "encodeURIComponent": "function encodeURIComponent ( ) {\n  [ native  code ]\n}",
+    }),
+    # a header, a comment, a blank line, a skipped depth and a negative one
+    "tainted.csv": "url,max_depth\n# crawl 1\nhttp://t0/,2\nhttp://t1/,3\n\nhttp://t2/,11\n"
+                   "http://t3/,x\nhttp://t4/,5\nhttp://t5/,-1\nhttp://t6/,4\n",
+    "general.csv": "http://g0/,1\nhttp://g1/,1\nhttp://g2/,2\nhttp://g3/,0\nhttp://a,b/,1\n",
 }
 
 
@@ -119,9 +134,12 @@ def _run(argv: list[str], inputs: Path) -> str:
     return _digest(text.encode())
 
 
-def digest_map(inputs: Path, work: Path, flags: dict[str, tuple[str, ...]]) -> dict[str, str]:
+def digest_map(inputs: Path, work: Path, flags: dict[str, tuple[str, ...]],
+               fixed_files: bool = False) -> dict[str, str]:
     """Every case's digests: ``<case>`` for the run, ``<case>/<file>`` for
-    each file it writes.  ``flags`` adds flags to a subcommand's cases."""
+    each file it writes.  ``flags`` adds flags to a subcommand's cases;
+    ``fixed_files`` adds the cases that read ``HAND_TABLES``' envfp and
+    frame-depth files."""
     trace = str(inputs / "trace.jsonl")
     tables = ["--ipmap", str(inputs / "ipmap.csv"), "--ranking", str(inputs / "ranking.txt"),
               "--malware", str(inputs / "malware.txt"), *flags.get("detect", ())]
@@ -142,6 +160,13 @@ def digest_map(inputs: Path, work: Path, flags: dict[str, tuple[str, ...]]) -> d
         "panelscan-alias": ["panelscan", *panel, "--alias", str(inputs / "aliases.csv"),
                             "--out", str(work / "panelscan-alias")],
     }
+    if fixed_files:
+        cases["rules-envfp"] = ["rules", "--trace", trace, "--envfp", str(inputs / "envfp.json"),
+                                "--out", str(work / "rules-envfp" / "findings.jsonl")]
+        cases["framedepth"] = ["framedepth", "--tainted", str(inputs / "tainted.csv"),
+                               "--general", str(inputs / "general.csv"),
+                               "--out", str(work / "framedepth" / "compare.json"),
+                               "--plotdata", str(work / "framedepth" / "plot.txt")]
     digests = {}
     for case, argv in cases.items():
         digests[case] = _run(argv, inputs)
@@ -152,12 +177,13 @@ def digest_map(inputs: Path, work: Path, flags: dict[str, tuple[str, ...]]) -> d
     return digests
 
 
-def synth_inputs(out: Path) -> Path:
-    """The seed-7 ``day-mixed`` scenario and synthgen's alias groups."""
+def synth_inputs(out: Path, *argv: str) -> Path:
+    """A synth scenario (seed 7, ``--machines 1000`` unless ``argv`` says
+    otherwise) and synthgen's alias groups."""
     from launderscan.synthgen import ALIAS_GROUP_LINES
 
     with redirect_stdout(StringIO()):
-        assert cli.main(["synth", "--out", str(out), "--seed", "7", "--machines", "1000"]) == 0
+        assert cli.main(["synth", "--out", str(out), "--seed", "7", "--machines", "1000", *argv]) == 0
     (out / "aliases.csv").write_text("".join(line + "\n" for line in ALIAS_GROUP_LINES), "utf-8")
     return out
 
@@ -170,27 +196,45 @@ def hand_inputs(out: Path) -> Path:
     return out
 
 
+class Scenario(NamedTuple):
+    make: Callable[[Path], Path]  # writes the inputs into a directory
+    flags: dict[str, tuple[str, ...]]
+    decoders: tuple[str, ...] = ("orjson", "json")
+    fixed_files: bool = False
+
+
 SCENARIOS = {
-    "day-mixed": (synth_inputs, {}),
-    "hand": (hand_inputs, {"detect": ("--threshold", "2"), "panelscan": ("--min-ads", "1")}),
+    "day-mixed": Scenario(synth_inputs, {}),
+    "hand": Scenario(hand_inputs, {"detect": ("--threshold", "2"), "panelscan": ("--min-ads", "1")},
+                     fixed_files=True),
+    "seed5-3day": Scenario(lambda out: synth_inputs(out, "--seed", "5", "--machines", "300", "--days", "3"),
+                           {}, decoders=("orjson",)),
 }
 
 
-@pytest.fixture(scope="module", params=list(SCENARIOS))
-def scenario(request, tmp_path_factory):
-    """A scenario's name and its inputs, made once per module."""
-    make, _ = SCENARIOS[request.param]
-    return request.param, make(tmp_path_factory.mktemp(request.param))
+@pytest.fixture(scope="module")
+def inputs_of(tmp_path_factory):
+    """A scenario's inputs by name, each made once per module."""
+    made: dict[str, Path] = {}
+
+    def get(name: str) -> Path:
+        if name not in made:
+            made[name] = SCENARIOS[name].make(tmp_path_factory.mktemp(name))
+        return made[name]
+    return get
 
 
-@pytest.mark.parametrize("decoder", ["orjson", "json"])
-def test_outputs_match_golden_digests(scenario, decoder, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name, decoder", [
+    pytest.param(name, decoder, id=f"{name}-{decoder}")
+    for name, s in SCENARIOS.items() for decoder in s.decoders
+])
+def test_outputs_match_golden_digests(name, decoder, inputs_of, tmp_path, monkeypatch):
     if decoder == "orjson":
         pytest.importorskip("orjson")
     else:
         monkeypatch.setitem(sys.modules, "orjson", None)  # its import now fails
-    name, inputs = scenario
-    got = digest_map(inputs, tmp_path, SCENARIOS[name][1])
+    scenario = SCENARIOS[name]
+    got = digest_map(inputs_of(name), tmp_path, scenario.flags, scenario.fixed_files)
     want = json.loads(GOLDEN.read_text("utf-8"))[name]
     assert got == want, "new digests:\n" + json.dumps(got, indent=1, sort_keys=True)
 
@@ -199,8 +243,8 @@ def record() -> dict[str, dict[str, str]]:
     """Every scenario's digest map, as ``golden.json`` holds them."""
     with tempfile.TemporaryDirectory() as d:
         root = Path(d)
-        return {name: digest_map(make(root / name / "inputs"), root / name / "work", flags)
-                for name, (make, flags) in SCENARIOS.items()}
+        return {name: digest_map(s.make(root / name / "inputs"), root / name / "work", s.flags, s.fixed_files)
+                for name, s in SCENARIOS.items()}
 
 
 if __name__ == "__main__":
