@@ -170,22 +170,14 @@ def _window(window_arg) -> tuple[int, int] | None:
     return w
 
 
-def _time_range(records) -> tuple[int, int] | None:
-    """The records' first and last timestamp; None for no records."""
-    if not records:
-        return None
-    return min(r.timestamp for r in records), max(r.timestamp for r in records)
-
-
 def _span(window, records) -> tuple[int, int] | None:
-    """``window`` (from ``_window``), else the UTC days the records span;
-    None for no records."""
+    """``window`` (from ``_window``), else the UTC days the time-ordered
+    records span; None for no records."""
     if window:
         return window
-    times = _time_range(records)
-    if times is None:
+    if not records:
         return None
-    lo, hi = times
+    lo, hi = records[0].timestamp, records[-1].timestamp
     return (lo - lo % DAY_MS, hi - hi % DAY_MS + DAY_MS)
 
 
@@ -348,10 +340,9 @@ def cmd_fingerprint(args) -> int:
         with open(report_path, "r", encoding="utf-8") as fh:
             pairs = _detections_from_report(json.load(fh))
     if pairs:
-        times = _time_range(records)
-        if times is None:
+        if not records:
             raise CmdError(EXIT_WINDOW_MISMATCH, "report has detections but trace has no records")
-        lo, hi = times
+        lo, hi = records[0].timestamp, records[-1].timestamp
         for window, _ in pairs:
             if window[1] <= lo or window[0] > hi:
                 raise CmdError(
@@ -499,7 +490,7 @@ def cmd_rules(args) -> int:
         by_machine.setdefault(rec.machine_id, []).append(rec)
     verified = 0
     for machine in sorted(by_machine):
-        recs = sorted(by_machine[machine], key=lambda r: r.timestamp)
+        recs = by_machine[machine]  # in time order, as the trace loads
         index = None  # built at the machine's first spoof signal
         for rec in recs:
             try:

@@ -4,14 +4,16 @@ Pipeline: index every (domain, server IP) observation in a time window,
 select candidate domains (high-reputation domains resolving to several IPs
 across at least two ISPs), flag (IP, ISP) pairs serving at least
 ``flag_threshold`` candidate domains, then label each flagged pair from the
-process names seen on its traffic.  Labels read each flagged IP's in-window
-records from the index, so each window's records are scanned once.
+process names seen on its traffic.  Each window is a bisected slice of the
+time-ordered records, scanned once; labels read their records from the index.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .ingest import MalwareProcessList, RankedDomainList
@@ -47,7 +49,7 @@ class DetectorConfig:
 class DomainResolutionIndex:
     """The domains each server IP resolved inside a window, each IP's ISP
     (None when the ip map has none), and each IP's in-window records that
-    have a domain, in trace order: the evidence its labels are read from."""
+    have a domain, in time order: the evidence its labels are read from."""
 
     by_ip: dict[str, set[str]] = field(default_factory=dict)
     ip_isp: dict[str, Optional[str]] = field(default_factory=dict)
@@ -62,13 +64,14 @@ def build_resolution_index(
     table: IpAttributionTable,
     window: tuple[int, int],
 ) -> DomainResolutionIndex:
-    """Index domain→IP resolutions for records inside [window[0], window[1])."""
+    """Index domain→IP resolutions for the records in [window[0], window[1]), a
+    bisected slice: ``records`` must be in time order, as load_trace gives them."""
     idx = DomainResolutionIndex()
-    start, end = window
-    for rec in records:
-        if not (start <= rec.timestamp < end):
-            idx.skipped_out_of_window += 1
-            continue
+    lo = bisect_left(records, window[0], key=attrgetter("timestamp"))
+    hi = bisect_left(records, window[1], lo, key=attrgetter("timestamp"))
+    idx.skipped_out_of_window = len(records) - (hi - lo)
+    for i in range(lo, hi):  # not islice, which steps through records[:lo] too
+        rec = records[i]
         if rec.domain is None:
             idx.bad_domain_records += 1
             continue
@@ -217,7 +220,7 @@ def detect(
     cfg: DetectorConfig,
     window: tuple[int, int],
 ) -> DetectionReport:
-    """Run the full pipeline over one window."""
+    """Run the full pipeline over one window of time-ordered ``records``."""
     index = build_resolution_index(records, table, window)
     cands = candidate_domains(index, ranking, cfg)
     flagged = flag_pairs(index, cands, cfg)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Collection, Iterable, Optional
 
 from .ipattr import IpAttributionTable
@@ -121,7 +122,8 @@ def load_trace(
     strict: bool = False,
     kinds: Collection[str] = RECORD_KINDS,
 ) -> LoadResult:
-    """Parse a JSON-lines trace into typed records, in file order.
+    """Parse a JSON-lines trace into typed records, each list in time order,
+    stable (equal timestamps keep file order); the trace need not be sorted.
 
     An http line's ``method``, ``status`` and ``ua`` are checked (a string;
     an int or absent; a string or absent) but not stored, and an
@@ -261,6 +263,8 @@ def load_trace(
             else:
                 skip(line_no, "bad kind")
         out.total_lines = line_no
+        for records in (out.http, out.impressions, out.pageviews):
+            records.sort(key=attrgetter("timestamp"))
     finally:
         if gc_was_enabled:
             gc.enable()

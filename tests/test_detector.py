@@ -1,5 +1,7 @@
 import random
 from collections import Counter
+from collections.abc import Sequence
+from operator import attrgetter
 
 import pytest
 
@@ -270,8 +272,9 @@ def _label_oracle(flagged, records, malware, window):
 
 
 def test_label_evidence_matches_full_scan_oracle():
-    """Over shuffled three-day traces with records outside every window,
-    records without a domain and IPs the ip map does not know, each day's
+    """Over three-day traces with records outside every window, records
+    without a domain and IPs the ip map does not know, shuffled and then
+    stable-sorted by timestamp as load_trace gives them, each day's
     detections equal the full-scan oracle's."""
     rng = random.Random(18)
     # 10.0.6.1 and 10.0.7.1 have no ISP
@@ -294,6 +297,7 @@ def test_label_evidence_matches_full_scan_oracle():
                        machine=f"m{rng.randrange(6)}", proc=rng.choice(procs_of[ip]))
             records.append(rec._replace(domain=None) if rng.random() < 0.1 else rec)
         rng.shuffle(records)
+        records.sort(key=attrgetter("timestamp"))
         for w in windows:
             index = build_resolution_index(records, table, w)
             flagged = flag_pairs(index, candidate_domains(index, ranking, cfg), cfg)
@@ -303,6 +307,50 @@ def test_label_evidence_matches_full_scan_oracle():
             shared += any(a & b for (ka, a) in flagged.items() for (kb, b) in flagged.items() if ka < kb)
     assert seen_labels == {LABEL_TRUE_POSITIVE, LABEL_SUSPICIOUS, LABEL_UNLABELED}
     assert shared > 0
+
+
+class _CountingRecords(Sequence):
+    """Records that count every element read from them, however read."""
+
+    def __init__(self, records):
+        self.records = records
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.records)
+
+    def __getitem__(self, k):
+        self.reads += len(range(len(self.records))[k]) if isinstance(k, slice) else 1
+        return self.records[k]
+
+
+def _detect_reads(n):
+    """Record reads for detect over each UTC day of a time-ordered trace of n
+    records that spans n // 100 days."""
+    days = n // 100
+    table, _ = load_ip_map([f"10.0.{i}.0/24,isp{i % 2}" for i in range(4)])
+    records = _CountingRecords([
+        _rec(f"http://www.d{i % 5}.com/", f"10.0.{i % 4}.1", ts=DAY0 + i * days * DAY_MS // n)
+        for i in range(n)
+    ])
+    ranking = _ranking([f"d{i}.com" for i in range(5)])
+    malware = MalwareProcessList(frozenset())
+    cfg = DetectorConfig(flag_threshold=2)
+    flagged = 0
+    for k in range(days):
+        rep = detect(records, table, ranking, malware, cfg, (DAY0 + k * DAY_MS, DAY0 + (k + 1) * DAY_MS))
+        assert rep.diagnostics["records_seen"] + rep.diagnostics["out_of_window"] == n
+        flagged += rep.diagnostics["pairs_flagged"]
+    assert flagged == 4 * days
+    return records.reads
+
+
+def test_detect_reads_grow_linearly_with_records_and_day_windows():
+    """Each day window reads its own records and a few bisection probes, not
+    the whole trace: twice the records over twice the days read at most
+    about twice as many."""
+    n = 3_000
+    assert _detect_reads(2 * n) <= 2.1 * _detect_reads(n)
 
 
 def test_detection_invariants_on_corpus(small_corpus):

@@ -74,7 +74,9 @@ def test_mixed_kinds_and_default_kind():
     assert len(result.impressions) == 1
     assert len(result.pageviews) == 1
     assert result.pageviews[0].domain == "example.com"
-    assert result.http[1].process_name == ""
+    # records come in time order: the kind-less line (ts 7) is first
+    assert [r.timestamp for r in result.http] == [7, 1_519_900_000_000]
+    assert result.http[0].process_name == ""
     assert result.skipped.counts == {"bad kind": 1}
     assert result.skipped.first == (5, "bad kind")
 

@@ -2,11 +2,13 @@
 through the CLI's reader never raise in lenient mode, every line is counted
 once, strict mode aborts at the first line lenient mode skips, and a line
 decodes exactly when json.loads accepts it.  The orjson decode and a narrowed
-``kinds`` change no record, skip or strict abort."""
+``kinds`` change no record, skip or strict abort, and the records come in
+time order, stable."""
 
 import json
 import sys
 import tempfile
+from operator import attrgetter
 from pathlib import Path
 from unittest import mock
 
@@ -183,15 +185,23 @@ _TRACE_LINES = st.one_of(
 )
 
 
-def _outcome(data: bytes, strict: bool, with_orjson: bool, kinds=RECORD_KINDS):
-    """What ``load_trace`` gives with its orjson decode on or off: the strict
-    abort, or the records and skips."""
+def _text_lines(data: bytes) -> list[str]:
+    """``data``'s lines as the CLI's reader gives them."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "trace.jsonl"
+        path.write_bytes(data)
+        return list(_read_lines(path))
+
+
+def _outcome(data: bytes | list[str], strict: bool, with_orjson: bool, kinds=RECORD_KINDS):
+    """What ``load_trace`` gives with its orjson decode on or off, from a
+    file's bytes or from its text lines: the strict abort, or the records and
+    skips."""
+    lines = _text_lines(data) if isinstance(data, bytes) else data
     off = {} if with_orjson else {"orjson": None}  # a None entry fails the import
     try:
-        with tempfile.TemporaryDirectory() as d, mock.patch.dict(sys.modules, off):
-            path = Path(d) / "trace.jsonl"
-            path.write_bytes(data)
-            got = load_trace(_read_lines(path), PublicSuffixSet.builtin(), strict=strict, kinds=kinds)
+        with mock.patch.dict(sys.modules, off):
+            got = load_trace(lines, PublicSuffixSet.builtin(), strict=strict, kinds=kinds)
     except ParseAbortError as err:
         return ("abort", err.line_no, err.reason)
     return (got.http, got.impressions, got.pageviews, got.skipped.counts, got.skipped.first,
@@ -228,15 +238,42 @@ def test_orjson_decode_skips_200000_deep_nesting_as_bad_json():
     assert (counts, first) == ({"bad json": 1}, (2, "bad json"))
 
 
+# records out of time order, with equal timestamps within and across kinds;
+# each tie is in an order that no sort on another field would give
+TIME_TIES = [
+    b'{"ts": 9, "machine": "m2", "url": "http://b.com/2", "ip": "1.2.3.4"}',
+    b'{"ts": 7, "machine": "m2", "kind": "pageview", "pub_domain": "b.com"}',
+    b'{"ts": 5, "machine": "m2", "kind": "impression", "attr_domain": "b.com"}',
+    b'{"ts": 9, "machine": "m1", "url": "http://a.com/1", "ip": "1.2.3.4"}',
+    b'{"ts": 5, "machine": "m3", "url": "http://c.com/3", "ip": "1.2.3.4"}',
+    b'{"ts": 5, "machine": "m1", "kind": "impression", "attr_domain": "a.com"}',
+    b'{"ts": 7, "machine": "m1", "kind": "pageview", "pub_domain": "a.com"}',
+    GOOD_HTTP,  # ts 5, machine m1
+    b'{"ts": 1, "machine": "m3", "kind": "pageview", "pub_domain": "c.com"}',
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_TRACE_LINES, max_size=8), st.booleans())
+@example(TIME_TIES, True)
+@example(TIME_TIES, False)
 def test_kinds_keep_only_their_records_and_every_skip(lines, with_orjson):
+    """Each list equals the records of every line loaded on its own,
+    concatenated in file order and then stable-sorted by timestamp, for each
+    ``kinds``, lenient and (unless it aborts) strict."""
     data = b"\n".join(lines) + b"\n"
     full = _outcome(data, False, with_orjson)
-    for kinds in [(), ("http",), ("impression", "pageview"), ("impression",), ("pageview",)]:
+    for kinds in [RECORD_KINDS, (), ("http",), ("impression", "pageview"), ("impression",), ("pageview",)]:
         http, impressions, pageviews, *rest = _outcome(data, False, with_orjson, kinds)
         assert rest == list(full[3:])
         assert http == (full[0] if "http" in kinds else [])
         assert impressions == (full[1] if "impression" in kinds else [])
         assert pageviews == (full[2] if "pageview" in kinds else [])
-        assert _skips(_outcome(data, True, with_orjson, kinds)) == _skips(_outcome(data, True, with_orjson))
+        strict = _outcome(data, True, with_orjson, kinds)
+        assert _skips(strict) == _skips(_outcome(data, True, with_orjson))
+        per_line = [_outcome([line], False, with_orjson, kinds) for line in _text_lines(data)]
+        want = [sorted((rec for got in per_line for rec in got[k]), key=attrgetter("timestamp"))
+                for k in range(3)]
+        assert [http, impressions, pageviews] == want
+        if strict[0] != "abort":
+            assert list(strict[:3]) == want
