@@ -22,14 +22,16 @@ import sys
 import time
 from collections import Counter
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
 from . import framedepth as fd
 from . import panel as pn
 from . import urlrules as ur
-from .detector import CSV_HEADER, Detection, DetectorConfig, detect
+from .detector import CSV_HEADER, Detection, DetectorConfig, WindowTallies, detect
 from .ingest import (
+    MAX_TS_MS,
     ParseAbortError,
     is_utf8,
     load_alias_groups,
@@ -105,12 +107,14 @@ def _read_table(path: Path):
         yield line
 
 
-def _load_trace(args, suffix: PublicSuffixSet, kinds: tuple[str, ...]):
-    """Parse ``--trace``, keeping the records of ``kinds`` (exit 2 when it is
-    missing, 3 on a strict-mode abort)."""
+def _load_trace(args, suffix: PublicSuffixSet, kinds: tuple[str, ...], consumer=None):
+    """Parse ``--trace``, keeping the records of ``kinds`` or handing each
+    http record to ``consumer`` (exit 2 when it is missing, 3 on a
+    strict-mode abort)."""
     path = _require(args.trace, "trace")
     with _parsing(path):
-        return load_trace(_read_lines(path), suffix, strict=args.strict, kinds=kinds)
+        return load_trace(_read_lines(path), suffix, strict=args.strict, kinds=kinds,
+                          consumer=consumer)
 
 
 def _suffix_set(args) -> PublicSuffixSet:
@@ -170,20 +174,9 @@ def _window(window_arg) -> tuple[int, int] | None:
     return w
 
 
-def _span(window, records) -> tuple[int, int] | None:
-    """``window`` (from ``_window``), else the UTC days the time-ordered
-    records span; None for no records."""
-    if window:
-        return window
-    if not records:
-        return None
-    lo, hi = records[0].timestamp, records[-1].timestamp
-    return (lo - lo % DAY_MS, hi - hi % DAY_MS + DAY_MS)
-
-
-def _windows(window, records) -> list[tuple[int, int]]:
-    """``_span`` split at UTC midnights: at most MAX_WINDOW_DAYS windows."""
-    span = _span(window, records)
+def _windows(span: tuple[int, int] | None) -> list[tuple[int, int]]:
+    """``span`` split at UTC midnights, at most MAX_WINDOW_DAYS windows;
+    none for no span."""
     if span is None:
         return []
     cuts = _day_cuts(span)
@@ -237,7 +230,9 @@ def cmd_detect(args) -> int:
     ranking_path = _require(args.ranking, "ranking")
     malware_path = _require(args.malware, "malware list")
 
-    loaded = _load_trace(args, suffix, ("http",))
+    windows = _windows(window)
+    tallies = WindowTallies(windows)
+    loaded = _load_trace(args, suffix, ("http",), tallies)
     with _parsing(ipmap_path):
         table, ipmap_skipped = load_ip_map(_read_table(ipmap_path), strict=args.strict)
     with _parsing(ranking_path):
@@ -245,11 +240,11 @@ def cmd_detect(args) -> int:
     with _parsing(malware_path):
         malware = load_malware_list(_read_table(malware_path))
 
-    records = loaded.http
-    windows = _windows(window, records)
-
+    if window is None:
+        windows = _windows(tallies.day_span())
     reports = [
-        detect(records, table, ranking, malware, cfg, w) for w in windows
+        detect(tally, table, ranking, malware, cfg, w)
+        for w, tally in zip(windows, tallies.per_window(windows))
     ]
     elapsed = time.monotonic() - t0
 
@@ -333,16 +328,33 @@ def cmd_fingerprint(args) -> int:
     _check_flag(0.0 <= args.feature_agreement <= 1.0, "--feature-agreement", "in [0, 1]")
     suffix = _suffix_set(args)
     report_path = _require(args.report, "detection report")
-    loaded = _load_trace(args, suffix, ("http",))
-    records = loaded.http
-    # a report not written by detect, or nested too deep to decode, fails in one of these ways
+    _require(args.trace, "trace")
+    # the report comes first: its IPs pick the records to keep.  One not
+    # written by detect, or nested too deep to decode, fails in one of these ways
     with _parsing(report_path, ValueError, KeyError, TypeError, AttributeError, RecursionError):
         with open(report_path, "r", encoding="utf-8") as fh:
             pairs = _detections_from_report(json.load(fh))
+    detections: dict[str, list[Detection]] = {}
+    for _, d in pairs:
+        detections.setdefault(d.ip, []).append(d)
+    by_ip: dict[str, list] = {ip: [] for ip in detections}
+    lo, hi = MAX_TS_MS, 0  # the first and last http timestamps, once read
+
+    def keep(rec):
+        nonlocal lo, hi
+        ts = rec.timestamp
+        if ts < lo:
+            lo = ts
+        if ts > hi:
+            hi = ts
+        kept = by_ip.get(rec.server_ip)
+        if kept is not None:
+            kept.append(rec)
+
+    loaded = _load_trace(args, suffix, ("http",), keep)
     if pairs:
-        if not records:
+        if not hi:
             raise CmdError(EXIT_WINDOW_MISMATCH, "report has detections but trace has no records")
-        lo, hi = records[0].timestamp, records[-1].timestamp
         for window, _ in pairs:
             if window[1] <= lo or window[0] > hi:
                 raise CmdError(
@@ -350,13 +362,6 @@ def cmd_fingerprint(args) -> int:
                     f"report window {window} does not overlap trace span [{lo}, {hi}]",
                 )
 
-    detections: dict[str, list[Detection]] = {}
-    for _, d in pairs:
-        detections.setdefault(d.ip, []).append(d)
-    by_ip: dict[str, list] = {ip: [] for ip in detections}
-    for rec in records:
-        if rec.server_ip in by_ip:
-            by_ip[rec.server_ip].append(rec)
     profiles = [p for ip, ds in detections.items() for p in fp.extract_features(ds, by_ip[ip], suffix)]
     grouped = fp.group_detections(profiles, feature_agreement=args.feature_agreement)
     schemes = [dataclasses.replace(p, label=f"scheme-{i:02d}") for i, p in enumerate(grouped, 1)]
@@ -390,8 +395,12 @@ def cmd_panelscan(args) -> int:
 
     # A visit qualifies by its distance from the impression alone, so the
     # span only bounds which impressions count.
-    span = _span(window, loaded.impressions)
-    ads = pn.attributed_ads(loaded.impressions, *(span or (0, 0)))
+    impressions = loaded.impressions
+    span = window
+    if span is None and impressions:
+        lo, hi = impressions[0].timestamp, impressions[-1].timestamp
+        span = (lo - lo % DAY_MS, hi - hi % DAY_MS + DAY_MS)
+    ads = pn.attributed_ads(impressions, *(span or (0, 0)))
     visits = pn.publisher_visits(loaded.pageviews, policy)
     table = pn.misattribution_table(ads, visits)
     ranked = pn.rank_machines(table, args.min_ads)
@@ -422,7 +431,7 @@ def cmd_panelscan(args) -> int:
     _write_text(outdir / "evidence.txt", (e + "\n" for e in evidence))
     print(
         f"days={len(_day_cuts(span)) + 1 if span else 0} machines_ranked={len(ranked)} "
-        f"below_min_ads={below_min_ads} impressions={len(loaded.impressions)} "
+        f"below_min_ads={below_min_ads} impressions={len(impressions)} "
         f"trace_skipped={len(loaded.skipped)}"
     )
     return EXIT_OK
@@ -482,48 +491,65 @@ def cmd_synth(args) -> int:
 def cmd_rules(args) -> int:
     _check_flag(args.horizon >= 1, "--horizon", ">= 1")
     suffix = _suffix_set(args)
-    loaded = _load_trace(args, suffix, ("http",))
-    findings: list[dict] = []
+    param = args.referrer_param
+    # per machine, what a rule can read: its request times by (server IP,
+    # domain), the (ts, url) of each request whose URL can hold a spoof
+    # signal, and per referrer the URLs that can hold ``param``
+    machines: dict[str, tuple[dict, list, dict]] = {}
 
-    by_machine: dict[str, list] = {}
-    for rec in loaded.http:
-        by_machine.setdefault(rec.machine_id, []).append(rec)
+    def keep(rec):
+        kept = machines.get(rec.machine_id)
+        if kept is None:
+            kept = machines[rec.machine_id] = ({}, [], {})
+        times, rows, groups = kept
+        key = (rec.server_ip, rec.domain)
+        if key in times:
+            times[key].append(rec.timestamp)
+        else:
+            times[key] = [rec.timestamp]
+        url = rec.url
+        if ur.may_hold(url, ur.SPOOF_DOMAIN_KEY):
+            rows.append((rec.timestamp, url))
+        if rec.referrer and ur.may_hold(url, param):
+            groups.setdefault(rec.referrer, []).append(url)
+
+    loaded = _load_trace(args, suffix, ("http",), keep)
+    findings: list[dict] = []
     verified = 0
-    for machine in sorted(by_machine):
-        recs = by_machine[machine]  # in time order, as the trace loads
-        index = None  # built at the machine's first spoof signal
-        for rec in recs:
+    for machine in sorted(machines):
+        times, rows, groups = machines[machine]
+        rows.sort(key=itemgetter(0))  # stable: equal times keep file order
+        unsorted = True  # the times, until the machine's first spoof signal
+        for ts, url in rows:
             try:
-                signal = ur.check_spoof_query(rec.url, suffix)
+                signal = ur.check_spoof_query(url, suffix)
             except ur.MalformedSignalError as err:
                 findings.append(
-                    {"type": "malformed_spoof_signal", "machine": machine, "ts": rec.timestamp,
-                     "url": rec.url, "error": str(err)}
+                    {"type": "malformed_spoof_signal", "machine": machine, "ts": ts,
+                     "url": url, "error": str(err)}
                 )
                 continue
             if signal is None:
                 continue
-            if index is None:
-                index = ur.followthrough_index(recs)
-            followed = ur.verify_spoof_followthrough(signal, rec.timestamp, index, args.horizon)
+            if unsorted:
+                for t in times.values():
+                    t.sort()
+                unsorted = False
+            followed = ur.verify_spoof_followthrough(signal, ts, times, args.horizon)
             verified += followed
             findings.append(
                 {
                     "type": "spoof_signal",
                     "machine": machine,
-                    "ts": rec.timestamp,
-                    "url": rec.url,
+                    "ts": ts,
+                    "url": url,
                     "spoof_domain": signal.spoof_domain,
                     "land_ip": signal.land_ip,
                     "verified": followed,
                 }
             )
-        groups: dict[str, list[str]] = {}
-        for rec in recs:
-            if rec.referrer:
-                groups.setdefault(rec.referrer, []).append(rec.url)
         for ref in sorted(groups):
-            check = ur.sibling_referrer_consistency(groups[ref], args.referrer_param, suffix)
+            check = ur.sibling_referrer_consistency(groups[ref], param, suffix)
             if not check.consistent:
                 findings.append(
                     {

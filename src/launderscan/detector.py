@@ -4,21 +4,22 @@ Pipeline: index every (domain, server IP) observation in a time window,
 select candidate domains (high-reputation domains resolving to several IPs
 across at least two ISPs), flag (IP, ISP) pairs serving at least
 ``flag_threshold`` candidate domains, then label each flagged pair from the
-process names seen on its traffic.  Each window is a bisected slice of the
-time-ordered records, scanned once; labels read their records from the index.
+process names seen on its traffic.  No record is kept: ``WindowTallies``
+folds each http record, as the trace streams, into its window's tally of
+requests per process name and machines per (server IP, domain), and each
+stage reads those tallies.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from operator import attrgetter
 from typing import Optional, Sequence
 
 from .ingest import MalwareProcessList, RankedDomainList
 from .ipattr import IpAttributionTable
-from .model import HttpRecord
+from .model import DAY_MS, HttpRecord
 # Not called here: records carry their domain from ingest.  chainbench/tracer.py
 # counts normalize_domain calls under this module's name, and
 # chainbench/test_chainbench.py checks that it can, so the import stays until
@@ -45,39 +46,110 @@ class DetectorConfig:
             raise ValueError("flag_threshold must be >= min_ips_per_domain")
 
 
+# One (server IP, domain)'s requests in a window: the count per process
+# name, and the machines that made them.
+Evidence = tuple[dict[str, int], set[str]]
+
+
+@dataclass(slots=True)
+class WindowTally:
+    """What detect reads of one window's http records: the evidence of each
+    server IP's requests for each domain, and how many records had no
+    domain or fell outside the window."""
+
+    pairs: dict[str, dict[str, Evidence]] = field(default_factory=dict)
+    bad_domain_records: int = 0
+    out_of_window: int = 0
+
+
+class WindowTallies:
+    """A ``load_trace`` consumer that tallies each http record into its
+    window's ``WindowTally`` and keeps no record.  Given ``windows`` (sorted,
+    each ending where the next starts), a record belongs to the one that
+    holds its timestamp, or to none; without, to its UTC day."""
+
+    __slots__ = ("edges", "by_key", "outside")
+
+    def __init__(self, windows: Sequence[tuple[int, int]] = ()):
+        self.edges = [w[0] for w in windows] + [windows[-1][1]] if windows else None
+        self.by_key: dict[int, WindowTally] = {}  # window index, or UTC day
+        self.outside = 0  # records in no window
+
+    def __call__(self, rec: HttpRecord):
+        ts, edges = rec.timestamp, self.edges
+        if edges is None:
+            key = ts // DAY_MS
+        elif edges[0] <= ts < edges[-1]:
+            key = bisect_right(edges, ts) - 1
+        else:
+            self.outside += 1
+            return
+        tally = self.by_key.get(key)
+        if tally is None:
+            tally = self.by_key[key] = WindowTally()
+        dom = rec.domain
+        if dom is None:
+            tally.bad_domain_records += 1
+            return
+        doms = tally.pairs.get(rec.server_ip)
+        if doms is None:
+            doms = tally.pairs[rec.server_ip] = {}
+        evidence = doms.get(dom)
+        if evidence is None:
+            evidence = doms[dom] = ({}, set())
+        procs, machines = evidence
+        procs[rec.process_name] = procs.get(rec.process_name, 0) + 1
+        machines.add(rec.machine_id)
+
+    def day_span(self) -> Optional[tuple[int, int]]:
+        """Without ``windows``: the UTC days from the first record's to the
+        last's; None for no records."""
+        if not self.by_key:
+            return None
+        return min(self.by_key) * DAY_MS, (max(self.by_key) + 1) * DAY_MS
+
+    def per_window(self, windows: Sequence[tuple[int, int]]) -> list[WindowTally]:
+        """The tally of each of ``windows``: those given at construction, or
+        UTC days.  Each counts every record outside it as out of window."""
+        total = self.outside + sum(
+            t.bad_domain_records + _requests(t.pairs.values()) for t in self.by_key.values())
+        out = []
+        for i, (start, _) in enumerate(windows):
+            tally = self.by_key.get(i if self.edges is not None else start // DAY_MS) or WindowTally()
+            tally.out_of_window = total - tally.bad_domain_records - _requests(tally.pairs.values())
+            out.append(tally)
+        return out
+
+
+def _requests(by_domain) -> int:
+    """The requests in the evidence of each of ``by_domain``'s values (one
+    IP's, or a window's, domain → evidence maps)."""
+    return sum(sum(procs.values()) for doms in by_domain for procs, _ in doms.values())
+
+
 @dataclass(slots=True)
 class DomainResolutionIndex:
     """The domains each server IP resolved inside a window, each IP's ISP
-    (None when the ip map has none), and each IP's in-window records that
-    have a domain, in time order: the evidence its labels are read from."""
+    (None when the ip map has none), and each IP's evidence per domain: what
+    its labels are read from."""
 
     by_ip: dict[str, set[str]] = field(default_factory=dict)
     ip_isp: dict[str, Optional[str]] = field(default_factory=dict)
-    ip_records: dict[str, list[HttpRecord]] = field(default_factory=dict)
+    evidence: dict[str, dict[str, Evidence]] = field(default_factory=dict)
     records_seen: int = 0
     skipped_out_of_window: int = 0
     bad_domain_records: int = 0
 
 
-def build_resolution_index(
-    records: Sequence[HttpRecord],
-    table: IpAttributionTable,
-    window: tuple[int, int],
-) -> DomainResolutionIndex:
-    """Index domain→IP resolutions for the records in [window[0], window[1]), a
-    bisected slice: ``records`` must be in time order, as load_trace gives them."""
-    idx = DomainResolutionIndex()
-    lo = bisect_left(records, window[0], key=attrgetter("timestamp"))
-    hi = bisect_left(records, window[1], lo, key=attrgetter("timestamp"))
-    idx.skipped_out_of_window = len(records) - (hi - lo)
-    for i in range(lo, hi):  # not islice, which steps through records[:lo] too
-        rec = records[i]
-        if rec.domain is None:
-            idx.bad_domain_records += 1
-            continue
-        idx.records_seen += 1
-        idx.ip_records.setdefault(rec.server_ip, []).append(rec)
-        idx.by_ip.setdefault(rec.server_ip, set()).add(rec.domain)
+def build_resolution_index(tally: WindowTally, table: IpAttributionTable) -> DomainResolutionIndex:
+    """Index one window's domain→IP resolutions from its tally."""
+    idx = DomainResolutionIndex(
+        by_ip={ip: set(doms) for ip, doms in tally.pairs.items()},
+        evidence=tally.pairs,
+        records_seen=_requests(tally.pairs.values()),
+        skipped_out_of_window=tally.out_of_window,
+        bad_domain_records=tally.bad_domain_records,
+    )
     # one batch ISP resolution over the distinct IPs
     ips = list(idx.by_ip)
     idx.ip_isp = dict(zip(ips, table.lookup_batch(ips)))
@@ -142,7 +214,7 @@ def label_detections(
     malware: MalwareProcessList,
 ) -> list[Detection]:
     """Attach traffic evidence and a label to each flagged pair, from its IP's
-    in-window records in ``index`` whose domain is in the pair's set.
+    evidence in ``index`` for the domains in the pair's set.
 
     A pair is TruePositiveCandidate when any process name on its matching
     traffic is on the malware list, Suspicious when any process name is empty
@@ -150,8 +222,12 @@ def label_detections(
     """
     out = []
     for (ip, isp), doms in flagged.items():
-        matching = [rec for rec in index.ip_records[ip] if rec.domain in doms]
-        names = Counter(rec.process_name for rec in matching)
+        names: Counter = Counter()
+        machines: set[str] = set()
+        for dom, (procs, seen) in index.evidence[ip].items():
+            if dom in doms:
+                names.update(procs)
+                machines |= seen
         if any(malware.matches(n) for n in names):
             label = LABEL_TRUE_POSITIVE
         elif any(n.strip() == "" for n in names):
@@ -164,8 +240,8 @@ def label_detections(
                 isp=isp,
                 domains=doms,
                 process_names=tuple(sorted(names.items())),
-                machine_ids=frozenset(rec.machine_id for rec in matching),
-                request_count=len(matching),
+                machine_ids=frozenset(machines),
+                request_count=sum(names.values()),
                 label=label,
             )
         )
@@ -213,15 +289,15 @@ class DetectionReport:
 
 
 def detect(
-    records: Sequence[HttpRecord],
+    tally: WindowTally,
     table: IpAttributionTable,
     ranking: RankedDomainList,
     malware: MalwareProcessList,
     cfg: DetectorConfig,
     window: tuple[int, int],
 ) -> DetectionReport:
-    """Run the full pipeline over one window of time-ordered ``records``."""
-    index = build_resolution_index(records, table, window)
+    """Run the full pipeline over ``window``'s tally."""
+    index = build_resolution_index(tally, table)
     cands = candidate_domains(index, ranking, cfg)
     flagged = flag_pairs(index, cands, cfg)
     detections = label_detections(flagged, index, malware)
@@ -236,7 +312,7 @@ def detect(
         "bad_domain_records": index.bad_domain_records,
         "distinct_ips": len(index.by_ip),
         "unknown_isp_ips": len(unknown_isp_ips),
-        "unknown_isp_records": sum(len(index.ip_records[ip]) for ip in unknown_isp_ips),
+        "unknown_isp_records": _requests(index.evidence[ip] for ip in unknown_isp_ips),
         "candidate_domains": len(cands),
         "pairs_flagged": len(flagged),
         "affected_domain_total": len(affected),

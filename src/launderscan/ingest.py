@@ -2,9 +2,11 @@
 interleave http, impression, and pageview records via a "kind" field),
 CIDR→ISP maps, ranked domain lists, malware process lists, and alias groups.
 
-All loaders are single-pass.  By default a loader skips bad lines and counts
-them by reason (``Skips``); in strict mode the first bad line raises
-ParseAbortError.  ``load_trace`` parses or skips every line, a blank one
+All loaders are single-pass.  ``load_trace`` can also hand each http record
+to a consumer as it reads it, in file order, keeping none: detect,
+fingerprint and rules fold the trace that way.  By default a loader skips
+bad lines and counts them by reason (``Skips``); in strict mode the first
+bad line raises ParseAbortError.  ``load_trace`` parses or skips every line, a blank one
 included, so skipped + parsed = ``total_lines``.  The table loaders drop '#'
 comments and blank lines uncounted (``model.content_lines``), and then
 ``load_ip_map`` parses or skips each line left (a repeated prefix replaces
@@ -19,7 +21,7 @@ import gc
 import json
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Collection, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from .ipattr import IpAttributionTable
 from .model import (
@@ -121,9 +123,15 @@ def load_trace(
     suffix: PublicSuffixSet,
     strict: bool = False,
     kinds: Collection[str] = RECORD_KINDS,
+    consumer: Optional[Callable[[HttpRecord], object]] = None,
 ) -> LoadResult:
     """Parse a JSON-lines trace into typed records, each list in time order,
     stable (equal timestamps keep file order); the trace need not be sorted.
+
+    With a ``consumer``, each http record is passed to it as its line is
+    read, in file order, and is not kept: ``http`` stays empty, so a caller
+    that folds the records as they stream holds only what it keeps.  Without
+    one, ``http.append`` is the consumer.
 
     An http line's ``method``, ``status`` and ``ua`` are checked (a string;
     an int or absent; a string or absent) but not stored, and an
@@ -147,6 +155,7 @@ def load_trace(
     """
     keep_http, keep_impression, keep_pageview = (kind in kinds for kind in RECORD_KINDS)
     out = LoadResult(skipped=Skips(strict))
+    emit = out.http.append if consumer is None else consumer
     # name -> normalize_domain(name), None when it does not normalize; a URL
     # host maps to what ``record_domain`` gives for its URL
     domains: dict[str, Optional[str]] = {}
@@ -244,7 +253,7 @@ def load_trace(
                 if bad:
                     skip(line_no, f"bad {bad}")
                 elif keep_http:
-                    out.http.append(HttpRecord(
+                    emit(HttpRecord(
                         ts, shared(machine, machine), shared(proc, proc), url, domain_of(host),
                         None if ref is None else shared(ref, ref), shared(ip, ip),
                     ))

@@ -12,11 +12,10 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 from urllib.parse import parse_qsl
 
 from .model import (
-    HttpRecord,
     InvalidDomainError,
     PublicSuffixSet,
     is_valid_ipv4,
@@ -74,6 +73,14 @@ def _value_domain(val: str, suffix: PublicSuffixSet) -> str:
 _valid_land_ip = lru_cache(maxsize=4096)(is_valid_ipv4)
 
 
+def may_hold(url: str, key: str) -> bool:
+    """False when the URL's query cannot hold ``key``: the URL does not spell
+    it, nor spell it split by a tab, CR or LF (which are not printable, and
+    which URL splitting drops), nor escape it with a '%' or a '+'.  Neither
+    URL rule can find ``key`` in such a URL, so callers may skip it."""
+    return key in url or "%" in url or "+" in url or not url.isprintable()
+
+
 def check_spoof_query(url: str, suffix: PublicSuffixSet) -> Optional[SpoofSignal]:
     """Extract a spoof signal when the URL query carries both hijack keys.
 
@@ -82,10 +89,7 @@ def check_spoof_query(url: str, suffix: PublicSuffixSet) -> Optional[SpoofSignal
     be parsed.  Percent-decoding is applied once; parameter order and
     unrelated parameters do not matter.
     """
-    # the query can only hold the spoof key if the URL spells it, or spells
-    # it split by a tab, CR or LF (which are not printable), or escaped
-    if (SPOOF_DOMAIN_KEY not in url and "%" not in url and "+" not in url
-            and url.isprintable()):
+    if not may_hold(url, SPOOF_DOMAIN_KEY):
         return None
     values = _query_values(url, (SPOOF_DOMAIN_KEY, LAND_IP_KEY))
     if SPOOF_DOMAIN_KEY not in values or LAND_IP_KEY not in values:
@@ -100,15 +104,6 @@ def check_spoof_query(url: str, suffix: PublicSuffixSet) -> Optional[SpoofSignal
     return SpoofSignal(spoof_domain=dom, land_ip=land_val)
 
 
-def followthrough_index(trace: Iterable[HttpRecord]) -> dict[tuple[str, Optional[str]], list[int]]:
-    """One machine's request times per (server IP, domain), read from its
-    trace sorted by timestamp, so each list is sorted too."""
-    index: dict[tuple[str, Optional[str]], list[int]] = {}
-    for rec in trace:
-        index.setdefault((rec.server_ip, rec.domain), []).append(rec.timestamp)
-    return index
-
-
 def verify_spoof_followthrough(
     signal: SpoofSignal,
     ts: int,
@@ -116,9 +111,10 @@ def verify_spoof_followthrough(
     horizon_ms: int,
 ) -> bool:
     """True when, after the signal's request at ``ts`` and at most
-    ``horizon_ms`` later, the machine whose ``followthrough_index`` this is
-    requests the spoofed domain from the landing IP.  One lookup per signal:
-    the first of those request times after ``ts``."""
+    ``horizon_ms`` later, the machine whose request times ``index`` holds,
+    each list sorted, by (server IP, domain), requests the spoofed domain
+    from the landing IP.  One lookup per signal: the first of those request
+    times after ``ts``."""
     times = index.get((signal.land_ip, signal.spoof_domain), ())
     k = bisect_right(times, ts)
     return k < len(times) and times[k] <= ts + horizon_ms

@@ -6,6 +6,7 @@ import pytest
 
 from launderscan import cli
 from launderscan import synthgen as sg
+from launderscan.detector import WindowTallies
 from launderscan.ingest import (
     AliasGroups,
     LoadResult,
@@ -33,6 +34,15 @@ SMALL_SCENARIO = sg.Scenario(
 def parsed_count(result) -> int:
     """Records a ``LoadResult`` holds, of every kind."""
     return len(result.http) + len(result.impressions) + len(result.pageviews)
+
+
+def window_tally(records, window=WINDOW):
+    """detect's input for ``window``: ``records``, in any order, tallied as
+    ``launderscan detect --window`` tallies a trace's http records."""
+    tallies = WindowTallies([window])
+    for rec in records:
+        tallies(rec)
+    return tallies.per_window([window])[0]
 
 
 def clean_scenario(seed: int, background_machines: int) -> sg.Scenario:

@@ -50,11 +50,11 @@ from launderscan.urlrules import (
     EnvFingerprint,
     check_spoof_query,
     classify_env,
-    followthrough_index,
     verify_spoof_followthrough,
 )
 
-from conftest import DAY0, WINDOW, emitted_corpus, truth_from_json, u32_to_ip
+from conftest import DAY0, WINDOW, emitted_corpus, truth_from_json, u32_to_ip, window_tally
+from oracles import followthrough_index
 
 SUFFIX = PublicSuffixSet.builtin()
 HOUR_MS = 3_600_000
@@ -87,10 +87,11 @@ def big_run(big_dir):
         ranking, _ = load_ranked_domains(fh, suffix=SUFFIX)
     with open(big_dir / "malware.txt", "r", encoding="utf-8") as fh:
         malware = load_malware_list(fh)
-    report = detect(loaded.http, table, ranking, malware, DetectorConfig(), WINDOW)
+    tally = window_tally(loaded.http)
+    report = detect(tally, table, ranking, malware, DetectorConfig(), WINDOW)
     elapsed = time.monotonic() - t0
     truth = truth_from_json(json.loads((big_dir / "truth.json").read_text()))
-    index = build_resolution_index(loaded.http, table, WINDOW)
+    index = build_resolution_index(tally, table)
     return {
         "loaded": loaded,
         "table": table,

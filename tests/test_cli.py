@@ -735,6 +735,30 @@ def _two_window_inputs(d):
     return trace, report
 
 
+def test_fingerprint_reads_the_report_before_the_trace(tiny_inputs, capsys):
+    """A missing --report or --trace exits 2 before either file is read.
+    Past that the report is read first, so a malformed report wins over a
+    trace that --strict aborts on: stderr names the report."""
+    d = tiny_inputs
+    report, trace = d / "bad-report.json", d / "bad-trace.jsonl"
+    report.write_text("{")
+    trace.write_text(json.dumps({"ts": DAY0, "machine": "m1", "url": "http://a.com/",
+                                 "ip": "1.2.3.4"}) + "\nnot json\n")
+    args = ["fingerprint", "--report", str(report), "--trace", str(trace), "--out", str(d / "fp")]
+    capsys.readouterr()
+    assert main([*args, "--strict"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse abort: {report}: ") and str(trace) not in err
+    assert main(args) == 3  # lenient: the trace is fine, the report still is not
+    assert capsys.readouterr().err.startswith(f"parse abort: {report}: ")
+    assert main(["fingerprint", "--report", str(report), "--trace", str(d / "none.jsonl"),
+                 "--out", str(d / "fp")]) == 2
+    assert capsys.readouterr().err == f"error: missing trace: {d / 'none.jsonl'}\n"
+    assert main(["fingerprint", "--report", str(d / "none.json"), "--trace", str(trace),
+                 "--out", str(d / "fp")]) == 2
+    assert capsys.readouterr().err == f"error: missing detection report: {d / 'none.json'}\n"
+
+
 def test_fingerprint_reads_each_flagged_ip_once(tiny_inputs, monkeypatch):
     """1.2.3.4 is flagged in two windows; each of its machines is searched
     for a repeat cycle once."""
@@ -786,7 +810,7 @@ def test_window_day_count_is_arithmetic_and_bounded():
     for _ in range(300):
         start = rng.randrange(-5 * DAY_MS, 5 * DAY_MS)
         w = (start, start + rng.randrange(1, 6 * DAY_MS))
-        windows = _windows(w, [])
+        windows = _windows(w)
         assert len(windows) == len(_day_cuts(w)) + 1
         # the windows tile w exactly
         assert windows[0][0] == w[0] and windows[-1][1] == w[1]
@@ -799,10 +823,10 @@ def test_window_day_count_is_arithmetic_and_bounded():
         else:
             assert windows == [w]
     limit = MAX_WINDOW_DAYS * DAY_MS
-    assert len(_windows(_window(f"0..{limit}"), [])) == MAX_WINDOW_DAYS
-    assert len(_windows(_window(f"{DAY_MS}..{limit + DAY_MS}"), [])) == MAX_WINDOW_DAYS
+    assert len(_windows(_window(f"0..{limit}"))) == MAX_WINDOW_DAYS
+    assert len(_windows(_window(f"{DAY_MS}..{limit + DAY_MS}"))) == MAX_WINDOW_DAYS
     with pytest.raises(CmdError, match="--window"):
-        _windows(_window(f"{DAY_MS - 1}..{limit + DAY_MS - 1}"), [])
+        _windows(_window(f"{DAY_MS - 1}..{limit + DAY_MS - 1}"))
 
 
 def test_detect_without_window_bounds_the_record_span(tiny_inputs, capsys):

@@ -5,6 +5,7 @@ from operator import attrgetter
 
 import pytest
 
+from launderscan.cli import _windows
 from launderscan.detector import (
     Detection,
     DetectorConfig,
@@ -12,6 +13,7 @@ from launderscan.detector import (
     LABEL_SUSPICIOUS,
     LABEL_TRUE_POSITIVE,
     LABEL_UNLABELED,
+    WindowTallies,
     build_resolution_index,
     candidate_domains,
     detect,
@@ -28,7 +30,7 @@ from launderscan.ingest import (
 from launderscan.ipattr import IpAttributionTable
 from launderscan.model import DAY_MS, HttpRecord, PublicSuffixSet
 
-from conftest import DAY0, WINDOW
+from conftest import DAY0, WINDOW, window_tally
 
 SUFFIX = PublicSuffixSet.builtin()
 
@@ -60,14 +62,14 @@ def test_config_validation():
 
 def test_index_single_record():
     table, _ = load_ip_map(["1.2.3.0/24,A"])
-    idx = build_resolution_index([_rec("http://example.com/x", "1.2.3.4")], table, WINDOW)
+    idx = build_resolution_index(window_tally([_rec("http://example.com/x", "1.2.3.4")]), table)
     assert idx.by_ip == {"1.2.3.4": {"example.com"}}
     assert idx.ip_isp == {"1.2.3.4": "a"}
 
 
 def test_index_unknown_isp_still_indexed():
     table, _ = load_ip_map(["1.2.3.0/24,A"])
-    idx = build_resolution_index([_rec("http://example.com/x", "9.9.9.9")], table, WINDOW)
+    idx = build_resolution_index(window_tally([_rec("http://example.com/x", "9.9.9.9")]), table)
     assert idx.by_ip == {"9.9.9.9": {"example.com"}}
     assert idx.ip_isp == {"9.9.9.9": None}
 
@@ -79,7 +81,7 @@ def test_index_window_filter_and_counts():
         _rec("http://a.com/", "1.2.3.4", ts=WINDOW[1]),  # end exclusive
         _rec("http://a.com/", "1.2.3.4", ts=WINDOW[0] - 1),
     ]
-    idx = build_resolution_index(records, table, WINDOW)
+    idx = build_resolution_index(window_tally(records), table)
     assert idx.records_seen == 1
     assert idx.skipped_out_of_window == 2
 
@@ -159,7 +161,7 @@ def test_candidate_domains_match_bruteforce_oracle():
     table, _ = load_ip_map([f"10.0.{i}.0/24,isp{i % 4}" for i in range(10)])
     records = _random_records(rng, n=80)  # 2 of the top 5 domains qualify, 9 of all 20
     ranking = _ranking([f"d{i:02d}.com" for i in range(20)])
-    idx = build_resolution_index(records, table, WINDOW)
+    idx = build_resolution_index(window_tally(records), table)
     ips_of: dict[str, set] = {}
     for r in records:
         ips_of.setdefault(r.domain, set()).add(r.server_ip)
@@ -173,7 +175,7 @@ def test_candidate_domains_match_bruteforce_oracle():
         }
         assert candidate_domains(idx, ranking, cfg) == want
     unknown = [r for r in records if table.lookup(r.server_ip) is None]
-    diag = detect(records, table, ranking, MalwareProcessList(frozenset()), cfg, WINDOW).diagnostics
+    diag = detect(window_tally(records), table, ranking, MalwareProcessList(frozenset()), cfg, WINDOW).diagnostics
     assert diag["unknown_isp_ips"] == len({r.server_ip for r in unknown}) == 2
     assert diag["unknown_isp_records"] == len(unknown) > 0
 
@@ -215,7 +217,7 @@ def test_labeling_rules():
             _rec(f"http://{dom}/x", "5.5.5.5", proc=proc, machine=f"m{i}")
             for i, (dom, proc) in enumerate(proc_names)
         ]
-        index = build_resolution_index(records, IpAttributionTable(), WINDOW)
+        index = build_resolution_index(window_tally(records), IpAttributionTable())
         dets = label_detections(flagged, index, malware)
         assert len(dets) == 1
         return dets[0]
@@ -232,7 +234,7 @@ def test_labeling_counts_only_matching_domains():
         _rec("http://other.com/x", "5.5.5.5", machine="m2"),  # not in domain set
         _rec("http://a.com/x", "7.7.7.7", machine="m3"),  # wrong ip
     ]
-    index = build_resolution_index(records, IpAttributionTable(), WINDOW)
+    index = build_resolution_index(window_tally(records), IpAttributionTable())
     det = label_detections(flagged, index, MalwareProcessList(frozenset()))[0]
     assert det.request_count == 1
     assert det.machine_ids == {"m1"}
@@ -272,9 +274,8 @@ def _label_oracle(flagged, records, malware, window):
 
 
 def test_label_evidence_matches_full_scan_oracle():
-    """Over three-day traces with records outside every window, records
-    without a domain and IPs the ip map does not know, shuffled and then
-    stable-sorted by timestamp as load_trace gives them, each day's
+    """Over shuffled three-day traces with records outside every window,
+    records without a domain and IPs the ip map does not know, each day's
     detections equal the full-scan oracle's."""
     rng = random.Random(18)
     # 10.0.6.1 and 10.0.7.1 have no ISP
@@ -297,9 +298,8 @@ def test_label_evidence_matches_full_scan_oracle():
                        machine=f"m{rng.randrange(6)}", proc=rng.choice(procs_of[ip]))
             records.append(rec._replace(domain=None) if rng.random() < 0.1 else rec)
         rng.shuffle(records)
-        records.sort(key=attrgetter("timestamp"))
         for w in windows:
-            index = build_resolution_index(records, table, w)
+            index = build_resolution_index(window_tally(records, w), table)
             flagged = flag_pairs(index, candidate_domains(index, ranking, cfg), cfg)
             got = label_detections(flagged, index, malware)
             assert got == _label_oracle(flagged, records, malware, w)
@@ -325,8 +325,8 @@ class _CountingRecords(Sequence):
 
 
 def _detect_reads(n):
-    """Record reads for detect over each UTC day of a time-ordered trace of n
-    records that spans n // 100 days."""
+    """Record reads for detect over each UTC day of a trace of n records that
+    spans n // 100 days, tallied by day as ``cmd_detect`` tallies a trace."""
     days = n // 100
     table, _ = load_ip_map([f"10.0.{i}.0/24,isp{i % 2}" for i in range(4)])
     records = _CountingRecords([
@@ -336,9 +336,14 @@ def _detect_reads(n):
     ranking = _ranking([f"d{i}.com" for i in range(5)])
     malware = MalwareProcessList(frozenset())
     cfg = DetectorConfig(flag_threshold=2)
+    tallies = WindowTallies()
+    for rec in records:
+        tallies(rec)
+    windows = _windows(tallies.day_span())
+    assert len(windows) == days
     flagged = 0
-    for k in range(days):
-        rep = detect(records, table, ranking, malware, cfg, (DAY0 + k * DAY_MS, DAY0 + (k + 1) * DAY_MS))
+    for w, tally in zip(windows, tallies.per_window(windows)):
+        rep = detect(tally, table, ranking, malware, cfg, w)
         assert rep.diagnostics["records_seen"] + rep.diagnostics["out_of_window"] == n
         flagged += rep.diagnostics["pairs_flagged"]
     assert flagged == 4 * days
@@ -346,16 +351,15 @@ def _detect_reads(n):
 
 
 def test_detect_reads_grow_linearly_with_records_and_day_windows():
-    """Each day window reads its own records and a few bisection probes, not
-    the whole trace: twice the records over twice the days read at most
-    about twice as many."""
+    """detect reads each record once, whatever the day windows: twice the
+    records over twice the days read at most about twice as many."""
     n = 3_000
     assert _detect_reads(2 * n) <= 2.1 * _detect_reads(n)
 
 
 def test_detection_invariants_on_corpus(small_corpus):
     rep = detect(
-        small_corpus.trace.http,
+        window_tally(small_corpus.trace.http),
         small_corpus.table,
         small_corpus.ranking,
         small_corpus.malware,
@@ -372,7 +376,7 @@ def test_detection_invariants_on_corpus(small_corpus):
 
 def test_detect_flags_exactly_the_plants(small_corpus):
     rep = detect(
-        small_corpus.trace.http,
+        window_tally(small_corpus.trace.http),
         small_corpus.table,
         small_corpus.ranking,
         small_corpus.malware,
@@ -385,7 +389,7 @@ def test_detect_flags_exactly_the_plants(small_corpus):
 
 def test_detect_clean_scenario_is_silent(clean_corpus):
     rep = detect(
-        clean_corpus.trace.http,
+        window_tally(clean_corpus.trace.http),
         clean_corpus.table,
         clean_corpus.ranking,
         clean_corpus.malware,
@@ -406,7 +410,7 @@ def test_detect_single_plant_at_exact_threshold():
         records.append(_rec(f"http://www.{dom}/h", f"10.{i}.0.1", machine="bg"))
         records.append(_rec(f"http://www.{dom}/x", "185.0.0.1", machine="bot", proc=""))
     ranking = _ranking(domains)
-    rep = detect(records, table, ranking, MalwareProcessList(frozenset()), DetectorConfig(), WINDOW)
+    rep = detect(window_tally(records), table, ranking, MalwareProcessList(frozenset()), DetectorConfig(), WINDOW)
     assert len(rep.detections) == 1
     det = rep.detections[0]
     assert (det.ip, det.isp) == ("185.0.0.1", "plantisp")
@@ -414,17 +418,31 @@ def test_detect_single_plant_at_exact_threshold():
 
 
 def test_permutation_invariance():
+    """Records spread over three UTC days and tallied by day, as
+    ``cmd_detect`` tallies a trace without ``--window``, give the same
+    reports in every order: the tallies, not a sort, carry it."""
     rng = random.Random(13)
     table, _ = load_ip_map([f"10.0.{i}.0/24,isp{i % 3}" for i in range(10)])
-    records = _random_records(rng, n_ips=10, n=400)
+    records = [rec._replace(timestamp=DAY0 + rng.randrange(3 * DAY_MS))
+               for rec in _random_records(rng, n_ips=10, n=900)]
     ranking = _ranking([f"d{i:02d}.com" for i in range(20)])
     malware = MalwareProcessList(frozenset())
     cfg = DetectorConfig(flag_threshold=2)
-    rep1 = detect(records, table, ranking, malware, cfg, WINDOW)
-    shuffled = records[:]
-    rng.shuffle(shuffled)
-    rep2 = detect(shuffled, table, ranking, malware, cfg, WINDOW)
-    assert rep1.to_json_dict() == rep2.to_json_dict()
+
+    def reports(recs):
+        tallies = WindowTallies()
+        for rec in recs:
+            tallies(rec)
+        windows = _windows(tallies.day_span())
+        assert len(windows) == 3
+        return [detect(tally, table, ranking, malware, cfg, w).to_json_dict()
+                for w, tally in zip(windows, tallies.per_window(windows))]
+
+    want = reports(sorted(records, key=attrgetter("timestamp")))
+    assert all(rep["diagnostics"]["pairs_flagged"] for rep in want)
+    for _ in range(5):
+        rng.shuffle(records)
+        assert reports(records) == want
 
 
 def test_monotonicity_properties():
@@ -452,7 +470,7 @@ def test_monotonicity_properties():
 def test_detect_empty_inputs_yield_empty_report():
     table, _ = load_ip_map([])
     ranking = _ranking(["a.com"])
-    rep = detect([], table, ranking, MalwareProcessList(frozenset()), DetectorConfig(), WINDOW)
+    rep = detect(window_tally([]), table, ranking, MalwareProcessList(frozenset()), DetectorConfig(), WINDOW)
     assert rep.detections == ()
     assert rep.diagnostics["records_seen"] == 0
 

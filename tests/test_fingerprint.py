@@ -23,7 +23,7 @@ from launderscan.ingest import record_domain
 from launderscan.model import DAY_MS, HttpRecord, PublicSuffixSet, is_malformed_domain
 from launderscan.urlrules import MalformedSignalError, check_spoof_query
 
-from conftest import DAY0, WINDOW
+from conftest import DAY0, WINDOW, window_tally
 
 SUFFIX = PublicSuffixSet.builtin()
 
@@ -360,7 +360,7 @@ def test_cycle_validation():
 
 def test_profiles_from_corpus_group_to_scheme_count(small_corpus):
     rep = detect(
-        small_corpus.trace.http,
+        window_tally(small_corpus.trace.http),
         small_corpus.table,
         small_corpus.ranking,
         small_corpus.malware,

@@ -16,10 +16,12 @@ from launderscan.model import PublicSuffixSet, normalize_domain, url_host
 from launderscan.urlrules import (
     SpoofSignal,
     check_spoof_query,
-    followthrough_index,
     sibling_referrer_consistency,
     verify_spoof_followthrough,
 )
+
+from conftest import window_tally
+from oracles import followthrough_index
 
 SUFFIX = PublicSuffixSet.builtin()
 IP = "10.1.2.3"
@@ -68,7 +70,7 @@ def _rec(url, ts=2_000):
 def _answers(url: str, host: str):
     table = IpAttributionTable()
     table.insert("10.0.0.0/8", "isp")
-    index = build_resolution_index([_rec(url)], table, (0, 10_000))
+    index = build_resolution_index(window_tally([_rec(url)], (0, 10_000)), table)
     detection = Detection(
         ip=IP,
         isp="isp",

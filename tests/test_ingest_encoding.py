@@ -193,7 +193,8 @@ def _text_lines(data: bytes) -> list[str]:
         return list(_read_lines(path))
 
 
-def _outcome(data: bytes | list[str], strict: bool, with_orjson: bool, kinds=RECORD_KINDS):
+def _outcome(data: bytes | list[str], strict: bool, with_orjson: bool, kinds=RECORD_KINDS,
+             consumer=None):
     """What ``load_trace`` gives with its orjson decode on or off, from a
     file's bytes or from its text lines: the strict abort, or the records and
     skips."""
@@ -201,7 +202,8 @@ def _outcome(data: bytes | list[str], strict: bool, with_orjson: bool, kinds=REC
     off = {} if with_orjson else {"orjson": None}  # a None entry fails the import
     try:
         with mock.patch.dict(sys.modules, off):
-            got = load_trace(lines, PublicSuffixSet.builtin(), strict=strict, kinds=kinds)
+            got = load_trace(lines, PublicSuffixSet.builtin(), strict=strict, kinds=kinds,
+                             consumer=consumer)
     except ParseAbortError as err:
         return ("abort", err.line_no, err.reason)
     return (got.http, got.impressions, got.pageviews, got.skipped.counts, got.skipped.first,
@@ -260,7 +262,9 @@ TIME_TIES = [
 def test_kinds_keep_only_their_records_and_every_skip(lines, with_orjson):
     """Each list equals the records of every line loaded on its own,
     concatenated in file order and then stable-sorted by timestamp, for each
-    ``kinds``, lenient and (unless it aborts) strict."""
+    ``kinds``, lenient and (unless it aborts) strict.  With a consumer, the
+    http list stays empty and the consumer gets those http records in file
+    order, unsorted; the other lists and the skips do not change."""
     data = b"\n".join(lines) + b"\n"
     full = _outcome(data, False, with_orjson)
     for kinds in [RECORD_KINDS, (), ("http",), ("impression", "pageview"), ("impression",), ("pageview",)]:
@@ -277,3 +281,12 @@ def test_kinds_keep_only_their_records_and_every_skip(lines, with_orjson):
         assert [http, impressions, pageviews] == want
         if strict[0] != "abort":
             assert list(strict[:3]) == want
+        in_file_order = [rec for got in per_line for rec in got[0]]
+        for strict_mode, outcome in ((False, full), (True, strict)):
+            streamed = []
+            got = _outcome(data, strict_mode, with_orjson, kinds, streamed.append)
+            if outcome[0] == "abort":
+                assert got == outcome
+                continue
+            assert got[0] == [] and list(got[1:3]) == want[1:] and got[3:] == outcome[3:]
+            assert streamed == in_file_order

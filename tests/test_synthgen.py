@@ -15,7 +15,7 @@ from launderscan.ingest import MAX_TS_MS, load_alias_groups
 from launderscan.model import DAY_MS, PublicSuffixSet, is_valid_ipv4
 from launderscan.panel import SessionPolicy, attributed_ads, misattribution_table, publisher_visits
 
-from conftest import DAY0, SMALL_SCENARIO, WINDOW, emitted_corpus, truth_from_json
+from conftest import DAY0, SMALL_SCENARIO, WINDOW, emitted_corpus, truth_from_json, window_tally
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from chainbench.run import PINS, synth_argv  # noqa: E402
@@ -133,9 +133,7 @@ def test_every_planted_pair_has_a_labeled_record(small_corpus):
 
 
 def test_clean_background_yields_no_candidates(clean_corpus):
-    idx = build_resolution_index(
-        clean_corpus.trace.http, clean_corpus.table, WINDOW
-    )
+    idx = build_resolution_index(window_tally(clean_corpus.trace.http), clean_corpus.table)
     cands = candidate_domains(idx, clean_corpus.ranking, DetectorConfig())
     assert cands == frozenset()
 
@@ -242,7 +240,7 @@ def test_replay_period_plants_a_repeat_cycle_on_that_scheme_alone(replay_corpus)
     profiles and no other scheme's."""
     corpus = replay_corpus
     records = corpus.trace.http
-    report = detect(records, corpus.table, corpus.ranking, corpus.malware, DetectorConfig(), WINDOW)
+    report = detect(window_tally(records), corpus.table, corpus.ranking, corpus.malware, DetectorConfig(), WINDOW)
     by_ip: dict[str, list] = {}
     for rec in records:
         by_ip.setdefault(rec.server_ip, []).append(rec)

@@ -23,10 +23,11 @@ from launderscan.urlrules import (
     SpoofSignal,
     check_spoof_query,
     classify_env,
-    followthrough_index,
     sibling_referrer_consistency,
     verify_spoof_followthrough,
 )
+
+from oracles import followthrough_index
 
 SUFFIX = PublicSuffixSet.builtin()
 
