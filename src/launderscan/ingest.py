@@ -6,13 +6,14 @@ All loaders are single-pass.  ``load_trace`` can also hand each http record
 to a consumer as it reads it, in file order, keeping none: detect,
 fingerprint and rules fold the trace that way.  By default a loader skips
 bad lines and counts them by reason (``Skips``); in strict mode the first
-bad line raises ParseAbortError.  ``load_trace`` parses or skips every line, a blank one
-included, so skipped + parsed = ``total_lines``.  The table loaders drop '#'
-comments and blank lines uncounted (``model.content_lines``), and then
-``load_ip_map`` parses or skips each line left (a repeated prefix replaces
-the earlier one), ``load_ranked_domains`` also drops a repeated domain
-uncounted, ``load_malware_list`` skips nothing, and ``load_alias_groups``
-raises on a bad line in either mode and drops a line with no domain.
+bad line raises ParseAbortError.  ``load_trace`` parses or skips every line,
+a blank one included, so skipped + parsed = ``total_lines``.  The table
+loaders drop '#' comments and blank lines uncounted
+(``model.content_lines``), and then ``load_ip_map`` parses or skips each
+line left (a repeated prefix replaces the earlier one),
+``load_ranked_domains`` also drops a repeated domain uncounted,
+``load_malware_list`` skips nothing, and ``load_alias_groups`` raises on a
+bad line in either mode and drops a line with no domain.
 """
 
 from __future__ import annotations
