@@ -40,7 +40,7 @@ from .ingest import (
     load_ranked_domains,
     load_trace,
 )
-from .model import DAY_MS, PublicSuffixSet
+from .model import DAY_MS, HttpRecord, PublicSuffixSet
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
@@ -340,16 +340,15 @@ def cmd_fingerprint(args) -> int:
     by_ip: dict[str, list] = {ip: [] for ip in detections}
     lo, hi = MAX_TS_MS, 0  # the first and last http timestamps, once read
 
-    def keep(rec):
+    def keep(ts, machine, proc, url, domain, ref, ip):
         nonlocal lo, hi
-        ts = rec.timestamp
         if ts < lo:
             lo = ts
         if ts > hi:
             hi = ts
-        kept = by_ip.get(rec.server_ip)
+        kept = by_ip.get(ip)
         if kept is not None:
-            kept.append(rec)
+            kept.append(HttpRecord(ts, machine, proc, url, domain, ref, ip))
 
     loaded = _load_trace(args, suffix, ("http",), keep)
     if pairs:
@@ -497,21 +496,20 @@ def cmd_rules(args) -> int:
     # signal, and per referrer the URLs that can hold ``param``
     machines: dict[str, tuple[dict, list, dict]] = {}
 
-    def keep(rec):
-        kept = machines.get(rec.machine_id)
+    def keep(ts, machine, proc, url, domain, ref, ip):
+        kept = machines.get(machine)
         if kept is None:
-            kept = machines[rec.machine_id] = ({}, [], {})
+            kept = machines[machine] = ({}, [], {})
         times, rows, groups = kept
-        key = (rec.server_ip, rec.domain)
+        key = (ip, domain)
         if key in times:
-            times[key].append(rec.timestamp)
+            times[key].append(ts)
         else:
-            times[key] = [rec.timestamp]
-        url = rec.url
+            times[key] = [ts]
         if ur.may_hold(url, ur.SPOOF_DOMAIN_KEY):
-            rows.append((rec.timestamp, url))
-        if rec.referrer and ur.may_hold(url, param):
-            groups.setdefault(rec.referrer, []).append(url)
+            rows.append((ts, url))
+        if ref and ur.may_hold(url, param):
+            groups.setdefault(ref, []).append(url)
 
     loaded = _load_trace(args, suffix, ("http",), keep)
     findings: list[dict] = []
@@ -573,7 +571,8 @@ def cmd_rules(args) -> int:
             }
         )
     if args.out:
-        _write_text(Path(args.out), (json.dumps(f, sort_keys=True) + "\n" for f in findings))
+        encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(f, sort_keys=True)
+        _write_text(Path(args.out), (encode(f) + "\n" for f in findings))
     spoof_total = sum(1 for f in findings if f["type"] == "spoof_signal")
     print(f"findings={len(findings)} spoof_signals={spoof_total} verified={verified} "
           f"trace_skipped={len(loaded.skipped)}")

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .ingest import MalwareProcessList, RankedDomainList
 from .ipattr import IpAttributionTable
-from .model import DAY_MS, HttpRecord
+from .model import DAY_MS
 # Not called here: records carry their domain from ingest.  chainbench/tracer.py
 # counts normalize_domain calls under this module's name, and
 # chainbench/test_chainbench.py checks that it can, so the import stays until
@@ -63,10 +63,10 @@ class WindowTally:
 
 
 class WindowTallies:
-    """A ``load_trace`` consumer that tallies each http record into its
-    window's ``WindowTally`` and keeps no record.  Given ``windows`` (sorted,
-    each ending where the next starts), a record belongs to the one that
-    holds its timestamp, or to none; without, to its UTC day."""
+    """A ``load_trace`` consumer that tallies each http record's fields into
+    its window's ``WindowTally`` and keeps no record.  Given ``windows``
+    (sorted, each ending where the next starts), a record belongs to the one
+    that holds its timestamp, or to none; without, to its UTC day."""
 
     __slots__ = ("edges", "by_key", "outside")
 
@@ -75,8 +75,9 @@ class WindowTallies:
         self.by_key: dict[int, WindowTally] = {}  # window index, or UTC day
         self.outside = 0  # records in no window
 
-    def __call__(self, rec: HttpRecord):
-        ts, edges = rec.timestamp, self.edges
+    def __call__(self, ts: int, machine: str, proc: str, url: str, dom: Optional[str],
+                 ref: Optional[str], ip: str):
+        edges = self.edges
         if edges is None:
             key = ts // DAY_MS
         elif edges[0] <= ts < edges[-1]:
@@ -87,19 +88,18 @@ class WindowTallies:
         tally = self.by_key.get(key)
         if tally is None:
             tally = self.by_key[key] = WindowTally()
-        dom = rec.domain
         if dom is None:
             tally.bad_domain_records += 1
             return
-        doms = tally.pairs.get(rec.server_ip)
+        doms = tally.pairs.get(ip)
         if doms is None:
-            doms = tally.pairs[rec.server_ip] = {}
+            doms = tally.pairs[ip] = {}
         evidence = doms.get(dom)
         if evidence is None:
             evidence = doms[dom] = ({}, set())
         procs, machines = evidence
-        procs[rec.process_name] = procs.get(rec.process_name, 0) + 1
-        machines.add(rec.machine_id)
+        procs[proc] = procs.get(proc, 0) + 1
+        machines.add(machine)
 
     def day_span(self) -> Optional[tuple[int, int]]:
         """Without ``windows``: the UTC days from the first record's to the

@@ -103,6 +103,7 @@ def extract_features(
     procs: set[str] = set()
     days: set[int] = set()
     malformed = 0
+    dom_counts: dict[str, int] = {}
     spoof = False
     per_machine: dict[str, list[tuple[int, str]]] = {}
     for rec in records:
@@ -117,9 +118,9 @@ def extract_features(
         if dom is None:
             malformed += 1
             continue
-        if is_malformed_domain(dom, suffix):
-            malformed += 1
+        dom_counts[dom] = dom_counts.get(dom, 0) + 1
         per_machine.setdefault(rec.machine_id, []).append((rec.timestamp, dom))
+    malformed += sum(n for dom, n in dom_counts.items() if is_malformed_domain(dom, suffix))
     flags = set()
     if spoof:
         flags.add(FLAG_SPOOF_QUERY)

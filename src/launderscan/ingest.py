@@ -2,15 +2,15 @@
 interleave http, impression, and pageview records via a "kind" field),
 CIDR→ISP maps, ranked domain lists, malware process lists, and alias groups.
 
-All loaders are single-pass.  ``load_trace`` can also hand each http record
-to a consumer as it reads it, in file order, keeping none: detect,
-fingerprint and rules fold the trace that way.  By default a loader skips
-bad lines and counts them by reason (``Skips``); in strict mode the first
-bad line raises ParseAbortError.  ``load_trace`` parses or skips every line,
-a blank one included, so skipped + parsed = ``total_lines``.  The table
-loaders drop '#' comments and blank lines uncounted
-(``model.content_lines``), and then ``load_ip_map`` parses or skips each
-line left (a repeated prefix replaces the earlier one),
+All loaders are single-pass.  ``load_trace`` can also hand each http line's
+fields to a consumer as it reads it, in file order, building no record and
+keeping none: detect, fingerprint and rules fold the trace that way.  By
+default a loader skips bad lines and counts them by reason (``Skips``); in
+strict mode the first bad line raises ParseAbortError.  ``load_trace``
+parses or skips every line, a blank one included, so skipped + parsed =
+``total_lines``.  The table loaders drop '#' comments and blank lines
+uncounted (``model.content_lines``), and then ``load_ip_map`` parses or
+skips each line left (a repeated prefix replaces the earlier one),
 ``load_ranked_domains`` also drops a repeated domain uncounted,
 ``load_malware_list`` skips nothing, and ``load_alias_groups`` raises on a
 bad line in either mode and drops a line with no domain.
@@ -124,15 +124,17 @@ def load_trace(
     suffix: PublicSuffixSet,
     strict: bool = False,
     kinds: Collection[str] = RECORD_KINDS,
-    consumer: Optional[Callable[[HttpRecord], object]] = None,
+    consumer: Optional[Callable[..., object]] = None,
 ) -> LoadResult:
     """Parse a JSON-lines trace into typed records, each list in time order,
     stable (equal timestamps keep file order); the trace need not be sorted.
 
-    With a ``consumer``, each http record is passed to it as its line is
-    read, in file order, and is not kept: ``http`` stays empty, so a caller
-    that folds the records as they stream holds only what it keeps.  Without
-    one, ``http.append`` is the consumer.
+    With a ``consumer``, each http line is passed to it as it is read, in
+    file order, as ``consumer(ts, machine, proc, url, domain, ref, ip)``, in
+    ``HttpRecord``'s field order.  No record is built or kept: ``http`` stays
+    empty, so a caller that folds the lines as they stream holds only what it
+    keeps.  Without one, each line's fields become an ``HttpRecord`` in
+    ``http``.
 
     An http line's ``method``, ``status`` and ``ua`` are checked (a string;
     an int or absent; a string or absent) but not stored, and an
@@ -141,8 +143,8 @@ def load_trace(
     normalizes.  Each distinct value is checked once and stored
     once, however many lines repeat it: an IP string is validated once, a
     URL host, attr_domain or pub_domain is normalized once, and every record
-    gets the first ``str`` object seen for its machine, process, IP and
-    referrer.
+    (or consumer call) gets the first ``str`` object seen for its machine,
+    process, IP and referrer.
 
     Only records of ``kinds`` are kept.  A line of another kind is still
     decoded, checked and counted, so the skips, ``total_lines`` and a strict
@@ -156,12 +158,19 @@ def load_trace(
     """
     keep_http, keep_impression, keep_pageview = (kind in kinds for kind in RECORD_KINDS)
     out = LoadResult(skipped=Skips(strict))
-    emit = out.http.append if consumer is None else consumer
+    if consumer is None:
+        append = out.http.append
+
+        def consumer(*fields):
+            append(HttpRecord(*fields))
+
     # name -> normalize_domain(name), None when it does not normalize; a URL
     # host maps to what ``record_domain`` gives for its URL
     domains: dict[str, Optional[str]] = {}
-    valid_ip: dict[str, bool] = {}  # ip -> is_valid_ipv4(ip)
+    # ip -> its first str object when is_valid_ipv4(ip), else None
+    ips: dict[str, Optional[str]] = {}
     shared = {}.setdefault  # str value -> the first equal object seen
+    missing = object()
     skip = out.skipped
     # imported here, not with this module: synthgen imports this module, and
     # orjson adds about 1 MB to a process that never loads a trace
@@ -185,22 +194,24 @@ def load_trace(
     try:
         line_no = 0
         for line_no, raw in enumerate(lines, start=1):
-            line = raw.strip()
             # orjson's value is json's when all three hold: orjson accepts the
             # line (it rejects blank text, a BOM, NaN, 1e400 and lone
-            # surrogates, raw or escaped); the line nests under 512 deep, well
-            # inside json's recursion limit (n characters nest at most n/2
-            # deep, so only long lines are counted); and ``status`` is not a
-            # float (orjson gives one for an int past 64 bits, where ``ts`` is
-            # "bad ts" either way).  Any other line takes the json path.
+            # surrogates, raw or escaped, and allows only JSON whitespace
+            # around the value, which strip() would drop too); the line nests
+            # under 512 deep, well inside json's recursion limit (n characters
+            # nest at most n/2 deep, so only long lines are counted); and
+            # ``status`` is not a float (orjson gives one for an int past 64
+            # bits, where ``ts`` is "bad ts" either way).  Any other line takes
+            # the json path.
             obj = None
-            if fast_loads is not None and (len(line) <= 1_024
-                                           or line.count("[") + line.count("{") < 512):
+            if fast_loads is not None and (len(raw) <= 1_024
+                                           or raw.count("[") + raw.count("{") < 512):
                 try:
-                    obj = fast_loads(line)
+                    obj = fast_loads(raw)
                 except ValueError:
                     pass
             if type(obj) is not dict or type(obj.get("status")) is float:
+                line = raw.strip()
                 if not line:
                     skip(line_no, "blank line")
                     continue
@@ -231,16 +242,16 @@ def load_trace(
                 continue
             if kind == "http":
                 url = obj.get("url")
-                ip = obj.get("ip")
+                raw_ip = obj.get("ip")
                 host = url_host(url) if isinstance(url, str) else ""
                 if not host:
                     skip(line_no, "bad url")
                     continue
                 # the type test comes first: a JSON list or object is unhashable
-                ok = isinstance(ip, str) and valid_ip.get(ip)
-                if ok is None:
-                    ok = valid_ip[ip] = is_valid_ipv4(ip)
-                if not ok:
+                ip = ips.get(raw_ip, missing) if isinstance(raw_ip, str) else None
+                if ip is missing:
+                    ip = ips[raw_ip] = raw_ip if is_valid_ipv4(raw_ip) else None
+                if ip is None:
                     skip(line_no, "bad ip")
                     continue
                 proc, status = obj.get("proc", ""), obj.get("status")
@@ -254,10 +265,11 @@ def load_trace(
                 if bad:
                     skip(line_no, f"bad {bad}")
                 elif keep_http:
-                    emit(HttpRecord(
-                        ts, shared(machine, machine), shared(proc, proc), url, domain_of(host),
-                        None if ref is None else shared(ref, ref), shared(ip, ip),
-                    ))
+                    dom = domains.get(host, missing)
+                    if dom is missing:
+                        dom = domain_of(host)
+                    consumer(ts, shared(machine, machine), shared(proc, proc), url, dom,
+                             None if ref is None else shared(ref, ref), ip)
             elif kind == "impression":
                 dom = domain_of(obj.get("attr_domain"))
                 if dom is None:

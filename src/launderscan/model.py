@@ -64,7 +64,7 @@ def url_host(url: str) -> str:
     scheme, sep, rest = url.partition("://")
     if not scheme or not sep:
         return ""
-    return rest.split("/", 1)[0].split("?", 1)[0].split("#", 1)[0].rpartition("@")[2]
+    return rest.partition("/")[0].partition("?")[0].partition("#")[0].rpartition("@")[2]
 
 
 # urllib.parse.urlsplit drops these before it splits a URL
@@ -150,8 +150,10 @@ class HttpRecord(NamedTuple):
     machine, process, server IP and referrer value.  The trace line's user
     agent is checked but not stored: no output reads it.
 
-    A NamedTuple, not a frozen dataclass: a trace builds one per line, and a
-    tuple is built in one call where a frozen dataclass pays an
+    Records are built only for ``load_trace``'s list form and for the lines
+    fingerprint keeps (those to a reported IP); a ``load_trace`` consumer
+    takes the fields in this order instead.  A NamedTuple, not a frozen
+    dataclass: a tuple is built in one call where a frozen dataclass pays an
     ``object.__setattr__`` per field.  Tuples also compare field by field:
     a sort without a ``key`` would order records by every field and raise
     on a None domain beside a str, so never sort records without one.

@@ -48,16 +48,23 @@ class SpoofSignal:
 
 def _query_values(url: str, keys: tuple[str, ...]) -> dict[str, list[str]]:
     """Every value of each of ``keys`` in the URL's query, in order and
-    percent-decoded once; a key that is absent has no entry.  parse_qsl can
-    only yield a key the query does not spell by decoding a '%' or a '+', so
-    an empty query, or one with neither and with none of ``keys``, is not
-    parsed."""
+    percent-decoded once, as ``parse_qsl(query, keep_blank_values=True)``
+    gives them; a key that is absent has no entry.  parse_qsl can only yield
+    a key the query does not spell by decoding a '%' or a '+', so a query
+    with neither and with none of ``keys`` is not parsed; with neither, it
+    has nothing to decode, so splitting on '&' and then at the first '=',
+    skipping empty pairs, is all it does."""
     query = url_query(url)
     found: dict[str, list[str]] = {}
-    if query and ("%" in query or "+" in query or any(key in query for key in keys)):
-        for key, val in parse_qsl(query, keep_blank_values=True):
-            if key in keys:
-                found.setdefault(key, []).append(val)
+    if "%" in query or "+" in query:
+        pairs = parse_qsl(query, keep_blank_values=True)
+    elif any(key in query for key in keys):
+        pairs = (pair.partition("=")[::2] for pair in query.split("&") if pair)
+    else:
+        return found
+    for key, val in pairs:
+        if key in keys:
+            found.setdefault(key, []).append(val)
     return found
 
 

@@ -41,7 +41,7 @@ def window_tally(records, window=WINDOW):
     ``launderscan detect --window`` tallies a trace's http records."""
     tallies = WindowTallies([window])
     for rec in records:
-        tallies(rec)
+        tallies(*rec)
     return tallies.per_window([window])[0]
 
 

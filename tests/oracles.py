@@ -24,6 +24,15 @@ from launderscan.detector import (
 from launderscan.model import DAY_MS
 
 
+def url_host_split(url):
+    """``model.url_host`` written with ``str.split``, as it was before it
+    took ``partition``."""
+    scheme, sep, rest = url.partition("://")
+    if not scheme or not sep:
+        return ""
+    return rest.split("/", 1)[0].split("?", 1)[0].split("#", 1)[0].rpartition("@")[2]
+
+
 def followthrough_index(trace):
     """One machine's request times per (server IP, domain), read from its
     trace sorted by timestamp, so each list is sorted too."""

@@ -338,7 +338,7 @@ def _detect_reads(n):
     cfg = DetectorConfig(flag_threshold=2)
     tallies = WindowTallies()
     for rec in records:
-        tallies(rec)
+        tallies(*rec)
     windows = _windows(tallies.day_span())
     assert len(windows) == days
     flagged = 0
@@ -432,7 +432,7 @@ def test_permutation_invariance():
     def reports(recs):
         tallies = WindowTallies()
         for rec in recs:
-            tallies(rec)
+            tallies(*rec)
         windows = _windows(tallies.day_span())
         assert len(windows) == 3
         return [detect(tally, table, ranking, malware, cfg, w).to_json_dict()

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -161,6 +162,17 @@ def test_extract_features_flags():
     records += [_rec(f"http://li.zulilycom/{i}", "5.5.5.5") for i in range(4)]
     prof = extract_features([det], records, SUFFIX)[0]
     assert FLAG_MALFORMED not in prof.signature_flags
+
+
+def test_malformed_rule_runs_once_per_distinct_domain():
+    """extract_features checks each distinct domain once, however many of
+    the IP's records carry it."""
+    records = [_rec(f"http://a.com/{i}", "5.5.5.5") for i in range(94)]
+    records += [_rec(f"http://li.zulilycom/{i}", "5.5.5.5") for i in range(6)]
+    with mock.patch("launderscan.fingerprint.is_malformed_domain", wraps=is_malformed_domain) as check:
+        prof = extract_features([_detection()], records, SUFFIX)[0]
+    assert FLAG_MALFORMED in prof.signature_flags
+    assert sorted(c.args[0] for c in check.call_args_list) == ["a.com", "li.zulilycom"]
 
 
 def test_extract_features_repeat_cycle_and_counts():

@@ -158,6 +158,10 @@ EQUIVALENCE_LINES = [
     '{"ts": 5, "machine": "m1", "url": "http://a.com/", "ip": "1.2.3.4"} x',
     '{"ts": 5, "machine": "m1", "url": "http://a\x01.com/", "ip": "1.2.3.4"}',
     "",
+    # JSON whitespace, which orjson takes unstripped, and other whitespace,
+    # which only strip() drops
+    *(ws + _http_line() for ws in (" ", "\t", "\r", "\x0c", "\xa0", "\x85", "\u2028")),
+    *(_http_line() + ws for ws in (" ", "\t", "\r", "\x0c", "\xa0", "\x85", "\u2028")),
 ]
 EQUIVALENCE_BYTES = [
     *(line.encode("utf-8", "surrogatepass") for line in EQUIVALENCE_LINES),
@@ -227,9 +231,13 @@ def test_orjson_decode_loads_what_json_loads(lines):
 @needs_orjson
 @pytest.mark.parametrize("line", EQUIVALENCE_BYTES, ids=range(len(EQUIVALENCE_BYTES)))
 def test_orjson_decode_loads_each_odd_line_as_json(line):
+    """From a file, and as a text line that no reader has split (a CR,
+    which the file reader ends a line at, stays in it)."""
     data = GOOD_HTTP + b"\n" + line + b"\n"
+    text = [GOOD_HTTP.decode(), line.decode("utf-8", "surrogateescape")]
     for strict in (False, True):
         assert _outcome(data, strict, True) == _outcome(data, strict, False)
+        assert _outcome(text, strict, True) == _outcome(text, strict, False)
 
 
 @needs_orjson
@@ -263,8 +271,8 @@ def test_kinds_keep_only_their_records_and_every_skip(lines, with_orjson):
     """Each list equals the records of every line loaded on its own,
     concatenated in file order and then stable-sorted by timestamp, for each
     ``kinds``, lenient and (unless it aborts) strict.  With a consumer, the
-    http list stays empty and the consumer gets those http records in file
-    order, unsorted; the other lists and the skips do not change."""
+    http list stays empty and the consumer gets those http records' fields
+    in file order, unsorted; the other lists and the skips do not change."""
     data = b"\n".join(lines) + b"\n"
     full = _outcome(data, False, with_orjson)
     for kinds in [RECORD_KINDS, (), ("http",), ("impression", "pageview"), ("impression",), ("pageview",)]:
@@ -284,7 +292,8 @@ def test_kinds_keep_only_their_records_and_every_skip(lines, with_orjson):
         in_file_order = [rec for got in per_line for rec in got[0]]
         for strict_mode, outcome in ((False, full), (True, strict)):
             streamed = []
-            got = _outcome(data, strict_mode, with_orjson, kinds, streamed.append)
+            got = _outcome(data, strict_mode, with_orjson, kinds,
+                           lambda *fields: streamed.append(fields))
             if outcome[0] == "abort":
                 assert got == outcome
                 continue

@@ -8,8 +8,11 @@ from launderscan.model import (
     PublicSuffixSet,
     is_malformed_domain,
     normalize_domain,
+    url_host,
     url_query,
 )
+
+from oracles import url_host_split
 
 BUILTIN = PublicSuffixSet.builtin()
 TINY = PublicSuffixSet(frozenset({"com", "co.uk", "net"}))
@@ -161,3 +164,14 @@ def test_url_query_matches_urlsplit_and_never_raises(prefix, rest):
     except ValueError:
         return
     assert query == expected
+
+
+@settings(max_examples=1_000, deadline=None)
+@given(st.sampled_from(("", "http://", "://", "a:", "a://", " http://")),
+       st.text(alphabet="ab1.:/?#@%\t ", max_size=24))
+@example("http://", "u@a.com:80/p?q=http://b.com/#f")
+@example("http://", "a.com#x/y?z")
+@example("http://", "@/")
+def test_url_host_matches_the_split_form(prefix, rest):
+    url = prefix + rest
+    assert url_host(url) == url_host_split(url)

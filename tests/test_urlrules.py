@@ -17,6 +17,8 @@ from launderscan.model import (
     url_query,
 )
 from launderscan.urlrules import (
+    LAND_IP_KEY,
+    SPOOF_DOMAIN_KEY,
     EmptyFingerprintError,
     EnvFingerprint,
     MalformedSignalError,
@@ -25,6 +27,7 @@ from launderscan.urlrules import (
     classify_env,
     sibling_referrer_consistency,
     verify_spoof_followthrough,
+    _query_values,
 )
 
 from oracles import followthrough_index
@@ -138,6 +141,30 @@ ROOTLESS = PublicSuffixSet.from_lines(["com"])  # no co.uk: a second suffix set 
 def test_spoof_query_matches_unshortcut_oracle(url, suffix):
     """The URL pre-test and the memoised value checks change no outcome."""
     assert _spoof_outcome(url, suffix) == _spoof_oracle(url, suffix)
+
+
+_QUERY_PIECES = st.sampled_from([
+    "&", "=", ";", "%", "+", "\t", "spoof_domain", "land_ip", "ref", "referrer",
+    "spoof", "_domain", "land", "_ip", "re", "ferrer", "%5F", "%3D", "%26", "a.com", "1.2.3.4",
+])
+# the rules' key sets: the spoof keys, --referrer-param values, and an empty one
+_QUERY_KEYS = st.sampled_from([(SPOOF_DOMAIN_KEY, LAND_IP_KEY), ("ref",), ("referrer",), ("",)])
+
+
+@settings(max_examples=1_000, deadline=None)
+@given(st.lists(_QUERY_PIECES | st.text(max_size=2), max_size=12).map("".join), _QUERY_KEYS)
+@example("spoof_domain=a=b&&land_ip&spoof_domain=", (SPOOF_DOMAIN_KEY, LAND_IP_KEY))
+@example("ref=a.com;ref=b.com&ref", ("ref",))
+@example("=a.com&&=&x", ("",))
+def test_query_values_match_parse_qsl(query, keys):
+    """A query with neither '%' nor '+', split without parse_qsl, gives
+    each key's values as parse_qsl does."""
+    url = "http://x.tld/ad?" + query
+    want: dict[str, list[str]] = {}
+    for key, val in parse_qsl(url_query(url), keep_blank_values=True):
+        if key in keys:
+            want.setdefault(key, []).append(val)
+    assert _query_values(url, keys) == want
 
 
 def _rec(ts, url, ip, machine="m1"):
