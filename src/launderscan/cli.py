@@ -40,7 +40,7 @@ from .ingest import (
     load_ranked_domains,
     load_trace,
 )
-from .model import DAY_MS, HttpRecord, PublicSuffixSet
+from .model import DAY_MS, DomainEvent, HttpRecord, PublicSuffixSet
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
@@ -107,14 +107,12 @@ def _read_table(path: Path):
         yield line
 
 
-def _load_trace(args, suffix: PublicSuffixSet, kinds: tuple[str, ...], consumer=None):
-    """Parse ``--trace``, keeping the records of ``kinds`` or handing each
-    http record to ``consumer`` (exit 2 when it is missing, 3 on a
-    strict-mode abort)."""
+def _load_trace(args, suffix: PublicSuffixSet, **consumers):
+    """Parse ``--trace``, handing each record to its kind's consumer (exit 2
+    when it is missing, 3 on a strict-mode abort)."""
     path = _require(args.trace, "trace")
     with _parsing(path):
-        return load_trace(_read_lines(path), suffix, strict=args.strict, kinds=kinds,
-                          consumer=consumer)
+        return load_trace(_read_lines(path), suffix, strict=args.strict, **consumers)
 
 
 def _suffix_set(args) -> PublicSuffixSet:
@@ -232,7 +230,7 @@ def cmd_detect(args) -> int:
 
     windows = _windows(window)
     tallies = WindowTallies(windows)
-    loaded = _load_trace(args, suffix, ("http",), tallies)
+    loaded = _load_trace(args, suffix, http=tallies)
     with _parsing(ipmap_path):
         table, ipmap_skipped = load_ip_map(_read_table(ipmap_path), strict=args.strict)
     with _parsing(ranking_path):
@@ -350,7 +348,7 @@ def cmd_fingerprint(args) -> int:
         if kept is not None:
             kept.append(HttpRecord(ts, machine, proc, url, domain, ref, ip))
 
-    loaded = _load_trace(args, suffix, ("http",), keep)
+    loaded = _load_trace(args, suffix, http=keep)
     if pairs:
         if not hi:
             raise CmdError(EXIT_WINDOW_MISMATCH, "report has detections but trace has no records")
@@ -385,7 +383,11 @@ def cmd_panelscan(args) -> int:
         policy = pn.SessionPolicy(lookback_ms=args.lookback)
     window = _window(args.window)
     suffix = _suffix_set(args)
-    loaded = _load_trace(args, suffix, ("impression", "pageview"))
+    impressions: list[DomainEvent] = []
+    pageviews: list[DomainEvent] = []
+    loaded = _load_trace(args, suffix,
+                         impression=lambda *fields: impressions.append(DomainEvent(*fields)),
+                         pageview=lambda *fields: pageviews.append(DomainEvent(*fields)))
     if args.alias:
         alias_path = _require(args.alias, "alias groups")
         with _parsing(alias_path):
@@ -394,13 +396,13 @@ def cmd_panelscan(args) -> int:
 
     # A visit qualifies by its distance from the impression alone, so the
     # span only bounds which impressions count.
-    impressions = loaded.impressions
     span = window
     if span is None and impressions:
-        lo, hi = impressions[0].timestamp, impressions[-1].timestamp
+        lo = min(imp.timestamp for imp in impressions)
+        hi = max(imp.timestamp for imp in impressions)
         span = (lo - lo % DAY_MS, hi - hi % DAY_MS + DAY_MS)
     ads = pn.attributed_ads(impressions, *(span or (0, 0)))
-    visits = pn.publisher_visits(loaded.pageviews, policy)
+    visits = pn.publisher_visits(pageviews, policy)
     table = pn.misattribution_table(ads, visits)
     ranked = pn.rank_machines(table, args.min_ads)
     below_min_ads = sum(
@@ -511,7 +513,7 @@ def cmd_rules(args) -> int:
         if ref and ur.may_hold(url, param):
             groups.setdefault(ref, []).append(url)
 
-    loaded = _load_trace(args, suffix, ("http",), keep)
+    loaded = _load_trace(args, suffix, http=keep)
     findings: list[dict] = []
     verified = 0
     for machine in sorted(machines):

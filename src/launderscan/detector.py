@@ -129,11 +129,10 @@ def _requests(by_domain) -> int:
 
 @dataclass(slots=True)
 class DomainResolutionIndex:
-    """The domains each server IP resolved inside a window, each IP's ISP
-    (None when the ip map has none), and each IP's evidence per domain: what
-    its labels are read from."""
+    """The evidence of each server IP's requests for each domain it resolved
+    inside a window (candidates and flags read the domains, labels the
+    evidence), and each IP's ISP (None when the ip map has none)."""
 
-    by_ip: dict[str, set[str]] = field(default_factory=dict)
     ip_isp: dict[str, Optional[str]] = field(default_factory=dict)
     evidence: dict[str, dict[str, Evidence]] = field(default_factory=dict)
     records_seen: int = 0
@@ -144,14 +143,13 @@ class DomainResolutionIndex:
 def build_resolution_index(tally: WindowTally, table: IpAttributionTable) -> DomainResolutionIndex:
     """Index one window's domain→IP resolutions from its tally."""
     idx = DomainResolutionIndex(
-        by_ip={ip: set(doms) for ip, doms in tally.pairs.items()},
         evidence=tally.pairs,
         records_seen=_requests(tally.pairs.values()),
         skipped_out_of_window=tally.out_of_window,
         bad_domain_records=tally.bad_domain_records,
     )
     # one batch ISP resolution over the distinct IPs
-    ips = list(idx.by_ip)
+    ips = list(idx.evidence)
     idx.ip_isp = dict(zip(ips, table.lookup_batch(ips)))
     return idx
 
@@ -167,9 +165,9 @@ def candidate_domains(
     high_value = ranking.high_value_at(cfg.high_value_cutoff)
     ip_counts: Counter = Counter()
     isps: dict[str, set[str]] = {}
-    for ip, doms in index.by_ip.items():
+    for ip, doms in index.evidence.items():
         isp = index.ip_isp[ip]
-        for dom in doms & high_value:
+        for dom in high_value.intersection(doms):
             ip_counts[dom] += 1
             if isp is not None:
                 isps.setdefault(dom, set()).add(isp)
@@ -187,13 +185,13 @@ def flag_pairs(
     """(ip, isp) pairs whose IP served >= flag_threshold candidate domains.
     IPs without a known ISP are never flagged."""
     flagged = {}
-    for ip, doms in index.by_ip.items():
+    for ip, doms in index.evidence.items():
         isp = index.ip_isp.get(ip)
         if isp is None:
             continue
-        hits = doms & candidates
+        hits = candidates.intersection(doms)
         if len(hits) >= cfg.flag_threshold:
-            flagged[(ip, isp)] = frozenset(hits)
+            flagged[(ip, isp)] = hits
     return flagged
 
 
@@ -310,7 +308,7 @@ def detect(
         "records_seen": index.records_seen,
         "out_of_window": index.skipped_out_of_window,
         "bad_domain_records": index.bad_domain_records,
-        "distinct_ips": len(index.by_ip),
+        "distinct_ips": len(index.evidence),
         "unknown_isp_ips": len(unknown_isp_ips),
         "unknown_isp_records": _requests(index.evidence[ip] for ip in unknown_isp_ips),
         "candidate_domains": len(cands),

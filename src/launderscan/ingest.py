@@ -2,15 +2,15 @@
 interleave http, impression, and pageview records via a "kind" field),
 CIDR→ISP maps, ranked domain lists, malware process lists, and alias groups.
 
-All loaders are single-pass.  ``load_trace`` can also hand each http line's
-fields to a consumer as it reads it, in file order, building no record and
-keeping none: detect, fingerprint and rules fold the trace that way.  By
-default a loader skips bad lines and counts them by reason (``Skips``); in
-strict mode the first bad line raises ParseAbortError.  ``load_trace``
-parses or skips every line, a blank one included, so skipped + parsed =
-``total_lines``.  The table loaders drop '#' comments and blank lines
-uncounted (``model.content_lines``), and then ``load_ip_map`` parses or
-skips each line left (a repeated prefix replaces the earlier one),
+All loaders are single-pass.  ``load_trace`` builds and keeps no record: it
+hands each valid record's fields to its kind's consumer as it reads it, in
+file order, so each subcommand folds the trace into only what its output
+reads.  By default a loader skips bad lines and counts them by reason
+(``Skips``); in strict mode the first bad line raises ParseAbortError.
+``load_trace`` parses or skips every line, a blank one included, so skipped
++ parsed = ``total_lines``.  The table loaders drop '#' comments and blank
+lines uncounted (``model.content_lines``), and then ``load_ip_map`` parses
+or skips each line left (a repeated prefix replaces the earlier one),
 ``load_ranked_domains`` also drops a repeated domain uncounted,
 ``load_malware_list`` skips nothing, and ``load_alias_groups`` raises on a
 bad line in either mode and drops a line with no domain.
@@ -21,13 +21,10 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Callable, Collection, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .ipattr import IpAttributionTable
 from .model import (
-    DomainEvent,
-    HttpRecord,
     InvalidDomainError,
     PublicSuffixSet,
     canonical_isp,
@@ -98,74 +95,49 @@ def decode_line(line: str):
     return obj
 
 
-def record_domain(url: str, suffix: PublicSuffixSet) -> Optional[str]:
-    """The domain an http record's URL resolves to (``HttpRecord.domain``);
-    None when its host does not normalize."""
-    try:
-        return normalize_domain(url_host(url), suffix)
-    except InvalidDomainError:
-        return None
-
-
 @dataclass(slots=True)
 class LoadResult:
-    http: list[HttpRecord] = field(default_factory=list)
-    impressions: list[DomainEvent] = field(default_factory=list)
-    pageviews: list[DomainEvent] = field(default_factory=list)
     skipped: Skips = field(default_factory=Skips)
     total_lines: int = 0
-
-
-RECORD_KINDS = ("http", "impression", "pageview")
 
 
 def load_trace(
     lines: Iterable[str],
     suffix: PublicSuffixSet,
     strict: bool = False,
-    kinds: Collection[str] = RECORD_KINDS,
-    consumer: Optional[Callable[..., object]] = None,
+    http: Optional[Callable[..., object]] = None,
+    impression: Optional[Callable[..., object]] = None,
+    pageview: Optional[Callable[..., object]] = None,
 ) -> LoadResult:
-    """Parse a JSON-lines trace into typed records, each list in time order,
-    stable (equal timestamps keep file order); the trace need not be sorted.
-
-    With a ``consumer``, each http line is passed to it as it is read, in
-    file order, as ``consumer(ts, machine, proc, url, domain, ref, ip)``, in
-    ``HttpRecord``'s field order.  No record is built or kept: ``http`` stays
-    empty, so a caller that folds the lines as they stream holds only what it
-    keeps.  Without one, each line's fields become an ``HttpRecord`` in
-    ``http``.
+    """Parse a JSON-lines trace, handing each valid record's fields to its
+    kind's consumer as the line is read, in file order; the trace need not
+    be sorted.  An http record is passed as ``http(ts, machine, proc, url,
+    domain, ref, ip)``, in ``model.HttpRecord``'s field order, where
+    ``domain`` is the URL host's ``normalize_domain``, or None when it does
+    not normalize.  An impression is passed as ``impression(ts, machine,
+    domain)`` and a page view as ``pageview(ts, machine, domain)``, in
+    ``model.DomainEvent``'s field order.  A line whose kind has no consumer
+    is still decoded, checked and counted, so the skips, ``total_lines`` and
+    a strict abort do not depend on which consumers are given; only an http
+    line's host normalization is not made.
 
     An http line's ``method``, ``status`` and ``ua`` are checked (a string;
-    an int or absent; a string or absent) but not stored, and an
+    an int or absent; a string or absent) but not passed on, and an
     impression's ``account`` is neither: no analysis reads them.
     ``attr_domain`` and ``pub_domain`` load only from a string that
-    normalizes.  Each distinct value is checked once and stored
-    once, however many lines repeat it: an IP string is validated once, a
-    URL host, attr_domain or pub_domain is normalized once, and every record
-    (or consumer call) gets the first ``str`` object seen for its machine,
-    process, IP and referrer.
-
-    Only records of ``kinds`` are kept.  A line of another kind is still
-    decoded, checked and counted, so the skips, ``total_lines`` and a strict
-    abort do not depend on ``kinds``; only its record, and an http line's
-    host normalization, are not made.
+    normalizes.  Each distinct value is checked once, however many lines
+    repeat it: an IP string is validated once, a URL host, attr_domain or
+    pub_domain is normalized once, and every consumer call gets the first
+    ``str`` object seen for its machine, process, IP and referrer.
 
     When orjson is installed it decodes a line whose value it must give as
     ``json`` does (see the loop); every other line takes ``decode_line``.
-    The cyclic garbage collector is paused while the trace loads: the
-    records form no cycles, so its passes would only walk live objects.
+    The cyclic garbage collector is paused while the trace loads: what the
+    consumers keep forms no cycles, so its passes would only walk live
+    objects.
     """
-    keep_http, keep_impression, keep_pageview = (kind in kinds for kind in RECORD_KINDS)
     out = LoadResult(skipped=Skips(strict))
-    if consumer is None:
-        append = out.http.append
-
-        def consumer(*fields):
-            append(HttpRecord(*fields))
-
-    # name -> normalize_domain(name), None when it does not normalize; a URL
-    # host maps to what ``record_domain`` gives for its URL
+    # name -> normalize_domain(name), None when it does not normalize
     domains: dict[str, Optional[str]] = {}
     # ip -> its first str object when is_valid_ipv4(ip), else None
     ips: dict[str, Optional[str]] = {}
@@ -264,29 +236,27 @@ def load_trace(
                        else None)
                 if bad:
                     skip(line_no, f"bad {bad}")
-                elif keep_http:
+                elif http is not None:
                     dom = domains.get(host, missing)
                     if dom is missing:
                         dom = domain_of(host)
-                    consumer(ts, shared(machine, machine), shared(proc, proc), url, dom,
-                             None if ref is None else shared(ref, ref), ip)
+                    http(ts, shared(machine, machine), shared(proc, proc), url, dom,
+                         None if ref is None else shared(ref, ref), ip)
             elif kind == "impression":
                 dom = domain_of(obj.get("attr_domain"))
                 if dom is None:
                     skip(line_no, "bad attr_domain")
-                elif keep_impression:
-                    out.impressions.append(DomainEvent(ts, shared(machine, machine), dom))
+                elif impression is not None:
+                    impression(ts, shared(machine, machine), dom)
             elif kind == "pageview":
                 dom = domain_of(obj.get("pub_domain"))
                 if dom is None:
                     skip(line_no, "bad pub_domain")
-                elif keep_pageview:
-                    out.pageviews.append(DomainEvent(ts, shared(machine, machine), dom))
+                elif pageview is not None:
+                    pageview(ts, shared(machine, machine), dom)
             else:
                 skip(line_no, "bad kind")
         out.total_lines = line_no
-        for records in (out.http, out.impressions, out.pageviews):
-            records.sort(key=attrgetter("timestamp"))
     finally:
         if gc_was_enabled:
             gc.enable()

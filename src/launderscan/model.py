@@ -143,17 +143,14 @@ class HttpRecord(NamedTuple):
     """One client-side HTTP(S) event from a panel trace.
 
     ``process_name`` is kept verbatim: empty and whitespace-only names are
-    distinct, deliberate signals.  ``domain`` is the URL's domain, as
-    ``ingest.record_domain`` gives it; None when the host does not normalize.
-    ``ingest.load_trace`` normalizes each distinct host once and shares the
-    result, and records it loads share one ``str`` object per distinct
-    machine, process, server IP and referrer value.  The trace line's user
-    agent is checked but not stored: no output reads it.
+    distinct, deliberate signals.  ``domain`` is the URL host's
+    ``normalize_domain``; None when the host does not normalize.  The trace
+    line's user agent is checked but not stored: no output reads it.
 
-    Records are built only for ``load_trace``'s list form and for the lines
-    fingerprint keeps (those to a reported IP); a ``load_trace`` consumer
-    takes the fields in this order instead.  A NamedTuple, not a frozen
-    dataclass: a tuple is built in one call where a frozen dataclass pays an
+    ``ingest.load_trace`` passes an http line's fields to its consumer in
+    this order; fingerprint builds a record only for each line it keeps
+    (those to a reported IP).  A NamedTuple, not a frozen dataclass: a tuple
+    is built in one call where a frozen dataclass pays an
     ``object.__setattr__`` per field.  Tuples also compare field by field:
     a sort without a ``key`` would order records by every field and raise
     on a None domain beside a str, so never sort records without one.
@@ -170,8 +167,9 @@ class HttpRecord(NamedTuple):
 
 class DomainEvent(NamedTuple):
     """A machine met a domain at a time: an ad impression attributed to the
-    domain (``LoadResult.impressions``) or a page view of it
-    (``LoadResult.pageviews``).  Panel reconciliation compares the two.
+    domain or a page view of it, built by panelscan from the fields
+    ``ingest.load_trace`` passes its impression and pageview consumers.
+    Panel reconciliation compares the two.
 
     A NamedTuple for the reason HttpRecord is one; never sort events
     without a ``key``.

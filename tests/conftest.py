@@ -9,17 +9,17 @@ from launderscan import synthgen as sg
 from launderscan.detector import WindowTallies
 from launderscan.ingest import (
     AliasGroups,
-    LoadResult,
     MalwareProcessList,
     RankedDomainList,
     load_alias_groups,
     load_ip_map,
     load_malware_list,
     load_ranked_domains,
-    load_trace,
 )
 from launderscan.ipattr import IpAttributionTable
 from launderscan.model import DAY_MS, PublicSuffixSet
+
+from oracles import Records, load_records
 
 DAY0 = sg.EPOCH_MS
 WINDOW = (DAY0, DAY0 + DAY_MS)
@@ -32,7 +32,7 @@ SMALL_SCENARIO = sg.Scenario(
 
 
 def parsed_count(result) -> int:
-    """Records a ``LoadResult`` holds, of every kind."""
+    """Records a ``Records`` holds, of every kind."""
     return len(result.http) + len(result.impressions) + len(result.pageviews)
 
 
@@ -79,7 +79,7 @@ def u32_to_ip(v: int) -> str:
 @dataclass
 class Corpus:
     lines: list[str]  # trace.jsonl's lines, which truth.record_labels indexes
-    trace: LoadResult
+    trace: Records
     truth: sg.GroundTruth
     table: IpAttributionTable
     ranking: RankedDomainList
@@ -97,7 +97,7 @@ def emitted_corpus(scenario: sg.Scenario, out: Path) -> Corpus:
     ranking, _ = load_ranked_domains(cli._read_table(out / "ranking.txt"), suffix, strict=True)
     return Corpus(
         lines=(out / "trace.jsonl").read_text("utf-8").splitlines(),
-        trace=load_trace(cli._read_lines(out / "trace.jsonl"), suffix, strict=True),
+        trace=load_records(cli._read_lines(out / "trace.jsonl"), suffix, strict=True),
         truth=truth_from_json(json.loads((out / "truth.json").read_text("utf-8"))),
         table=table,
         ranking=ranking,

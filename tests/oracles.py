@@ -1,12 +1,13 @@
-"""Record-based oracles: what detect, fingerprint and rules computed from a
-trace held as one time-ordered record list, before each stage folded the
-records as they streamed and kept only what its output reads.  Hypothesis
-tests hold each stage's output to these."""
+"""Record-based oracles: a trace loaded into one time-ordered record list
+per kind, and what detect, fingerprint and rules computed from such lists
+before each stage folded the records as they streamed and kept only what its
+output reads.  Hypothesis tests hold each stage's output to these."""
 
 import dataclasses
 from bisect import bisect_left
 from collections import Counter
 from operator import attrgetter
+from typing import Iterable, NamedTuple, Optional
 
 from launderscan import fingerprint as fp
 from launderscan import urlrules as ur
@@ -21,7 +22,49 @@ from launderscan.detector import (
     candidate_domains,
     flag_pairs,
 )
-from launderscan.model import DAY_MS
+from launderscan.ingest import Skips, load_trace
+from launderscan.model import (
+    DAY_MS,
+    DomainEvent,
+    HttpRecord,
+    InvalidDomainError,
+    PublicSuffixSet,
+    normalize_domain,
+    url_host,
+)
+
+
+class Records(NamedTuple):
+    """A trace's records of each kind, each list in time order, and its
+    skips and line count."""
+
+    http: list[HttpRecord]
+    impressions: list[DomainEvent]
+    pageviews: list[DomainEvent]
+    skipped: Skips
+    total_lines: int
+
+
+def load_records(lines: Iterable[str], suffix: PublicSuffixSet, strict: bool = False) -> Records:
+    """``load_trace``'s records of every kind, each list stable-sorted by
+    timestamp (equal timestamps keep file order)."""
+    http, impressions, pageviews = [], [], []
+    result = load_trace(lines, suffix, strict,
+                        http=lambda *fields: http.append(HttpRecord(*fields)),
+                        impression=lambda *fields: impressions.append(DomainEvent(*fields)),
+                        pageview=lambda *fields: pageviews.append(DomainEvent(*fields)))
+    key = attrgetter("timestamp")
+    return Records(sorted(http, key=key), sorted(impressions, key=key),
+                   sorted(pageviews, key=key), result.skipped, result.total_lines)
+
+
+def record_domain(url: str, suffix: PublicSuffixSet) -> Optional[str]:
+    """The domain an http record's URL resolves to (``HttpRecord.domain``);
+    None when its host does not normalize."""
+    try:
+        return normalize_domain(url_host(url), suffix)
+    except InvalidDomainError:
+        return None
 
 
 def url_host_split(url):
@@ -66,8 +109,9 @@ def detect_records(records, table, ranking, malware, cfg, window) -> DetectionRe
             continue
         index.records_seen += 1
         ip_records.setdefault(rec.server_ip, []).append(rec)
-        index.by_ip.setdefault(rec.server_ip, set()).add(rec.domain)
-    ips = list(index.by_ip)
+        # candidates and flags read only the domains; labels come from records
+        index.evidence.setdefault(rec.server_ip, {})[rec.domain] = None
+    ips = list(index.evidence)
     index.ip_isp = dict(zip(ips, table.lookup_batch(ips)))
     cands = candidate_domains(index, ranking, cfg)
     flagged = flag_pairs(index, cands, cfg)
@@ -93,7 +137,7 @@ def detect_records(records, table, ranking, malware, cfg, window) -> DetectionRe
         "records_seen": index.records_seen,
         "out_of_window": index.skipped_out_of_window,
         "bad_domain_records": index.bad_domain_records,
-        "distinct_ips": len(index.by_ip),
+        "distinct_ips": len(index.evidence),
         "unknown_isp_ips": len(unknown),
         "unknown_isp_records": sum(len(ip_records[ip]) for ip in unknown),
         "candidate_domains": len(cands),

@@ -35,7 +35,6 @@ from launderscan.ingest import (
     load_ip_map,
     load_malware_list,
     load_ranked_domains,
-    load_trace,
 )
 from launderscan.ipattr import IpAttributionTable
 from launderscan.model import DAY_MS, PublicSuffixSet
@@ -54,7 +53,7 @@ from launderscan.urlrules import (
 )
 
 from conftest import DAY0, WINDOW, emitted_corpus, truth_from_json, u32_to_ip, window_tally
-from oracles import followthrough_index
+from oracles import followthrough_index, load_records
 
 SUFFIX = PublicSuffixSet.builtin()
 HOUR_MS = 3_600_000
@@ -80,7 +79,7 @@ def big_run(big_dir):
     invocation does: load everything, detect over the one-day window."""
     t0 = time.monotonic()
     with open(big_dir / "trace.jsonl", "r", encoding="utf-8") as fh:
-        loaded = load_trace(fh, SUFFIX)
+        loaded = load_records(fh, SUFFIX)
     with open(big_dir / "ipmap.csv", "r", encoding="utf-8") as fh:
         table, _ = load_ip_map(fh)
     with open(big_dir / "ranking.txt", "r", encoding="utf-8") as fh:
@@ -114,7 +113,7 @@ def test_criterion_1_recall_precision_runtime(big_run):
     eligible = {
         (ip, isp)
         for ip, isp in planted
-        if len(index.by_ip.get(ip, set()) & cands) >= 20
+        if len(index.evidence.get(ip, {}).keys() & cands) >= 20
     }
     flagged = {(d.ip, d.isp) for d in report.detections}
     records_total = big_run["loaded"].total_lines

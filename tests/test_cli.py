@@ -20,6 +20,12 @@ from launderscan.model import DAY_MS
 from conftest import DAY0
 
 
+def _csv_rows(path: Path) -> list[list[str]]:
+    """A CSV file's rows, read as UTF-8."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
 @pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("scenario")
@@ -63,7 +69,7 @@ def test_detect_flags_planted_pairs(scenario_dir, tmp_path, capsys):
 def test_detect_csv_format(scenario_dir, tmp_path):
     report = tmp_path / "report.csv"
     assert main(_detect_args(scenario_dir, ["--out", str(report), "--format", "csv"])) == 0
-    rows = list(csv.reader(report.open()))
+    rows = _csv_rows(report)
     assert rows[0] == ["window_start", "window_end", "ip", "isp", "domain_count", "request_count", "label"]
     assert len(rows) == 41
 
@@ -154,7 +160,7 @@ def test_fingerprint_outputs(scenario_dir, tmp_path):
         ]
     )
     assert code == 0
-    rows = list(csv.reader((outdir / "profiles.csv").open()))
+    rows = _csv_rows(outdir / "profiles.csv")
     assert rows[0][:7] == ["label", "isps", "ips", "days_seen", "top2k_domains", "machines", "avg_daily_requests"]
     # hyphbot splits per ISP (4), the other four schemes group to one each
     assert len(rows) - 1 == 8
@@ -222,7 +228,7 @@ def test_panelscan_with_alias(scenario_dir, tmp_path):
     ranked = (outdir / "ranking.txt").read_text().splitlines()
     machines = {
         row[0]: (int(row[1]), int(row[2]))
-        for row in list(csv.reader((outdir / "machines.csv").open()))[1:]
+        for row in _csv_rows(outdir / "machines.csv")[1:]
     }
     # every background machine reconciles fully once aliases are honored
     for machine, (attributed, missing) in machines.items():
@@ -307,9 +313,9 @@ def test_multi_day_panelscan_matches_brute_force_oracle(tmp_path):
         outdir = tmp_path / f"panel{case}"
         assert main([*args, "--out", str(outdir)]) == 0, case
         machines, domains, missing = _oracle_panel(imps, pvs, alias, lookback, span)
-        rows = list(csv.reader((outdir / "machines.csv").open()))[1:]
+        rows = _csv_rows(outdir / "machines.csv")[1:]
         assert rows == [[m, str(a), str(n)] for m, (a, n) in sorted(machines.items())], case
-        rows = list(csv.reader((outdir / "domains.csv").open()))[1:]
+        rows = _csv_rows(outdir / "domains.csv")[1:]
         assert rows == [[d, str(a), str(n), f"{n / a:.4f}"] for d, (a, n) in sorted(domains.items())], case
         ranked = sorted((m for m, (a, _) in machines.items() if a >= min_ads),
                         key=lambda m: (-machines[m][1], -machines[m][0], m))
@@ -353,7 +359,7 @@ def test_readme_quick_start_chain(scenario_dir, tmp_path, capsys):
     for cmd in chain:
         assert main(cmd) == 0, cmd
     out = capsys.readouterr().out
-    profiles = list(csv.reader((tmp_path / "fp" / "profiles.csv").open()))
+    profiles = _csv_rows(tmp_path / "fp" / "profiles.csv")
     assert len(profiles) > 1
     hyphbot = json.loads((scenario_dir / "truth.json").read_text())["schemes"]["hyphbot"]["machines"]
     ranked = (tmp_path / "panel" / "ranking.txt").read_text().splitlines()
@@ -377,7 +383,7 @@ def test_non_ascii_digit_land_ip_is_a_malformed_signal(tmp_path):
     report.write_bytes(_report_bytes(window=[DAY0, DAY0 + DAY_MS]))
     assert main(["fingerprint", "--report", str(report), "--trace", str(trace),
                  "--out", str(tmp_path / "fp")]) == 0
-    profile = list(csv.reader((tmp_path / "fp" / "profiles.csv").open()))[1]
+    profile = _csv_rows(tmp_path / "fp" / "profiles.csv")[1]
     assert "SpoofQueryFields" in profile[7].split(";")
 
 
@@ -404,7 +410,7 @@ def test_urls_urlsplit_rejects_run_through_rules_and_fingerprint(tmp_path, url, 
     report.write_bytes(_report_bytes(window=[DAY0, DAY0 + DAY_MS]))
     assert main(["fingerprint", "--report", str(report), "--trace", str(trace),
                  "--out", str(tmp_path / "fp")]) == 0
-    profile = list(csv.reader((tmp_path / "fp" / "profiles.csv").open()))[1]
+    profile = _csv_rows(tmp_path / "fp" / "profiles.csv")[1]
     assert ("SpoofQueryFields" in profile[7].split(";")) == bool(findings)
 
 
@@ -505,7 +511,7 @@ def test_panelscan_reports_machines_below_min_ads(scenario_dir, tmp_path, capsys
     outdir = tmp_path / "panel"
     assert main(["panelscan", "--trace", str(scenario_dir / "trace.jsonl"), "--out", str(outdir)]) == 0
     out = capsys.readouterr().out
-    rows = list(csv.reader((outdir / "machines.csv").open()))[1:]
+    rows = _csv_rows(outdir / "machines.csv")[1:]
     below = sum(1 for _, attributed, missing in rows if int(missing) > 0 and int(attributed) < 25)
     assert below == 360
     assert "machines_ranked=0 below_min_ads=360 " in out
@@ -784,8 +790,7 @@ def test_fingerprint_names_schemes_by_their_first_member(tiny_inputs):
     trace, report = _two_window_inputs(tiny_inputs)
     out = tiny_inputs / "fp"
     assert main(["fingerprint", "--report", str(report), "--trace", str(trace), "--out", str(out)]) == 0
-    with open(out / "profiles.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _csv_rows(out / "profiles.csv")
     assert rows == [
         ["label", "isps", "ips", "days_seen", "top2k_domains", "machines", "avg_daily_requests", "flags",
          "first_member"],

@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from launderscan import cli
-from launderscan.ingest import load_trace
 from launderscan.model import BUILTIN_SUFFIXES, DAY_MS, PublicSuffixSet
 from launderscan.synthgen import EPOCH_MS
 
 from conftest import parsed_count
+from oracles import load_records
 
 EXIT_CODES = {0, 2, 3, 4}
 SAMPLE_STRIDE = 100  # every 100th line of the 43,605-line synth trace
@@ -191,5 +191,5 @@ def test_mutated_inputs_exit_with_a_documented_code(base, data):
                         == _files(Path(tmp) / "lenient" / name)), name
 
         with open(inputs / "trace.jsonl", encoding="utf-8", errors="surrogateescape") as fh:
-            loaded = load_trace(fh, PublicSuffixSet.from_lines(tables["suffixes.txt"]))
+            loaded = load_records(fh, PublicSuffixSet.from_lines(tables["suffixes.txt"]))
         assert parsed_count(loaded) + len(loaded.skipped) == loaded.total_lines == len(trace)

@@ -25,12 +25,12 @@ from launderscan.ingest import (
     RankedDomainList,
     load_ip_map,
     load_ranked_domains,
-    record_domain,
 )
 from launderscan.ipattr import IpAttributionTable
 from launderscan.model import DAY_MS, HttpRecord, PublicSuffixSet
 
 from conftest import DAY0, WINDOW, window_tally
+from oracles import record_domain
 
 SUFFIX = PublicSuffixSet.builtin()
 
@@ -63,14 +63,14 @@ def test_config_validation():
 def test_index_single_record():
     table, _ = load_ip_map(["1.2.3.0/24,A"])
     idx = build_resolution_index(window_tally([_rec("http://example.com/x", "1.2.3.4")]), table)
-    assert idx.by_ip == {"1.2.3.4": {"example.com"}}
+    assert {ip: set(doms) for ip, doms in idx.evidence.items()} == {"1.2.3.4": {"example.com"}}
     assert idx.ip_isp == {"1.2.3.4": "a"}
 
 
 def test_index_unknown_isp_still_indexed():
     table, _ = load_ip_map(["1.2.3.0/24,A"])
     idx = build_resolution_index(window_tally([_rec("http://example.com/x", "9.9.9.9")]), table)
-    assert idx.by_ip == {"9.9.9.9": {"example.com"}}
+    assert {ip: set(doms) for ip, doms in idx.evidence.items()} == {"9.9.9.9": {"example.com"}}
     assert idx.ip_isp == {"9.9.9.9": None}
 
 
@@ -105,7 +105,7 @@ def _index_from_pairs(pairs_by_domain, isp_of):
     idx = DomainResolutionIndex()
     for dom, ips in pairs_by_domain.items():
         for ip in ips:
-            idx.by_ip.setdefault(ip, set()).add(dom)
+            idx.evidence.setdefault(ip, {})[dom] = ({}, set())
             idx.ip_isp[ip] = isp_of.get(ip)
     return idx
 

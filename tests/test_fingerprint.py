@@ -20,11 +20,11 @@ from launderscan.fingerprint import (
     jaccard,
     jaccard_matrix,
 )
-from launderscan.ingest import record_domain
 from launderscan.model import DAY_MS, HttpRecord, PublicSuffixSet, is_malformed_domain
 from launderscan.urlrules import MalformedSignalError, check_spoof_query
 
 from conftest import DAY0, WINDOW, window_tally
+from oracles import record_domain
 
 SUFFIX = PublicSuffixSet.builtin()
 

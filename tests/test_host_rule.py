@@ -10,7 +10,6 @@ from hypothesis import example, given, strategies as st
 
 from launderscan.detector import Detection, build_resolution_index
 from launderscan.fingerprint import FLAG_MALFORMED, extract_features
-from launderscan.ingest import load_trace
 from launderscan.ipattr import IpAttributionTable
 from launderscan.model import PublicSuffixSet, normalize_domain, url_host
 from launderscan.urlrules import (
@@ -21,7 +20,7 @@ from launderscan.urlrules import (
 )
 
 from conftest import window_tally
-from oracles import followthrough_index
+from oracles import followthrough_index, load_records
 
 SUFFIX = PublicSuffixSet.builtin()
 IP = "10.1.2.3"
@@ -63,7 +62,7 @@ def test_url_host_examples(url, host):
 def _rec(url, ts=2_000):
     """The record ingest makes of one http line, domain included."""
     line = json.dumps({"ts": ts, "machine": "m1", "proc": "p", "url": url, "ip": IP})
-    (rec,) = load_trace([line], SUFFIX).http
+    (rec,) = load_records([line], SUFFIX).http
     return rec
 
 
@@ -86,7 +85,7 @@ def _answers(url: str, host: str):
     referrer = sibling_referrer_consistency(
         [f"http://ads.net/call?referrer={quote(url, safe='')}"], "referrer", SUFFIX
     )
-    return set().union(*index.by_ip.values()), FLAG_MALFORMED in profile.signature_flags, verified, referrer.values
+    return set().union(*index.evidence.values()), FLAG_MALFORMED in profile.signature_flags, verified, referrer.values
 
 
 @given(host=hosts, tail=st.sampled_from(TAILS), user=st.sampled_from(("", "user@")))

@@ -1,6 +1,6 @@
 """No module in src/launderscan imports a name it never uses, unless the
-import line says why with ``# noqa: F401``, and nothing it defines goes
-unreferenced."""
+import line says why with ``# noqa: F401``, nothing it defines goes
+unreferenced, and nothing it defines is read only by the tests."""
 
 import ast
 from pathlib import Path
@@ -81,11 +81,19 @@ def references(source: str) -> set[str]:
     return out
 
 
+def _references_in(*folders: Path) -> set[str]:
+    return set().union(*(references(path.read_text("utf-8"))
+                         for folder in folders for path in folder.glob("*.py")))
+
+
+def only_tests_read(source: str, program: set[str], tests: set[str]) -> list[str]:
+    """The names ``source`` defines that ``tests`` reference and ``program``
+    does not: test helpers living in the program."""
+    return [name for _, name in definitions(source) if name in tests and name not in program]
+
+
 def test_every_definition_is_referenced():
-    referenced = set()
-    for folder in (SRC, ROOT / "tests", ROOT / "chainbench"):
-        for path in folder.glob("*.py"):
-            referenced |= references(path.read_text("utf-8"))
+    referenced = _references_in(SRC, ROOT / "tests", ROOT / "chainbench")
     dead = [
         f"{path.name}:{line} {name}"
         for path in sorted(SRC.glob("*.py"))
@@ -110,3 +118,26 @@ def test_unreferenced_definition_is_found():
                                    (5, "Box"), (7, "grow"), (8, "shrink")]
     names = references(source)
     assert [name for _, name in definitions(source) if name not in names] == ["_cache", "unused"]
+
+
+def test_no_definition_is_referenced_only_from_tests():
+    program = _references_in(SRC, ROOT / "chainbench")
+    tests = _references_in(ROOT / "tests")
+    helpers = [
+        f"{path.name} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in only_tests_read(path.read_text("utf-8"), program, tests)
+    ]
+    assert helpers == []
+
+
+def test_definition_referenced_only_from_tests_is_found():
+    source = (
+        "def helper(): return 1\n"
+        "def run(): return helper()\n"
+        "def oracle(): return 2\n"
+        "def dead(): return 3\n"
+    )
+    program = references(source) | references("from m import run\nrun()\n")
+    tests = references("from m import oracle, run\nassert oracle() != run()\n")
+    assert only_tests_read(source, program, tests) == ["oracle"]

@@ -13,11 +13,11 @@ from launderscan.ingest import (
     load_ip_map,
     load_malware_list,
     load_ranked_domains,
-    load_trace,
 )
 from launderscan.model import PublicSuffixSet, url_host
 
 from conftest import parsed_count
+from oracles import load_records
 
 SUFFIX = PublicSuffixSet.builtin()
 
@@ -41,7 +41,7 @@ def _http_line(**over):
 
 def test_well_formed_trace_roundtrip():
     lines = [_http_line(ts=t) for t in (1, 2, 3)]
-    result = load_trace(lines, SUFFIX)
+    result = load_records(lines, SUFFIX)
     assert len(result.http) == 3
     assert not result.skipped
     assert result.http[0].process_name == "chrome.exe"
@@ -49,14 +49,14 @@ def test_well_formed_trace_roundtrip():
 
 
 def test_bad_ip_skipped_with_reason():
-    result = load_trace([_http_line(ip="999.1.1.1")], SUFFIX)
+    result = load_records([_http_line(ip="999.1.1.1")], SUFFIX)
     assert not result.http
     assert result.skipped.counts == {"bad ip": 1}
     assert result.skipped.first == (1, "bad ip")
 
 
 def test_empty_file():
-    result = load_trace([], SUFFIX)
+    result = load_records([], SUFFIX)
     assert parsed_count(result) == 0 and result.total_lines == 0
 
 
@@ -69,7 +69,7 @@ def test_mixed_kinds_and_default_kind():
         json.dumps({"ts": 7, "machine": "m2", "url": "http://a.net/x", "ip": "1.2.3.4"}),
         json.dumps({"ts": 8, "machine": "m2", "kind": "mystery"}),
     ]
-    result = load_trace(lines, SUFFIX)
+    result = load_records(lines, SUFFIX)
     assert len(result.http) == 2
     assert len(result.impressions) == 1
     assert len(result.pageviews) == 1
@@ -82,13 +82,13 @@ def test_mixed_kinds_and_default_kind():
 
 
 def test_whitespace_process_name_preserved():
-    result = load_trace([_http_line(proc="  ")], SUFFIX)
+    result = load_records([_http_line(proc="  ")], SUFFIX)
     assert result.http[0].process_name == "  "
 
 
 def test_strict_mode_aborts():
     with pytest.raises(ParseAbortError) as err:
-        load_trace(["not json"], SUFFIX, strict=True)
+        load_records(["not json"], SUFFIX, strict=True)
     assert err.value.line_no == 1
 
 
@@ -113,12 +113,12 @@ def test_strict_mode_aborts():
 )
 def test_wrongly_typed_http_fields_are_skipped(field, value):
     lines = [_http_line(), _http_line(**{field: value})]
-    result = load_trace(lines, SUFFIX)
+    result = load_records(lines, SUFFIX)
     assert len(result.http) == 1
     assert result.skipped.counts == {f"bad {field}": 1}
     assert parsed_count(result) + len(result.skipped) == result.total_lines
     with pytest.raises(ParseAbortError) as err:
-        load_trace(lines, SUFFIX, strict=True)
+        load_records(lines, SUFFIX, strict=True)
     assert (err.value.line_no, err.value.reason) == (2, f"bad {field}")
 
 
@@ -126,7 +126,7 @@ def test_wrongly_typed_http_fields_are_skipped(field, value):
 def test_impression_account_loads_as_given(account):
     line = json.dumps({"ts": 5, "machine": "m1", "kind": "impression",
                        "attr_domain": "a.com", "account": account})
-    result = load_trace([line], SUFFIX, strict=True)
+    result = load_records([line], SUFFIX, strict=True)
     assert len(result.impressions) == 1 and not result.skipped
 
 
@@ -136,11 +136,11 @@ def test_non_string_domain_fields_are_skipped(kind, key, value):
     """Only a JSON string names a domain: null, true, 7 and ["a.com"] are not
     the domains none, true, 7 and ['a.com']."""
     lines = [json.dumps({"ts": 5, "machine": "m1", "kind": kind, key: v}) for v in ("a.com", value)]
-    result = load_trace(lines, SUFFIX)
+    result = load_records(lines, SUFFIX)
     assert parsed_count(result) == 1
     assert result.skipped.counts == {f"bad {key}": 1}
     with pytest.raises(ParseAbortError) as err:
-        load_trace(lines, SUFFIX, strict=True)
+        load_records(lines, SUFFIX, strict=True)
     assert (err.value.line_no, err.value.reason) == (2, f"bad {key}")
 
 
@@ -186,9 +186,9 @@ def test_repeated_values_are_checked_once_and_shared(lines):
     normalize = ingest.normalize_domain
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "normalize_domain", counted)
-        whole = load_trace(lines, SUFFIX)
+        whole = load_records(lines, SUFFIX)
         whole_calls, calls[:] = list(calls), []
-        alone = [load_trace([line], SUFFIX) for line in lines]
+        alone = [load_records([line], SUFFIX) for line in lines]
 
     # the memos change no record and no skip
     for kind in ("http", "impressions", "pageviews"):
@@ -214,18 +214,18 @@ def test_bool_ts_skipped_for_every_kind():
         json.dumps({"ts": True, "machine": "m1", "kind": "impression", "attr_domain": "a.com"}),
         json.dumps({"ts": True, "machine": "m1", "kind": "pageview", "pub_domain": "a.com"}),
     ]
-    result = load_trace(lines, SUFFIX)
+    result = load_records(lines, SUFFIX)
     assert parsed_count(result) == 0
     assert result.skipped.counts == {"bad ts": 2}
 
 
 def test_ts_loads_up_to_the_last_millisecond_of_year_9999():
-    result = load_trace([_http_line(ts=MAX_TS_MS)], SUFFIX, strict=True)
+    result = load_records([_http_line(ts=MAX_TS_MS)], SUFFIX, strict=True)
     assert [r.timestamp for r in result.http] == [MAX_TS_MS]
 
 
 def test_null_ua_and_ref_still_load():
-    result = load_trace([_http_line(ua=None, ref=None)], SUFFIX)
+    result = load_records([_http_line(ua=None, ref=None)], SUFFIX)
     assert not result.skipped
     assert result.http[0].referrer is None
 
@@ -245,7 +245,7 @@ def test_skips_plus_parsed_equals_total():
             lines.append(_http_line(ts=-5))
         else:
             lines.append(json.dumps({"ts": i + 1, "machine": "m", "kind": "impression", "attr_domain": "a b"}))
-    result = load_trace(lines, SUFFIX)
+    result = load_records(lines, SUFFIX)
     assert parsed_count(result) + len(result.skipped) == result.total_lines == 200
 
 

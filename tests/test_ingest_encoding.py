@@ -1,14 +1,15 @@
 """Trace ingest on bytes that are not a well-formed trace: arbitrary bytes read
 through the CLI's reader never raise in lenient mode, every line is counted
 once, strict mode aborts at the first line lenient mode skips, and a line
-decodes exactly when json.loads accepts it.  The orjson decode and a narrowed
-``kinds`` change no record, skip or strict abort, and the records come in
-time order, stable."""
+decodes exactly when json.loads accepts it.  The orjson decode and the
+consumers given change no record, skip or strict abort, and the records come
+in file order."""
 
 import json
 import sys
 import tempfile
-from operator import attrgetter
+from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
 from unittest import mock
 
@@ -16,10 +17,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from launderscan.cli import _read_lines
-from launderscan.ingest import RECORD_KINDS, ParseAbortError, decode_line, load_trace
+from launderscan.ingest import ParseAbortError, decode_line, load_trace
 from launderscan.model import PublicSuffixSet
 
 from conftest import parsed_count
+from oracles import load_records
 
 GOOD_HTTP = b'{"ts": 5, "machine": "m1", "url": "http://a.com/x", "ip": "1.2.3.4"}'
 SAMPLE_LINES = [
@@ -36,7 +38,7 @@ def _load(data: bytes, strict: bool):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "trace.jsonl"
         path.write_bytes(data)
-        return load_trace(_read_lines(path), PublicSuffixSet.builtin(), strict=strict)
+        return load_records(_read_lines(path), PublicSuffixSet.builtin(), strict=strict)
 
 
 @settings(max_examples=300, deadline=None)
@@ -113,7 +115,7 @@ def test_decode_line_accepts_what_json_loads_accepts(text):
         assert json.dumps(got) == json.dumps(want)
 
 
-# -- the orjson decode and ``kinds`` leave every record and skip as they were
+# -- the orjson decode and the consumers given leave every record and skip as they were
 
 try:
     import orjson
@@ -197,21 +199,24 @@ def _text_lines(data: bytes) -> list[str]:
         return list(_read_lines(path))
 
 
-def _outcome(data: bytes | list[str], strict: bool, with_orjson: bool, kinds=RECORD_KINDS,
-             consumer=None):
+KINDS = ("http", "impression", "pageview")
+
+
+def _outcome(data: bytes | list[str], strict: bool, with_orjson: bool, kinds=KINDS):
     """What ``load_trace`` gives with its orjson decode on or off, from a
-    file's bytes or from its text lines: the strict abort, or the records and
-    skips."""
+    file's bytes or from its text lines, with a consumer for each of
+    ``kinds``: the strict abort, or the fields each kind's consumer got, in
+    the order it got them (none for a kind without one), and the skips."""
     lines = _text_lines(data) if isinstance(data, bytes) else data
     off = {} if with_orjson else {"orjson": None}  # a None entry fails the import
+    got = {kind: [] for kind in KINDS}
+    consumers = {kind: lambda *fields, keep=got[kind].append: keep(fields) for kind in kinds}
     try:
         with mock.patch.dict(sys.modules, off):
-            got = load_trace(lines, PublicSuffixSet.builtin(), strict=strict, kinds=kinds,
-                             consumer=consumer)
+            result = load_trace(lines, PublicSuffixSet.builtin(), strict=strict, **consumers)
     except ParseAbortError as err:
         return ("abort", err.line_no, err.reason)
-    return (got.http, got.impressions, got.pageviews, got.skipped.counts, got.skipped.first,
-            got.total_lines)
+    return (*got.values(), result.skipped.counts, result.skipped.first, result.total_lines)
 
 
 def _skips(outcome):
@@ -268,34 +273,26 @@ TIME_TIES = [
 @example(TIME_TIES, True)
 @example(TIME_TIES, False)
 def test_kinds_keep_only_their_records_and_every_skip(lines, with_orjson):
-    """Each list equals the records of every line loaded on its own,
-    concatenated in file order and then stable-sorted by timestamp, for each
-    ``kinds``, lenient and (unless it aborts) strict.  With a consumer, the
-    http list stays empty and the consumer gets those http records' fields
-    in file order, unsorted; the other lists and the skips do not change."""
+    """Each consumer gets the records of every line loaded on its own,
+    concatenated in file order, for every subset of the consumers, lenient
+    and (unless it aborts) strict; a kind with no consumer is passed
+    nothing, and the skips and line count do not change.  ``load_records``
+    stable-sorts those records by timestamp."""
     data = b"\n".join(lines) + b"\n"
     full = _outcome(data, False, with_orjson)
-    for kinds in [RECORD_KINDS, (), ("http",), ("impression", "pageview"), ("impression",), ("pageview",)]:
-        http, impressions, pageviews, *rest = _outcome(data, False, with_orjson, kinds)
-        assert rest == list(full[3:])
-        assert http == (full[0] if "http" in kinds else [])
-        assert impressions == (full[1] if "impression" in kinds else [])
-        assert pageviews == (full[2] if "pageview" in kinds else [])
-        strict = _outcome(data, True, with_orjson, kinds)
-        assert _skips(strict) == _skips(_outcome(data, True, with_orjson))
+    full_strict = _outcome(data, True, with_orjson)
+    for kinds in (c for n in range(len(KINDS) + 1) for c in combinations(KINDS, n)):
+        *records, counts, first, total = _outcome(data, False, with_orjson, kinds)
+        assert (counts, first, total) == full[3:]
         per_line = [_outcome([line], False, with_orjson, kinds) for line in _text_lines(data)]
-        want = [sorted((rec for got in per_line for rec in got[k]), key=attrgetter("timestamp"))
-                for k in range(3)]
-        assert [http, impressions, pageviews] == want
+        in_file_order = [[fields for got in per_line for fields in got[k]] for k in range(3)]
+        assert records == in_file_order
+        for k, kind in enumerate(KINDS):
+            assert records[k] == (full[k] if kind in kinds else [])
+        strict = _outcome(data, True, with_orjson, kinds)
+        assert _skips(strict) == _skips(full_strict)
         if strict[0] != "abort":
-            assert list(strict[:3]) == want
-        in_file_order = [rec for got in per_line for rec in got[0]]
-        for strict_mode, outcome in ((False, full), (True, strict)):
-            streamed = []
-            got = _outcome(data, strict_mode, with_orjson, kinds,
-                           lambda *fields: streamed.append(fields))
-            if outcome[0] == "abort":
-                assert got == outcome
-                continue
-            assert got[0] == [] and list(got[1:3]) == want[1:] and got[3:] == outcome[3:]
-            assert streamed == in_file_order
+            assert list(strict[:3]) == in_file_order
+    loaded = load_records(_text_lines(data), PublicSuffixSet.builtin())
+    assert [loaded.http, loaded.impressions, loaded.pageviews] == [
+        sorted(records, key=itemgetter(0)) for records in full[:3]]

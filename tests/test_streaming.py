@@ -16,11 +16,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from launderscan import cli
 from launderscan.detector import DetectorConfig
-from launderscan.ingest import MalwareProcessList, load_ip_map, load_ranked_domains, load_trace
+from launderscan.ingest import MalwareProcessList, load_ip_map, load_ranked_domains
 from launderscan.model import DAY_MS, PublicSuffixSet
 
 from conftest import DAY0
-from oracles import detect_records, fingerprint_records, record_windows, rules_records
+from oracles import detect_records, fingerprint_records, load_records, record_windows, rules_records
 
 SUFFIX = PublicSuffixSet.builtin()
 IPMAP = [f"10.0.{i}.0/24,isp{i % 3}" for i in range(6)]  # 10.0.6.1 and 10.0.7.1 have no ISP
@@ -93,7 +93,7 @@ def test_detect_equals_the_record_oracle(lines, window_arg):
             args += ["--window", window_arg]
         assert _run(args)[0] == 0
         got = json.loads((d / "report.json").read_text())["reports"]
-    records = load_trace(lines, SUFFIX).http
+    records = load_records(lines, SUFFIX).http
     table, _ = load_ip_map(IPMAP)
     ranking, _ = load_ranked_domains(DOMAINS, SUFFIX)
     malware = MalwareProcessList(frozenset({"adware_helper.exe"}))
@@ -136,7 +136,7 @@ def test_rules_equal_the_record_oracle(lines, param, horizon):
                 "--horizon", horizon, "--out", d / "findings.jsonl"]
         assert _run(argv)[0] == 0
         got = (d / "findings.jsonl").read_text().splitlines()
-    want = rules_records(load_trace(lines, SUFFIX).http, SUFFIX, horizon, param)
+    want = rules_records(load_records(lines, SUFFIX).http, SUFFIX, horizon, param)
     assert got == [json.dumps(f, sort_keys=True) for f in want]
 
 
@@ -174,7 +174,7 @@ def test_fingerprint_equals_the_record_oracle(lines, detections, agreement):
             rows = list(csv.reader(fh))
         jaccard = (d / "fp" / "jaccard.csv").read_text()
     want_rows, want_lines = fingerprint_records(
-        load_trace(lines, SUFFIX).http, cli._detections_from_report(report), SUFFIX, agreement)
+        load_records(lines, SUFFIX).http, cli._detections_from_report(report), SUFFIX, agreement)
     assert rows == [[str(c) for c in row] for row in want_rows]
     assert jaccard == "\n".join(want_lines) + "\n"
 

@@ -6,7 +6,6 @@ from urllib.parse import parse_qsl
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from launderscan.ingest import record_domain
 from launderscan.model import (
     HttpRecord,
     InvalidDomainError,
@@ -30,7 +29,7 @@ from launderscan.urlrules import (
     _query_values,
 )
 
-from oracles import followthrough_index
+from oracles import followthrough_index, record_domain
 
 SUFFIX = PublicSuffixSet.builtin()
 
