@@ -5,9 +5,9 @@ select candidate domains (high-reputation domains resolving to several IPs
 across at least two ISPs), flag (IP, ISP) pairs serving at least
 ``flag_threshold`` candidate domains, then label each flagged pair from the
 process names seen on its traffic.  No record is kept: ``WindowTallies``
-folds each http record, as the trace streams, into its window's tally of
-requests per process name and machines per (server IP, domain), and each
-stage reads those tallies.
+folds each http record, as the trace streams, into its window's
+``DomainResolutionIndex`` of requests per process name and machines per
+(server IP, domain), and each stage reads those indexes.
 """
 
 from __future__ import annotations
@@ -52,27 +52,32 @@ Evidence = tuple[dict[str, int], set[str]]
 
 
 @dataclass(slots=True)
-class WindowTally:
-    """What detect reads of one window's http records: the evidence of each
-    server IP's requests for each domain, and how many records had no
-    domain or fell outside the window."""
+class DomainResolutionIndex:
+    """One window's view of its http records: the evidence of each server
+    IP's requests for each domain it resolved (candidates and flags read the
+    domains, labels the evidence), each IP's ISP (None when the ip map has
+    none), and how many records had a domain, had none, or fell outside the
+    window."""
 
-    pairs: dict[str, dict[str, Evidence]] = field(default_factory=dict)
+    ip_isp: dict[str, Optional[str]] = field(default_factory=dict)
+    evidence: dict[str, dict[str, Evidence]] = field(default_factory=dict)
+    records_seen: int = 0
+    skipped_out_of_window: int = 0
     bad_domain_records: int = 0
-    out_of_window: int = 0
 
 
 class WindowTallies:
     """A ``load_trace`` consumer that tallies each http record's fields into
-    its window's ``WindowTally`` and keeps no record.  Given ``windows``
-    (sorted, each ending where the next starts), a record belongs to the one
-    that holds its timestamp, or to none; without, to its UTC day."""
+    its window's ``DomainResolutionIndex`` and keeps no record.  Given
+    ``windows`` (sorted, each ending where the next starts), a record belongs
+    to the one that holds its timestamp, or to none; without, to its UTC
+    day."""
 
     __slots__ = ("edges", "by_key", "outside")
 
     def __init__(self, windows: Sequence[tuple[int, int]] = ()):
         self.edges = [w[0] for w in windows] + [windows[-1][1]] if windows else None
-        self.by_key: dict[int, WindowTally] = {}  # window index, or UTC day
+        self.by_key: dict[int, DomainResolutionIndex] = {}  # window index, or UTC day
         self.outside = 0  # records in no window
 
     def __call__(self, ts: int, machine: str, proc: str, url: str, dom: Optional[str],
@@ -85,15 +90,15 @@ class WindowTallies:
         else:
             self.outside += 1
             return
-        tally = self.by_key.get(key)
-        if tally is None:
-            tally = self.by_key[key] = WindowTally()
+        index = self.by_key.get(key)
+        if index is None:
+            index = self.by_key[key] = DomainResolutionIndex()
         if dom is None:
-            tally.bad_domain_records += 1
+            index.bad_domain_records += 1
             return
-        doms = tally.pairs.get(ip)
+        doms = index.evidence.get(ip)
         if doms is None:
-            doms = tally.pairs[ip] = {}
+            doms = index.evidence[ip] = {}
         evidence = doms.get(dom)
         if evidence is None:
             evidence = doms[dom] = ({}, set())
@@ -108,16 +113,19 @@ class WindowTallies:
             return None
         return min(self.by_key) * DAY_MS, (max(self.by_key) + 1) * DAY_MS
 
-    def per_window(self, windows: Sequence[tuple[int, int]]) -> list[WindowTally]:
-        """The tally of each of ``windows``: those given at construction, or
-        UTC days.  Each counts every record outside it as out of window."""
-        total = self.outside + sum(
-            t.bad_domain_records + _requests(t.pairs.values()) for t in self.by_key.values())
+    def per_window(self, windows: Sequence[tuple[int, int]]) -> list[DomainResolutionIndex]:
+        """The index of each of ``windows``: those given at construction, or
+        UTC days, with its records counted.  Each counts every record outside
+        it as out of window."""
+        for index in self.by_key.values():
+            index.records_seen = _requests(index.evidence.values())
+        total = self.outside + sum(i.bad_domain_records + i.records_seen for i in self.by_key.values())
         out = []
         for i, (start, _) in enumerate(windows):
-            tally = self.by_key.get(i if self.edges is not None else start // DAY_MS) or WindowTally()
-            tally.out_of_window = total - tally.bad_domain_records - _requests(tally.pairs.values())
-            out.append(tally)
+            key = i if self.edges is not None else start // DAY_MS
+            index = self.by_key.get(key) or DomainResolutionIndex()
+            index.skipped_out_of_window = total - index.bad_domain_records - index.records_seen
+            out.append(index)
         return out
 
 
@@ -127,31 +135,12 @@ def _requests(by_domain) -> int:
     return sum(sum(procs.values()) for doms in by_domain for procs, _ in doms.values())
 
 
-@dataclass(slots=True)
-class DomainResolutionIndex:
-    """The evidence of each server IP's requests for each domain it resolved
-    inside a window (candidates and flags read the domains, labels the
-    evidence), and each IP's ISP (None when the ip map has none)."""
-
-    ip_isp: dict[str, Optional[str]] = field(default_factory=dict)
-    evidence: dict[str, dict[str, Evidence]] = field(default_factory=dict)
-    records_seen: int = 0
-    skipped_out_of_window: int = 0
-    bad_domain_records: int = 0
-
-
-def build_resolution_index(tally: WindowTally, table: IpAttributionTable) -> DomainResolutionIndex:
-    """Index one window's domain→IP resolutions from its tally."""
-    idx = DomainResolutionIndex(
-        evidence=tally.pairs,
-        records_seen=_requests(tally.pairs.values()),
-        skipped_out_of_window=tally.out_of_window,
-        bad_domain_records=tally.bad_domain_records,
-    )
-    # one batch ISP resolution over the distinct IPs
-    ips = list(idx.evidence)
-    idx.ip_isp = dict(zip(ips, table.lookup_batch(ips)))
-    return idx
+def build_resolution_index(index: DomainResolutionIndex, table: IpAttributionTable) -> DomainResolutionIndex:
+    """Resolve the ISP of each server IP in one window's ``index``, in one
+    batch, and return the index."""
+    ips = list(index.evidence)
+    index.ip_isp = dict(zip(ips, table.lookup_batch(ips)))
+    return index
 
 
 def candidate_domains(
@@ -287,15 +276,16 @@ class DetectionReport:
 
 
 def detect(
-    tally: WindowTally,
+    index: DomainResolutionIndex,
     table: IpAttributionTable,
     ranking: RankedDomainList,
     malware: MalwareProcessList,
     cfg: DetectorConfig,
     window: tuple[int, int],
 ) -> DetectionReport:
-    """Run the full pipeline over ``window``'s tally."""
-    index = build_resolution_index(tally, table)
+    """Run the full pipeline over ``window``'s ``index``, as
+    ``WindowTallies.per_window`` gives it."""
+    index = build_resolution_index(index, table)
     cands = candidate_domains(index, ranking, cfg)
     flagged = flag_pairs(index, cands, cfg)
     detections = label_detections(flagged, index, malware)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import kernels
 from .detector import Detection
 from .model import DAY_MS, HttpRecord, PublicSuffixSet, is_malformed_domain
 # Not called here: records carry their domain from ingest.  chainbench/tracer.py
@@ -70,22 +71,13 @@ def detect_repeat_cycle(
     min_len events."""
     if min_len < 3:
         raise ValueError("min_len must be >= 3")
-    n = len(events)
-    if n < 2 * min_len:
+    if len(events) < 2 * min_len:
         return None
-    # numpy loads on the first sequence long enough to search, not with
-    # this module
-    import numpy as np
-
-    from . import kernels
-
-    ts = np.fromiter((e[0] for e in events), dtype=np.int64, count=n)
-    if np.any(ts[1:] < ts[:-1]):
+    ts = [e[0] for e in events]
+    if any(a > b for a, b in zip(ts, ts[1:])):
         raise ValueError("events must be sorted by timestamp")
-    ids: dict[str, int] = {}
-    dom = np.fromiter((ids.setdefault(e[1], len(ids)) for e in events), dtype=np.int32, count=n)
-    p = kernels.find_repeat_period(ts, dom, tolerance_ms, min_len)
-    return None if p < 0 else int(p)
+    p = kernels.find_repeat_period(ts, [e[1] for e in events], tolerance_ms, min_len)
+    return None if p < 0 else p
 
 
 def extract_features(

@@ -858,24 +858,22 @@ def test_detect_without_window_bounds_the_record_span(tiny_inputs, capsys):
     assert capsys.readouterr().out.startswith("days=3661 machines_ranked=1 ")
 
 
-# Run in a fresh interpreter: each step is a cli.main call, then a check of
-# whether numpy has been imported by then.
+# Run in a fresh interpreter: each step is a cli.main call.  With "blocked",
+# a None entry in sys.modules makes every import of numpy raise ImportError.
 _NUMPY_PROBE = """
 import json, sys
+if sys.argv[2] == "blocked":
+    sys.modules["numpy"] = None
 from launderscan.cli import main
-steps = json.loads(sys.argv[1])
-seen = []
-for argv in steps:
+for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    seen.append("numpy" in sys.modules)
-print(json.dumps(seen))
 """
 
 
-def test_numpy_loads_only_for_a_repeat_cycle_search(tiny_inputs):
-    """detect, rules, panelscan, and fingerprint on a report with no
-    detections never import numpy; fingerprint imports it once a detection's
-    machine has enough events for the repeat-cycle search."""
+def test_every_analysis_runs_with_numpy_blocked(tiny_inputs):
+    """detect, rules, panelscan, fingerprint on a report with no detections,
+    and fingerprint with a repeat-cycle search all exit 0 in an interpreter
+    that cannot import numpy, and write what they write with it."""
     d = tiny_inputs
     trace = d / "long.jsonl"
     trace.write_text("".join(
@@ -884,20 +882,27 @@ def test_numpy_loads_only_for_a_repeat_cycle_search(tiny_inputs):
     ))
     (d / "one.json").write_bytes(_report_bytes())
     t = str(trace)
-    steps = [
-        ["detect", "--trace", t, "--ipmap", str(d / "ipmap.csv"), "--ranking", str(d / "ranking.txt"),
-         "--malware", str(d / "malware.txt"), "--out", str(d / "detect.json")],
-        ["rules", "--trace", t, "--out", str(d / "findings.jsonl")],
-        ["panelscan", "--trace", t, "--out", str(d / "panel")],
-        ["fingerprint", "--report", str(d / "report.json"), "--trace", t, "--out", str(d / "fp0")],
-        ["fingerprint", "--report", str(d / "one.json"), "--trace", t, "--out", str(d / "fp1")],
-    ]
     src = str(Path(launderscan.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(steps)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
+    for mode in ("blocked", "open"):
+        out = d / mode
+        steps = [
+            ["detect", "--trace", t, "--ipmap", str(d / "ipmap.csv"), "--ranking", str(d / "ranking.txt"),
+             "--malware", str(d / "malware.txt"), "--out", str(out / "detect.json")],
+            ["rules", "--trace", t, "--out", str(out / "findings.jsonl")],
+            ["panelscan", "--trace", t, "--out", str(out / "panel")],
+            ["fingerprint", "--report", str(d / "report.json"), "--trace", t, "--out", str(out / "fp0")],
+            ["fingerprint", "--report", str(d / "one.json"), "--trace", t, "--out", str(out / "fp1")],
+        ]
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(steps), mode],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    # the search ran, and found the ten requests' 5 ms cycle
+    assert fingerprint.FLAG_REPEAT_CYCLE in (d / "blocked" / "fp1" / "profiles.csv").read_text("utf-8")
+    files = sorted(p.relative_to(d / "open") for p in (d / "open").rglob("*") if p.is_file())
+    assert len(files) == 10
+    for f in files:
+        assert (d / "blocked" / f).read_bytes() == (d / "open" / f).read_bytes(), f
 
 
 def test_summary_lines_end_with_the_trace_skip_count(tiny_inputs, capsys):

@@ -363,6 +363,27 @@ def test_cycle_small_block_with_jitter():
     assert detect_repeat_cycle(events, tolerance_ms=2_000, min_len=3) == 10_000
 
 
+# RepeatCycle's fire count on uniform random one-day streams, 20 seeded
+# trials per (domains, events) cell.  Chance alone fires it on one busy
+# domain; it never fires over ten.
+CHANCE_FIRES = {
+    (1, 50): 0, (1, 100): 0, (1, 200): 1, (1, 400): 4, (1, 1_000): 20,
+    (10, 50): 0, (10, 100): 0, (10, 200): 0, (10, 400): 0, (10, 1_000): 0,
+}
+
+
+def test_cycle_chance_fire_counts_on_uniform_traffic():
+    fired = {}
+    for n_dom, n in CHANCE_FIRES:
+        fired[n_dom, n] = 0
+        for trial in range(20):
+            rng = random.Random(f"{n_dom}/{n}/{trial}")
+            events = sorted((rng.randrange(DAY0, DAY0 + DAY_MS), f"d{rng.randrange(n_dom)}")
+                            for _ in range(n))
+            fired[n_dom, n] += detect_repeat_cycle(events, CYCLE_TOLERANCE_MS, CYCLE_MIN_LEN) is not None
+    assert fired == CHANCE_FIRES
+
+
 def test_cycle_validation():
     with pytest.raises(ValueError):
         detect_repeat_cycle([(0, "a")] * 8, tolerance_ms=10, min_len=2)

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from launderscan.cli import _read_lines
-from launderscan.ingest import ParseAbortError, decode_line, load_trace
-from launderscan.model import PublicSuffixSet
+from launderscan.ingest import MAX_TS_MS, ParseAbortError, decode_line, load_trace
+from launderscan.model import InvalidDomainError, PublicSuffixSet, is_valid_ipv4, normalize_domain, url_host
 
 from conftest import parsed_count
 from oracles import load_records
@@ -296,3 +296,64 @@ def test_kinds_keep_only_their_records_and_every_skip(lines, with_orjson):
     loaded = load_records(_text_lines(data), PublicSuffixSet.builtin())
     assert [loaded.http, loaded.impressions, loaded.pageviews] == [
         sorted(records, key=itemgetter(0)) for records in full[:3]]
+
+
+def _oracle_calls(lines: list[str]) -> dict[str, list[tuple]]:
+    """The consumer calls each kind should get from ``lines``, built from
+    ``json.loads`` of each stripped line and the field rules that
+    ``load_trace``'s docstring states, line by line."""
+    suffix = PublicSuffixSet.builtin()
+
+    def domain(name):
+        if not isinstance(name, str):
+            return None
+        try:
+            return normalize_domain(name, suffix)
+        except InvalidDomainError:
+            return None
+
+    def str_or_absent(value):
+        return value is None or isinstance(value, str)
+
+    calls = {kind: [] for kind in KINDS}
+    for raw in lines:
+        try:
+            obj = json.loads(raw.strip())
+            # undecodable bytes and escaped lone surrogates have no UTF-8 form
+            raw.encode("utf-8")
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except (ValueError, RecursionError):
+            continue
+        if not isinstance(obj, dict):
+            continue
+        kind, ts, machine = obj.get("kind", "http"), obj.get("ts"), obj.get("machine")
+        if type(ts) is not int or not 0 < ts <= MAX_TS_MS or not isinstance(machine, str) or not machine:
+            continue
+        if kind == "http":
+            url, ip, proc, status = obj.get("url"), obj.get("ip"), obj.get("proc", ""), obj.get("status")
+            host = url_host(url) if isinstance(url, str) else ""
+            if (host and isinstance(ip, str) and is_valid_ipv4(ip) and isinstance(proc, str)
+                    and (status is None or type(status) is int)
+                    and isinstance(obj.get("method", ""), str)
+                    and str_or_absent(obj.get("ua")) and str_or_absent(obj.get("ref"))):
+                calls["http"].append((ts, machine, proc, url, domain(host), obj.get("ref"), ip))
+        elif kind in ("impression", "pageview"):
+            dom = domain(obj.get("attr_domain" if kind == "impression" else "pub_domain"))
+            if dom is not None:
+                calls[kind].append((ts, machine, dom))
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TRACE_LINES, max_size=8), st.booleans())
+@example(EQUIVALENCE_BYTES, True)
+@example(EQUIVALENCE_BYTES, False)
+@example(TIME_TIES, True)
+def test_consumers_get_what_json_loads_and_the_field_rules_give(lines, with_orjson):
+    """Each consumer gets exactly the calls the per-line oracle gives, in
+    file order, and every other line is skipped."""
+    text = _text_lines(b"\n".join(lines) + b"\n")
+    *got, counts, _, total = _outcome(text, False, with_orjson)
+    want = _oracle_calls(text)
+    assert got == [want[kind] for kind in KINDS]
+    assert sum(counts.values()) == total - sum(map(len, want.values()))

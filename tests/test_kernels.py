@@ -1,12 +1,14 @@
+import random
+import time
 import tracemalloc
-from unittest import mock
+from bisect import bisect_left
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from launderscan import kernels
 from launderscan.ipattr import IpAttributionTable
+from launderscan.model import DAY_MS
 
 from conftest import u32_to_ip
 
@@ -49,7 +51,7 @@ def oracle_period(ts, dom, tol, min_len):
 
 
 def test_find_repeat_period_short_input():
-    assert kernels.find_repeat_period(np.array([1, 2], dtype=np.int64), np.array([0, 0], dtype=np.int32), 10, 3) == -1
+    assert kernels.find_repeat_period([1, 2], [0, 0], 10, 3) == -1
 
 
 @st.composite
@@ -64,37 +66,27 @@ def event_streams(draw):
         jitter = draw(st.lists(st.integers(-3, 3), min_size=len(block), max_size=len(block)))
         events += [(t + period + dj, d) for (t, d), dj in zip(block, jitter)]
     events.sort()
-    ts = np.array([t for t, _ in events], dtype=np.int64)
-    dom = np.array([d for _, d in events], dtype=np.int32)
-    return ts, dom
+    return [t for t, _ in events], [d for _, d in events]
 
 
 @settings(max_examples=400, deadline=None)
-@given(
-    event_streams(),
-    st.integers(0, 4),
-    st.integers(1, 6),
-    st.sampled_from([1, 3, kernels.PAIR_CHUNK]),
-)
-def test_find_repeat_period_equals_oracle(stream, tol, min_len, chunk):
+@given(event_streams(), st.integers(0, 4), st.integers(1, 6))
+def test_find_repeat_period_equals_oracle(stream, tol, min_len):
     ts, dom = stream
-    with mock.patch.object(kernels, "PAIR_CHUNK", chunk):
-        assert kernels.find_repeat_period(ts, dom, tol, min_len) == oracle_period(ts, dom, tol, min_len)
+    assert kernels.find_repeat_period(ts, dom, tol, min_len) == oracle_period(ts, dom, tol, min_len)
 
 
 def _repeat(start, period, offsets, d):
     return [(start + k * period + o, d) for k in range(2) for o in offsets]
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 5, kernels.PAIR_CHUNK])
-def test_smaller_period_wins_across_chunks(monkeypatch, chunk):
-    # domain 0 repeats at 1,000 ms and its pairs are formed first; domain 1
-    # repeats at 300 ms, in a later chunk once the chunk is small
+def test_smaller_period_found_later_wins():
+    # domain 0 repeats at 1,000 ms and is walked first; domain 1 repeats at
+    # 300 ms, and its walk must not stop at the 1,000 ms bound
     slow = _repeat(0, 1_000, (0, 10, 20), 0)
     fast = _repeat(2_000, 300, (0, 10, 20), 1)
-    ts = np.array([t for t, _ in slow + fast], dtype=np.int64)
-    dom = np.array([d for _, d in slow + fast], dtype=np.int32)
-    monkeypatch.setattr(kernels, "PAIR_CHUNK", chunk)
+    ts = [t for t, _ in slow + fast]
+    dom = [d for _, d in slow + fast]
     assert kernels.find_repeat_period(ts[:6], dom[:6], 0, 3) == 1_000
     assert kernels.find_repeat_period(ts, dom, 0, 3) == 300
     assert oracle_period(ts, dom, 0, 3) == 300
@@ -104,8 +96,8 @@ def test_one_large_domain_stays_bounded_in_memory():
     # 2,000 events on one domain are ~2M pairs; square timestamps never
     # mirror, since each later gap is wider than its partner
     n = 2_000
-    ts = np.arange(n, dtype=np.int64) ** 2
-    dom = np.zeros(n, dtype=np.int32)
+    ts = [k * k for k in range(n)]
+    dom = [0] * n
     tracemalloc.start()
     try:
         got = kernels.find_repeat_period(ts, dom, 0, 3)
@@ -114,6 +106,33 @@ def test_one_large_domain_stays_bounded_in_memory():
         tracemalloc.stop()
     assert got == -1
     assert peak < 48 * 2**20
+
+
+def _pair_confirms(ts, dom, tol, min_len, i, j):
+    """Whether events i and j anchor a confirmed period ts[j] - ts[i]."""
+    p = ts[j] - ts[i]
+    end = bisect_left(ts, ts[j] + p)
+    return (p > 0 and dom[i] == dom[j] and j - i >= min_len and bisect_left(ts, ts[j]) == j
+            and end - j == j - i and dom[i:j] == dom[j:end]
+            and all(abs(u - s - p) <= tol for s, u in zip(ts[i:j], ts[j:end])))
+
+
+def test_polling_stream_does_not_stall():
+    # one domain polled at random over 7 days: 20k events are ~200M pairs,
+    # but a period confirms early and bounds every later walk
+    rng = random.Random(20)
+    ts = sorted(rng.randrange(7 * DAY_MS) for _ in range(20_000))
+    dom = [0] * len(ts)
+    start = time.perf_counter()
+    got = kernels.find_repeat_period(ts, dom, 60_000, 5)
+    assert time.perf_counter() - start < 2.0
+    # the smallest confirmed period: some pair with that gap confirms it, and
+    # no pair with a smaller gap confirms its own
+    shorter = [(i, j) for i in range(len(ts)) for j in range(i + 5, bisect_left(ts, ts[i] + got))]
+    assert got > 0 and not any(_pair_confirms(ts, dom, 60_000, 5, i, j) for i, j in shorter)
+    assert any(_pair_confirms(ts, dom, 60_000, 5, i, j)
+               for i in range(len(ts)) for j in range(i + 5, bisect_left(ts, ts[i] + got + 1))
+               if ts[j] - ts[i] == got)
 
 
 def test_lpm_empty_table():
