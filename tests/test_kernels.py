@@ -4,6 +4,7 @@ import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from launderscan import kernels
@@ -80,11 +81,14 @@ def _repeat(start, period, offsets, d):
     return [(start + k * period + o, d) for k in range(2) for o in offsets]
 
 
-def test_smaller_period_found_later_wins():
+@pytest.mark.parametrize("chunk", [1, 2, 5, 262_144])
+def test_smaller_period_wins_across_chunks(chunk):
     # domain 0 repeats at 1,000 ms and is walked first; domain 1 repeats at
-    # 300 ms, and its walk must not stop at the 1,000 ms bound
+    # 300 ms in a later chunk of the stream, from 1,999 + chunk ms, so at or
+    # after the 2,000 ms end of domain 0's second cycle; domain 1's walk
+    # must not stop at the 1,000 ms bound
     slow = _repeat(0, 1_000, (0, 10, 20), 0)
-    fast = _repeat(2_000, 300, (0, 10, 20), 1)
+    fast = _repeat(1_999 + chunk, 300, (0, 10, 20), 1)
     ts = [t for t, _ in slow + fast]
     dom = [d for _, d in slow + fast]
     assert kernels.find_repeat_period(ts[:6], dom[:6], 0, 3) == 1_000
