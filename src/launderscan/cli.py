@@ -241,8 +241,8 @@ def cmd_detect(args) -> int:
     if window is None:
         windows = _windows(tallies.day_span())
     reports = [
-        detect(tally, table, ranking, malware, cfg, w)
-        for w, tally in zip(windows, tallies.per_window(windows))
+        detect(index, table, ranking, malware, cfg, w)
+        for w, index in zip(windows, tallies.per_window(windows))
     ]
     elapsed = time.monotonic() - t0
 

@@ -136,8 +136,8 @@ def _requests(by_domain) -> int:
 
 
 def build_resolution_index(index: DomainResolutionIndex, table: IpAttributionTable) -> DomainResolutionIndex:
-    """Resolve the ISP of each server IP in one window's ``index``, in one
-    batch, and return the index."""
+    """Fill ``index.ip_isp`` in place with the ISP of each server IP in one
+    window's ``index``, in one batch.  Returns ``index`` itself, not a copy."""
     ips = list(index.evidence)
     index.ip_isp = dict(zip(ips, table.lookup_batch(ips)))
     return index
@@ -285,7 +285,7 @@ def detect(
 ) -> DetectionReport:
     """Run the full pipeline over ``window``'s ``index``, as
     ``WindowTallies.per_window`` gives it."""
-    index = build_resolution_index(index, table)
+    build_resolution_index(index, table)
     cands = candidate_domains(index, ranking, cfg)
     flagged = flag_pairs(index, cands, cfg)
     detections = label_detections(flagged, index, malware)

@@ -36,9 +36,9 @@ def parsed_count(result) -> int:
     return len(result.http) + len(result.impressions) + len(result.pageviews)
 
 
-def window_tally(records, window=WINDOW):
-    """detect's input for ``window``: ``records``, in any order, tallied as
-    ``launderscan detect --window`` tallies a trace's http records."""
+def window_index(records, window=WINDOW):
+    """detect's input for ``window``: the index of ``records``, in any order,
+    as ``launderscan detect --window`` builds it from a trace's http records."""
     tallies = WindowTallies([window])
     for rec in records:
         tallies(*rec)

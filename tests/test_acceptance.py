@@ -17,7 +17,6 @@ from launderscan import synthgen as sg
 from launderscan.cli import main as cli_main
 from launderscan.detector import (
     DetectorConfig,
-    build_resolution_index,
     candidate_domains,
     detect,
     flag_pairs,
@@ -52,7 +51,7 @@ from launderscan.urlrules import (
     verify_spoof_followthrough,
 )
 
-from conftest import DAY0, WINDOW, emitted_corpus, truth_from_json, u32_to_ip, window_tally
+from conftest import DAY0, WINDOW, emitted_corpus, truth_from_json, u32_to_ip, window_index
 from oracles import followthrough_index, load_records
 
 SUFFIX = PublicSuffixSet.builtin()
@@ -86,11 +85,10 @@ def big_run(big_dir):
         ranking, _ = load_ranked_domains(fh, suffix=SUFFIX)
     with open(big_dir / "malware.txt", "r", encoding="utf-8") as fh:
         malware = load_malware_list(fh)
-    tally = window_tally(loaded.http)
-    report = detect(tally, table, ranking, malware, DetectorConfig(), WINDOW)
+    index = window_index(loaded.http)
+    report = detect(index, table, ranking, malware, DetectorConfig(), WINDOW)
     elapsed = time.monotonic() - t0
     truth = truth_from_json(json.loads((big_dir / "truth.json").read_text()))
-    index = build_resolution_index(tally, table)
     return {
         "loaded": loaded,
         "table": table,

@@ -29,7 +29,7 @@ from launderscan.ingest import (
 from launderscan.ipattr import IpAttributionTable
 from launderscan.model import DAY_MS, HttpRecord, PublicSuffixSet
 
-from conftest import DAY0, WINDOW, window_tally
+from conftest import DAY0, WINDOW, window_index
 from oracles import record_domain
 
 SUFFIX = PublicSuffixSet.builtin()
@@ -62,14 +62,14 @@ def test_config_validation():
 
 def test_index_single_record():
     table, _ = load_ip_map(["1.2.3.0/24,A"])
-    idx = build_resolution_index(window_tally([_rec("http://example.com/x", "1.2.3.4")]), table)
+    idx = build_resolution_index(window_index([_rec("http://example.com/x", "1.2.3.4")]), table)
     assert {ip: set(doms) for ip, doms in idx.evidence.items()} == {"1.2.3.4": {"example.com"}}
     assert idx.ip_isp == {"1.2.3.4": "a"}
 
 
 def test_index_unknown_isp_still_indexed():
     table, _ = load_ip_map(["1.2.3.0/24,A"])
-    idx = build_resolution_index(window_tally([_rec("http://example.com/x", "9.9.9.9")]), table)
+    idx = build_resolution_index(window_index([_rec("http://example.com/x", "9.9.9.9")]), table)
     assert {ip: set(doms) for ip, doms in idx.evidence.items()} == {"9.9.9.9": {"example.com"}}
     assert idx.ip_isp == {"9.9.9.9": None}
 
@@ -81,7 +81,7 @@ def test_index_window_filter_and_counts():
         _rec("http://a.com/", "1.2.3.4", ts=WINDOW[1]),  # end exclusive
         _rec("http://a.com/", "1.2.3.4", ts=WINDOW[0] - 1),
     ]
-    idx = build_resolution_index(window_tally(records), table)
+    idx = build_resolution_index(window_index(records), table)
     assert idx.records_seen == 1
     assert idx.skipped_out_of_window == 2
 
@@ -161,7 +161,7 @@ def test_candidate_domains_match_bruteforce_oracle():
     table, _ = load_ip_map([f"10.0.{i}.0/24,isp{i % 4}" for i in range(10)])
     records = _random_records(rng, n=80)  # 2 of the top 5 domains qualify, 9 of all 20
     ranking = _ranking([f"d{i:02d}.com" for i in range(20)])
-    idx = build_resolution_index(window_tally(records), table)
+    idx = build_resolution_index(window_index(records), table)
     ips_of: dict[str, set] = {}
     for r in records:
         ips_of.setdefault(r.domain, set()).add(r.server_ip)
@@ -175,7 +175,7 @@ def test_candidate_domains_match_bruteforce_oracle():
         }
         assert candidate_domains(idx, ranking, cfg) == want
     unknown = [r for r in records if table.lookup(r.server_ip) is None]
-    diag = detect(window_tally(records), table, ranking, MalwareProcessList(frozenset()), cfg, WINDOW).diagnostics
+    diag = detect(window_index(records), table, ranking, MalwareProcessList(frozenset()), cfg, WINDOW).diagnostics
     assert diag["unknown_isp_ips"] == len({r.server_ip for r in unknown}) == 2
     assert diag["unknown_isp_records"] == len(unknown) > 0
 
@@ -217,7 +217,7 @@ def test_labeling_rules():
             _rec(f"http://{dom}/x", "5.5.5.5", proc=proc, machine=f"m{i}")
             for i, (dom, proc) in enumerate(proc_names)
         ]
-        index = build_resolution_index(window_tally(records), IpAttributionTable())
+        index = build_resolution_index(window_index(records), IpAttributionTable())
         dets = label_detections(flagged, index, malware)
         assert len(dets) == 1
         return dets[0]
@@ -234,7 +234,7 @@ def test_labeling_counts_only_matching_domains():
         _rec("http://other.com/x", "5.5.5.5", machine="m2"),  # not in domain set
         _rec("http://a.com/x", "7.7.7.7", machine="m3"),  # wrong ip
     ]
-    index = build_resolution_index(window_tally(records), IpAttributionTable())
+    index = build_resolution_index(window_index(records), IpAttributionTable())
     det = label_detections(flagged, index, MalwareProcessList(frozenset()))[0]
     assert det.request_count == 1
     assert det.machine_ids == {"m1"}
@@ -299,7 +299,7 @@ def test_label_evidence_matches_full_scan_oracle():
             records.append(rec._replace(domain=None) if rng.random() < 0.1 else rec)
         rng.shuffle(records)
         for w in windows:
-            index = build_resolution_index(window_tally(records, w), table)
+            index = build_resolution_index(window_index(records, w), table)
             flagged = flag_pairs(index, candidate_domains(index, ranking, cfg), cfg)
             got = label_detections(flagged, index, malware)
             assert got == _label_oracle(flagged, records, malware, w)
@@ -342,8 +342,8 @@ def _detect_reads(n):
     windows = _windows(tallies.day_span())
     assert len(windows) == days
     flagged = 0
-    for w, tally in zip(windows, tallies.per_window(windows)):
-        rep = detect(tally, table, ranking, malware, cfg, w)
+    for w, index in zip(windows, tallies.per_window(windows)):
+        rep = detect(index, table, ranking, malware, cfg, w)
         assert rep.diagnostics["records_seen"] + rep.diagnostics["out_of_window"] == n
         flagged += rep.diagnostics["pairs_flagged"]
     assert flagged == 4 * days
@@ -359,7 +359,7 @@ def test_detect_reads_grow_linearly_with_records_and_day_windows():
 
 def test_detection_invariants_on_corpus(small_corpus):
     rep = detect(
-        window_tally(small_corpus.trace.http),
+        window_index(small_corpus.trace.http),
         small_corpus.table,
         small_corpus.ranking,
         small_corpus.malware,
@@ -376,7 +376,7 @@ def test_detection_invariants_on_corpus(small_corpus):
 
 def test_detect_flags_exactly_the_plants(small_corpus):
     rep = detect(
-        window_tally(small_corpus.trace.http),
+        window_index(small_corpus.trace.http),
         small_corpus.table,
         small_corpus.ranking,
         small_corpus.malware,
@@ -389,7 +389,7 @@ def test_detect_flags_exactly_the_plants(small_corpus):
 
 def test_detect_clean_scenario_is_silent(clean_corpus):
     rep = detect(
-        window_tally(clean_corpus.trace.http),
+        window_index(clean_corpus.trace.http),
         clean_corpus.table,
         clean_corpus.ranking,
         clean_corpus.malware,
@@ -410,7 +410,7 @@ def test_detect_single_plant_at_exact_threshold():
         records.append(_rec(f"http://www.{dom}/h", f"10.{i}.0.1", machine="bg"))
         records.append(_rec(f"http://www.{dom}/x", "185.0.0.1", machine="bot", proc=""))
     ranking = _ranking(domains)
-    rep = detect(window_tally(records), table, ranking, MalwareProcessList(frozenset()), DetectorConfig(), WINDOW)
+    rep = detect(window_index(records), table, ranking, MalwareProcessList(frozenset()), DetectorConfig(), WINDOW)
     assert len(rep.detections) == 1
     det = rep.detections[0]
     assert (det.ip, det.isp) == ("185.0.0.1", "plantisp")
@@ -435,8 +435,8 @@ def test_permutation_invariance():
             tallies(*rec)
         windows = _windows(tallies.day_span())
         assert len(windows) == 3
-        return [detect(tally, table, ranking, malware, cfg, w).to_json_dict()
-                for w, tally in zip(windows, tallies.per_window(windows))]
+        return [detect(index, table, ranking, malware, cfg, w).to_json_dict()
+                for w, index in zip(windows, tallies.per_window(windows))]
 
     want = reports(sorted(records, key=attrgetter("timestamp")))
     assert all(rep["diagnostics"]["pairs_flagged"] for rep in want)
@@ -470,7 +470,7 @@ def test_monotonicity_properties():
 def test_detect_empty_inputs_yield_empty_report():
     table, _ = load_ip_map([])
     ranking = _ranking(["a.com"])
-    rep = detect(window_tally([]), table, ranking, MalwareProcessList(frozenset()), DetectorConfig(), WINDOW)
+    rep = detect(window_index([]), table, ranking, MalwareProcessList(frozenset()), DetectorConfig(), WINDOW)
     assert rep.detections == ()
     assert rep.diagnostics["records_seen"] == 0
 

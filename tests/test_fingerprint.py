@@ -23,7 +23,7 @@ from launderscan.fingerprint import (
 from launderscan.model import DAY_MS, HttpRecord, PublicSuffixSet, is_malformed_domain
 from launderscan.urlrules import MalformedSignalError, check_spoof_query
 
-from conftest import DAY0, WINDOW, window_tally
+from conftest import DAY0, WINDOW, window_index
 from oracles import record_domain
 
 SUFFIX = PublicSuffixSet.builtin()
@@ -393,7 +393,7 @@ def test_cycle_validation():
 
 def test_profiles_from_corpus_group_to_scheme_count(small_corpus):
     rep = detect(
-        window_tally(small_corpus.trace.http),
+        window_index(small_corpus.trace.http),
         small_corpus.table,
         small_corpus.ranking,
         small_corpus.malware,

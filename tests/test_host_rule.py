@@ -19,7 +19,7 @@ from launderscan.urlrules import (
     verify_spoof_followthrough,
 )
 
-from conftest import window_tally
+from conftest import window_index
 from oracles import followthrough_index, load_records
 
 SUFFIX = PublicSuffixSet.builtin()
@@ -69,7 +69,7 @@ def _rec(url, ts=2_000):
 def _answers(url: str, host: str):
     table = IpAttributionTable()
     table.insert("10.0.0.0/8", "isp")
-    index = build_resolution_index(window_tally([_rec(url)], (0, 10_000)), table)
+    index = build_resolution_index(window_index([_rec(url)], (0, 10_000)), table)
     detection = Detection(
         ip=IP,
         isp="isp",
