@@ -40,7 +40,7 @@ from .ingest import (
     load_ranked_domains,
     load_trace,
 )
-from .model import DAY_MS, DomainEvent, HttpRecord, PublicSuffixSet
+from .model import DAY_MS, PublicSuffixSet
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
@@ -346,7 +346,7 @@ def cmd_fingerprint(args) -> int:
             hi = ts
         kept = by_ip.get(ip)
         if kept is not None:
-            kept.append(HttpRecord(ts, machine, proc, url, domain, ref, ip))
+            kept.append((ts, machine, proc, url, domain, ref, ip))
 
     loaded = _load_trace(args, suffix, http=keep)
     if pairs:
@@ -383,13 +383,15 @@ def cmd_panelscan(args) -> int:
         policy = pn.SessionPolicy(lookback_ms=args.lookback)
     window = _window(args.window)
     suffix = _suffix_set(args)
-    impressions: list[DomainEvent] = []
-    pageviews: list[DomainEvent] = []
-    loaded = _load_trace(args, suffix,
-                         impression=lambda *fields: impressions.append(DomainEvent(*fields)),
-                         pageview=lambda *fields: pageviews.append(DomainEvent(*fields)))
-    if args.alias:
-        alias_path = _require(args.alias, "alias groups")
+    alias_path = _require(args.alias, "alias groups") if args.alias else None
+    # per machine its (ts, domain) impressions; per (machine, domain) its view times
+    impressions: dict[str, list[tuple[int, str]]] = {}
+    pageviews: dict[tuple[str, str], list[int]] = {}
+    loaded = _load_trace(
+        args, suffix,
+        impression=lambda ts, machine, dom: impressions.setdefault(machine, []).append((ts, dom)),
+        pageview=lambda ts, machine, dom: pageviews.setdefault((machine, dom), []).append(ts))
+    if alias_path:
         with _parsing(alias_path):
             alias = load_alias_groups(_read_table(alias_path), suffix)
         policy = dataclasses.replace(policy, alias=alias)
@@ -398,9 +400,10 @@ def cmd_panelscan(args) -> int:
     # span only bounds which impressions count.
     span = window
     if span is None and impressions:
-        lo = min(imp.timestamp for imp in impressions)
-        hi = max(imp.timestamp for imp in impressions)
+        lo = min(min(events)[0] for events in impressions.values())
+        hi = max(max(events)[0] for events in impressions.values())
         span = (lo - lo % DAY_MS, hi - hi % DAY_MS + DAY_MS)
+    impression_count = sum(map(len, impressions.values()))
     ads = pn.attributed_ads(impressions, *(span or (0, 0)))
     visits = pn.publisher_visits(pageviews, policy)
     table = pn.misattribution_table(ads, visits)
@@ -432,7 +435,7 @@ def cmd_panelscan(args) -> int:
     _write_text(outdir / "evidence.txt", (e + "\n" for e in evidence))
     print(
         f"days={len(_day_cuts(span)) + 1 if span else 0} machines_ranked={len(ranked)} "
-        f"below_min_ads={below_min_ads} impressions={len(impressions)} "
+        f"below_min_ads={below_min_ads} impressions={impression_count} "
         f"trace_skipped={len(loaded.skipped)}"
     )
     return EXIT_OK
@@ -492,6 +495,7 @@ def cmd_synth(args) -> int:
 def cmd_rules(args) -> int:
     _check_flag(args.horizon >= 1, "--horizon", ">= 1")
     suffix = _suffix_set(args)
+    envfp_path = _require(args.envfp, "environment fingerprint") if args.envfp else None
     param = args.referrer_param
     # per machine, what a rule can read: its request times by (server IP,
     # domain), the (ts, url) of each request whose URL can hold a spoof
@@ -559,8 +563,7 @@ def cmd_rules(args) -> int:
                         "values": sorted(check.values),
                     }
                 )
-    if args.envfp:
-        envfp_path = _require(args.envfp, "environment fingerprint")
+    if envfp_path:
         # bad JSON or encoding, nested too deep, not an object of strings, or no functions
         with _parsing(envfp_path, ValueError, RecursionError):
             with open(envfp_path, "r", encoding="utf-8") as fh:

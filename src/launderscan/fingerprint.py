@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from . import kernels
 from .detector import Detection
-from .model import DAY_MS, HttpRecord, PublicSuffixSet, is_malformed_domain
+from .model import DAY_MS, PublicSuffixSet, is_malformed_domain
 # Not called here: records carry their domain from ingest.  chainbench/tracer.py
 # counts normalize_domain calls under this module's name, so the import
 # stays until that benchmark changes.
@@ -82,11 +82,13 @@ def detect_repeat_cycle(
 
 def extract_features(
     detections: Sequence[Detection],
-    records: Sequence[HttpRecord],
+    records: Sequence[tuple],
     suffix: PublicSuffixSet,
 ) -> list[SchemeProfile]:
     """Profile each of ``detections``, all of one IP, in order, from
     ``records``: all the trace records that hit that IP, read once for all.
+    Each record is an http line's fields as ``ingest.load_trace`` passes
+    them, ``(ts, machine, proc, url, domain, ref, ip)``.
 
     Feature extraction deliberately looks at the IP's full traffic (not just
     the flagged domains): malformed-domain requests and ad-call URLs land on
@@ -98,20 +100,19 @@ def extract_features(
     dom_counts: dict[str, int] = {}
     spoof = False
     per_machine: dict[str, list[tuple[int, str]]] = {}
-    for rec in records:
-        procs.add(rec.process_name)
-        days.add(rec.timestamp // DAY_MS)
+    for ts, machine, proc, url, dom, _, _ in records:
+        procs.add(proc)
+        days.add(ts // DAY_MS)
         if not spoof:
             try:
-                spoof = check_spoof_query(rec.url, suffix) is not None
+                spoof = check_spoof_query(url, suffix) is not None
             except MalformedSignalError:
                 spoof = True
-        dom = rec.domain
         if dom is None:
             malformed += 1
             continue
         dom_counts[dom] = dom_counts.get(dom, 0) + 1
-        per_machine.setdefault(rec.machine_id, []).append((rec.timestamp, dom))
+        per_machine.setdefault(machine, []).append((ts, dom))
     malformed += sum(n for dom, n in dom_counts.items() if is_malformed_domain(dom, suffix))
     flags = set()
     if spoof:

@@ -112,11 +112,13 @@ def load_trace(
     """Parse a JSON-lines trace, handing each valid record's fields to its
     kind's consumer as the line is read, in file order; the trace need not
     be sorted.  An http record is passed as ``http(ts, machine, proc, url,
-    domain, ref, ip)``, in ``model.HttpRecord``'s field order, where
-    ``domain`` is the URL host's ``normalize_domain``, or None when it does
-    not normalize.  An impression is passed as ``impression(ts, machine,
-    domain)`` and a page view as ``pageview(ts, machine, domain)``, in
-    ``model.DomainEvent``'s field order.  A line whose kind has no consumer
+    domain, ref, ip)``: the timestamp in ms, the machine id, the process
+    name kept verbatim (empty and whitespace-only names are distinct
+    signals), the URL, the URL host's ``normalize_domain`` or None when it
+    does not normalize, the referrer or None, and the server IP.  An
+    impression is passed as ``impression(ts, machine, domain)`` with its
+    attributed domain, and a page view as ``pageview(ts, machine, domain)``
+    with its publisher domain.  A line whose kind has no consumer
     is still decoded, checked and counted, so the skips, ``total_lines`` and
     a strict abort do not depend on which consumers are given; only an http
     line's host normalization is not made.

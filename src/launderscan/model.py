@@ -1,4 +1,5 @@
-"""Shared record types, domain normalization, and small validation helpers.
+"""Domain normalization, the URL→host and URL→query splits, public suffix
+sets, and small validation helpers.
 
 Every value type here is immutable after construction and safe to share
 between workers.  A domain throughout the toolkit is a plain ``str``: the
@@ -8,7 +9,7 @@ registrable domain (public suffix plus one label) that normalize_domain gives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 DAY_MS = 86_400_000
 
@@ -137,44 +138,3 @@ def is_valid_ipv4(s: str) -> bool:
         if int(p) > 255 or (len(p) > 1 and p[0] == "0"):
             return False
     return True
-
-
-class HttpRecord(NamedTuple):
-    """One client-side HTTP(S) event from a panel trace.
-
-    ``process_name`` is kept verbatim: empty and whitespace-only names are
-    distinct, deliberate signals.  ``domain`` is the URL host's
-    ``normalize_domain``; None when the host does not normalize.  The trace
-    line's user agent is checked but not stored: no output reads it.
-
-    ``ingest.load_trace`` passes an http line's fields to its consumer in
-    this order; fingerprint builds a record only for each line it keeps
-    (those to a reported IP).  A NamedTuple, not a frozen dataclass: a tuple
-    is built in one call where a frozen dataclass pays an
-    ``object.__setattr__`` per field.  Tuples also compare field by field:
-    a sort without a ``key`` would order records by every field and raise
-    on a None domain beside a str, so never sort records without one.
-    """
-
-    timestamp: int
-    machine_id: str
-    process_name: str
-    url: str
-    domain: Optional[str]
-    referrer: Optional[str]
-    server_ip: str
-
-
-class DomainEvent(NamedTuple):
-    """A machine met a domain at a time: an ad impression attributed to the
-    domain or a page view of it, built by panelscan from the fields
-    ``ingest.load_trace`` passes its impression and pageview consumers.
-    Panel reconciliation compares the two.
-
-    A NamedTuple for the reason HttpRecord is one; never sort events
-    without a ``key``.
-    """
-
-    timestamp: int
-    machine_id: str
-    domain: str

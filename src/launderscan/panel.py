@@ -8,10 +8,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .ingest import AliasGroups
-from .model import DAY_MS, DomainEvent
+from .model import DAY_MS
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,16 +24,16 @@ class SessionPolicy:
 
 
 def attributed_ads(
-    impressions: Sequence[DomainEvent], start: int, end: int
+    impressions: dict[str, list[tuple[int, str]]], start: int, end: int
 ) -> dict[str, list[tuple[int, str]]]:
-    """Impressions inside [start, end) (ms), grouped by machine and
-    time-ordered."""
+    """Each machine's ``(ts, domain)`` impressions inside [start, end) (ms),
+    time-ordered; a machine with none there is left out."""
     out: dict[str, list[tuple[int, str]]] = {}
-    for imp in impressions:
-        if start <= imp.timestamp < end:
-            out.setdefault(imp.machine_id, []).append((imp.timestamp, imp.domain))
-    for ads in out.values():
-        ads.sort()
+    for machine, events in impressions.items():
+        kept = [e for e in events if start <= e[0] < end]
+        if kept:
+            kept.sort()
+            out[machine] = kept
     return out
 
 
@@ -44,15 +43,7 @@ class VisitIndex:
     sibling) within the lookback ending at ts?"""
 
     policy: SessionPolicy
-    _times: dict[tuple[str, str], list[int]] = field(default_factory=dict)
-
-    def add(self, machine: str, registrable: str, ts: int):
-        key = (machine, self.policy.alias.group_key(registrable))
-        self._times.setdefault(key, []).append(ts)
-
-    def seal(self):
-        for times in self._times.values():
-            times.sort()
+    _times: dict[tuple[str, str], list[int]]  # (machine, group key) -> sorted view times
 
     def visited(self, machine: str, registrable: str, ts: int) -> bool:
         times = self._times.get((machine, self.policy.alias.group_key(registrable)))
@@ -63,13 +54,16 @@ class VisitIndex:
         return hi > lo
 
 
-def publisher_visits(pageviews: Sequence[DomainEvent], policy: SessionPolicy) -> VisitIndex:
-    """Index every page view by machine and alias group."""
-    index = VisitIndex(policy=policy)
-    for pv in pageviews:
-        index.add(pv.machine_id, pv.domain, pv.timestamp)
-    index.seal()
-    return index
+def publisher_visits(pageviews: dict[tuple[str, str], list[int]], policy: SessionPolicy) -> VisitIndex:
+    """Index ``pageviews``, each ``(machine, domain)``'s view times, by
+    machine and alias group.  The dict becomes the index: a key whose domain
+    is in an alias group moves to its group key, and every list is sorted."""
+    for machine, dom in [k for k in pageviews if k[1] in policy.alias.index]:
+        times = pageviews.pop((machine, dom))
+        pageviews.setdefault((machine, policy.alias.group_key(dom)), []).extend(times)
+    for times in pageviews.values():
+        times.sort()
+    return VisitIndex(policy, pageviews)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,11 +97,12 @@ def misattribution_table(
     for machine in sorted(ads):
         events = ads[machine]
         misses: list[tuple[int, str]] = []
-        for ts, dom in events:
+        for event in events:
+            ts, dom = event
             dom_attr[dom] = dom_attr.get(dom, 0) + 1
             if not visits.visited(machine, dom, ts):
                 dom_miss[dom] = dom_miss.get(dom, 0) + 1
-                misses.append((ts, dom))
+                misses.append(event)  # the ad's own tuple, not a copy
         per_machine[machine] = AdStat(attributed=len(events), missing=len(misses))
         if misses:
             missing_events[machine] = tuple(misses)

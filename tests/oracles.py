@@ -1,7 +1,8 @@
 """Record-based oracles: a trace loaded into one time-ordered record list
 per kind, and what detect, fingerprint and rules computed from such lists
 before each stage folded the records as they streamed and kept only what its
-output reads.  Hypothesis tests hold each stage's output to these."""
+output reads.  Hypothesis tests hold each stage's output to these, and
+``panel_fold`` gives panelscan's inputs from record lists."""
 
 import dataclasses
 from bisect import bisect_left
@@ -25,13 +26,49 @@ from launderscan.detector import (
 from launderscan.ingest import Skips, load_trace
 from launderscan.model import (
     DAY_MS,
-    DomainEvent,
-    HttpRecord,
     InvalidDomainError,
     PublicSuffixSet,
     normalize_domain,
     url_host,
 )
+
+
+class HttpRecord(NamedTuple):
+    """One http line's fields, in the order ``load_trace`` passes them to its
+    http consumer and ``fingerprint.extract_features`` reads them.  Tuples
+    compare field by field, and ``domain`` may be None beside a str, so
+    never sort records without a ``key``."""
+
+    timestamp: int
+    machine_id: str
+    process_name: str
+    url: str
+    domain: Optional[str]
+    referrer: Optional[str]
+    server_ip: str
+
+
+class DomainEvent(NamedTuple):
+    """An impression's or a page view's fields, in the order ``load_trace``
+    passes them to its consumer: a machine met a domain at a time."""
+
+    timestamp: int
+    machine_id: str
+    domain: str
+
+
+def panel_fold(impressions: Iterable[DomainEvent] = (), pageviews: Iterable[DomainEvent] = ()):
+    """What panelscan folds the events into as the trace streams, in the
+    given order: per machine its ``(ts, domain)`` impressions, and per
+    ``(machine, domain)`` its page-view times.  ``panel.attributed_ads``
+    takes the first and ``panel.publisher_visits`` the second."""
+    ads: dict[str, list[tuple[int, str]]] = {}
+    views: dict[tuple[str, str], list[int]] = {}
+    for ts, machine, dom in impressions:
+        ads.setdefault(machine, []).append((ts, dom))
+    for ts, machine, dom in pageviews:
+        views.setdefault((machine, dom), []).append(ts)
+    return ads, views
 
 
 class Records(NamedTuple):

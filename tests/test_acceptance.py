@@ -52,7 +52,7 @@ from launderscan.urlrules import (
 )
 
 from conftest import DAY0, WINDOW, emitted_corpus, truth_from_json, u32_to_ip, window_index
-from oracles import followthrough_index, load_records
+from oracles import followthrough_index, load_records, panel_fold
 
 SUFFIX = PublicSuffixSet.builtin()
 HOUR_MS = 3_600_000
@@ -255,8 +255,9 @@ def test_criterion_6_panel_ranking(tmp_path):
     )
     corpus = emitted_corpus(scenario, tmp_path)
     policy = SessionPolicy(alias=corpus.alias)
-    ads = attributed_ads(corpus.trace.impressions, DAY0, DAY0 + DAY_MS)
-    visits = publisher_visits(corpus.trace.pageviews, policy)
+    impressions, pageviews = panel_fold(corpus.trace.impressions, corpus.trace.pageviews)
+    ads = attributed_ads(impressions, DAY0, DAY0 + DAY_MS)
+    visits = publisher_visits(pageviews, policy)
     table = misattribution_table(ads, visits)
     ranked = rank_machines(table, min_ads=25)
     planted = corpus.truth.planted_machines

@@ -765,6 +765,46 @@ def test_fingerprint_reads_the_report_before_the_trace(tiny_inputs, capsys):
     assert capsys.readouterr().err == f"error: missing detection report: {d / 'none.json'}\n"
 
 
+def _strict_abort_trace(d: Path) -> Path:
+    """A trace whose second line --strict aborts on."""
+    trace = d / "bad-trace.jsonl"
+    trace.write_text(json.dumps({"ts": DAY0, "machine": "m1", "url": "http://a.com/",
+                                 "ip": "1.2.3.4"}) + "\nnot json\n")
+    return trace
+
+
+@pytest.mark.parametrize("command, flag, what", [
+    ("panelscan", "--alias", "alias groups"),
+    ("rules", "--envfp", "environment fingerprint"),
+])
+def test_missing_side_file_exits_2_before_the_trace_is_read(tiny_inputs, capsys, command, flag, what):
+    """A missing --alias or --envfp exits 2 before the trace is parsed, so a
+    trace that --strict aborts on never reports its bad line."""
+    d = tiny_inputs
+    missing = d / "none.input"
+    args = [command, "--trace", str(_strict_abort_trace(d)), flag, str(missing), "--strict"]
+    if command == "panelscan":
+        args += ["--out", str(d / "out")]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: missing {what}: {missing}\n"
+
+
+def test_panelscan_reads_the_trace_before_the_alias_groups(tiny_inputs, capsys):
+    """--alias is parsed after the trace, so a trace that --strict aborts on
+    wins over a malformed alias file: stderr names the trace."""
+    d = tiny_inputs
+    alias, trace = d / "bad-alias.csv", _strict_abort_trace(d)
+    alias.write_text("a.com,b..com\n")
+    args = ["panelscan", "--trace", str(trace), "--alias", str(alias), "--out", str(d / "out")]
+    capsys.readouterr()
+    assert main([*args, "--strict"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse abort: {trace}: line 2: ") and str(alias) not in err
+    assert main(args) == 3  # lenient: the trace is fine, the alias file still is not
+    assert capsys.readouterr().err.startswith(f"parse abort: {alias}: ")
+
+
 def test_fingerprint_reads_each_flagged_ip_once(tiny_inputs, monkeypatch):
     """1.2.3.4 is flagged in two windows; each of its machines is searched
     for a repeat cycle once."""

@@ -27,10 +27,10 @@ from launderscan.ingest import (
     load_ranked_domains,
 )
 from launderscan.ipattr import IpAttributionTable
-from launderscan.model import DAY_MS, HttpRecord, PublicSuffixSet
+from launderscan.model import DAY_MS, PublicSuffixSet
 
 from conftest import DAY0, WINDOW, window_index
-from oracles import record_domain
+from oracles import HttpRecord, record_domain
 
 SUFFIX = PublicSuffixSet.builtin()
 

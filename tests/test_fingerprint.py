@@ -20,11 +20,11 @@ from launderscan.fingerprint import (
     jaccard,
     jaccard_matrix,
 )
-from launderscan.model import DAY_MS, HttpRecord, PublicSuffixSet, is_malformed_domain
+from launderscan.model import DAY_MS, PublicSuffixSet, is_malformed_domain
 from launderscan.urlrules import MalformedSignalError, check_spoof_query
 
 from conftest import DAY0, WINDOW, window_index
-from oracles import record_domain
+from oracles import HttpRecord, record_domain
 
 SUFFIX = PublicSuffixSet.builtin()
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from launderscan.ingest import AliasGroups, load_alias_groups
-from launderscan.model import DAY_MS, DomainEvent, PublicSuffixSet, normalize_domain
+from launderscan.model import DAY_MS, PublicSuffixSet, normalize_domain
 from launderscan.panel import (
     SessionPolicy,
     attributed_ads,
@@ -13,6 +13,7 @@ from launderscan.panel import (
 )
 
 from conftest import DAY0, total_attributed
+from oracles import DomainEvent, panel_fold
 
 SUFFIX = PublicSuffixSet.builtin()
 ALIAS = load_alias_groups(["outlook.com,live.com,hotmail.com", "realtor.com,move.com"], SUFFIX)
@@ -39,15 +40,15 @@ def test_attributed_ads_day_boundary():
         _imp("m1", "a.com", DAY0 + DAY_MS),  # next day
         _imp("m2", "b.com", DAY0 + 5),
     ]
-    ads = attributed_ads(imps, DAY0, DAY0 + DAY_MS)
+    ads = attributed_ads(panel_fold(imps)[0], DAY0, DAY0 + DAY_MS)
     assert len(ads["m1"]) == 2
     assert ads["m2"] == [(DAY0 + 5, "b.com")]
-    assert attributed_ads([], DAY0, DAY0 + DAY_MS) == {}
+    assert attributed_ads({}, DAY0, DAY0 + DAY_MS) == {}
 
 
 def test_visits_alias_sibling_counts():
     policy = SessionPolicy(alias=ALIAS)
-    visits = publisher_visits([_pv("m1", "hotmail.com", DAY0 + 1000)], policy)
+    visits = publisher_visits(panel_fold(pageviews=[_pv("m1", "hotmail.com", DAY0 + 1000)])[1], policy)
     assert visits.visited("m1", "live.com", DAY0 + 61_000)
     assert visits.visited("m1", "outlook.com", DAY0 + 61_000)
     assert not visits.visited("m1", "realtor.com", DAY0 + 61_000)
@@ -56,7 +57,7 @@ def test_visits_alias_sibling_counts():
 
 def test_visits_lookback_boundary():
     policy = SessionPolicy(lookback_ms=10_000, alias=AliasGroups.empty())
-    visits = publisher_visits([_pv("m1", "a.com", DAY0 + 1000)], policy)
+    visits = publisher_visits(panel_fold(pageviews=[_pv("m1", "a.com", DAY0 + 1000)])[1], policy)
     assert visits.visited("m1", "a.com", DAY0 + 1000)  # same instant
     assert visits.visited("m1", "a.com", DAY0 + 11_000)  # exactly lookback later
     assert not visits.visited("m1", "a.com", DAY0 + 11_001)  # 1 ms too late
@@ -65,22 +66,22 @@ def test_visits_lookback_boundary():
 
 def test_visits_include_previous_day_within_lookback():
     policy = SessionPolicy(lookback_ms=DAY_MS)
-    visits = publisher_visits([_pv("m1", "a.com", DAY0 - 3_600_000)], policy)
+    visits = publisher_visits(panel_fold(pageviews=[_pv("m1", "a.com", DAY0 - 3_600_000)])[1], policy)
     assert visits.visited("m1", "a.com", DAY0 + 1000)
 
 
 def test_no_visits_means_nothing_visited():
     policy = SessionPolicy()
-    visits = publisher_visits([], policy)
+    visits = publisher_visits({}, policy)
     assert not visits.visited("m1", "a.com", DAY0 + 1)
 
 
 def test_fraction_all_missing():
     policy = SessionPolicy()
     ads = attributed_ads(
-        [_imp("m1", "d.com", DAY0 + i) for i in range(1, 11)], DAY0, DAY0 + DAY_MS
+        panel_fold([_imp("m1", "d.com", DAY0 + i) for i in range(1, 11)])[0], DAY0, DAY0 + DAY_MS
     )
-    table = misattribution_table(ads, publisher_visits([], policy))
+    table = misattribution_table(ads, publisher_visits({}, policy))
     assert table.per_domain["d.com"].fraction == 1.0
     assert table.per_machine["m1"].missing == 10
 
@@ -95,7 +96,8 @@ def test_fraction_hand_counted_quarters():
         _imp("m1", "d.com", DAY0 + 300_000),  # missing
     ]
     table = misattribution_table(
-        attributed_ads(imps, DAY0, DAY0 + DAY_MS), publisher_visits(pvs, policy)
+        attributed_ads(panel_fold(imps)[0], DAY0, DAY0 + DAY_MS),
+        publisher_visits(panel_fold(pageviews=pvs)[1], policy),
     )
     stat = table.per_domain["d.com"]
     assert (stat.attributed, stat.missing) == (4, 3)
@@ -107,14 +109,16 @@ def test_alias_rule_prevents_false_positive():
     pvs = [_pv("m1", "hotmail.com", DAY0 + 1000)]
     imps = [_imp("m1", "live.com", DAY0 + 60_000), _imp("m1", "outlook.com", DAY0 + 90_000)]
     table = misattribution_table(
-        attributed_ads(imps, DAY0, DAY0 + DAY_MS), publisher_visits(pvs, policy)
+        attributed_ads(panel_fold(imps)[0], DAY0, DAY0 + DAY_MS),
+        publisher_visits(panel_fold(pageviews=pvs)[1], policy),
     )
     assert table.per_domain["live.com"].fraction == 0.0
     assert table.per_machine["m1"].missing == 0
     # without the alias groups the same ads are missing
     bare = SessionPolicy()
     table = misattribution_table(
-        attributed_ads(imps, DAY0, DAY0 + DAY_MS), publisher_visits(pvs, bare)
+        attributed_ads(panel_fold(imps)[0], DAY0, DAY0 + DAY_MS),
+        publisher_visits(panel_fold(pageviews=pvs)[1], bare),
     )
     assert table.per_machine["m1"].missing == 2
 
@@ -125,7 +129,8 @@ def test_rank_machines_bot_first_and_min_ads():
     imps += [_imp("clean", "d0.com", DAY0 + 1_000_000 + i) for i in range(50)]
     pvs = [_pv("clean", "d0.com", DAY0 + 900_000)]
     table = misattribution_table(
-        attributed_ads(imps, DAY0, DAY0 + DAY_MS), publisher_visits(pvs, policy)
+        attributed_ads(panel_fold(imps)[0], DAY0, DAY0 + DAY_MS),
+        publisher_visits(panel_fold(pageviews=pvs)[1], policy),
     )
     ranked = rank_machines(table, min_ads=25)
     assert ranked[0] == "bot"
@@ -137,7 +142,7 @@ def test_rank_machines_tie_breaks_lexically():
     policy = SessionPolicy()
     imps = [_imp("mB", "x.com", DAY0 + 1), _imp("mA", "x.com", DAY0 + 2)]
     table = misattribution_table(
-        attributed_ads(imps, DAY0, DAY0 + DAY_MS), publisher_visits([], policy)
+        attributed_ads(panel_fold(imps)[0], DAY0, DAY0 + DAY_MS), publisher_visits({}, policy)
     )
     assert rank_machines(table, min_ads=1) == ["mA", "mB"]
 
@@ -157,7 +162,8 @@ def _random_day(rng, n_machines=6, n_domains=5, n_imps=120, n_views=60):
 
 def _total_missing(imps, pvs, policy):
     table = misattribution_table(
-        attributed_ads(imps, DAY0, DAY0 + DAY_MS), publisher_visits(pvs, policy)
+        attributed_ads(panel_fold(imps)[0], DAY0, DAY0 + DAY_MS),
+        publisher_visits(panel_fold(pageviews=pvs)[1], policy),
     )
     return sum(s.missing for s in table.per_machine.values()), table
 

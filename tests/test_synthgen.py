@@ -16,6 +16,7 @@ from launderscan.model import DAY_MS, PublicSuffixSet, is_valid_ipv4
 from launderscan.panel import SessionPolicy, attributed_ads, misattribution_table, publisher_visits
 
 from conftest import DAY0, SMALL_SCENARIO, WINDOW, emitted_corpus, truth_from_json, window_index
+from oracles import panel_fold
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from chainbench.run import PINS, synth_argv  # noqa: E402
@@ -140,8 +141,9 @@ def test_clean_background_yields_no_candidates(clean_corpus):
 
 def test_clean_background_impressions_never_missing(clean_corpus):
     policy = SessionPolicy(alias=clean_corpus.alias)
-    ads = attributed_ads(clean_corpus.trace.impressions, DAY0, DAY0 + DAY_MS)
-    visits = publisher_visits(clean_corpus.trace.pageviews, policy)
+    impressions, pageviews = panel_fold(clean_corpus.trace.impressions, clean_corpus.trace.pageviews)
+    ads = attributed_ads(impressions, DAY0, DAY0 + DAY_MS)
+    visits = publisher_visits(pageviews, policy)
     table = misattribution_table(ads, visits)
     assert all(s.missing == 0 for s in table.per_machine.values())
     assert sum(s.attributed for s in table.per_machine.values()) > 0

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from launderscan.model import (
-    HttpRecord,
     InvalidDomainError,
     PublicSuffixSet,
     is_valid_ipv4,
@@ -29,7 +28,7 @@ from launderscan.urlrules import (
     _query_values,
 )
 
-from oracles import followthrough_index, record_domain
+from oracles import HttpRecord, followthrough_index, record_domain
 
 SUFFIX = PublicSuffixSet.builtin()
 
